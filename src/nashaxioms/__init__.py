@@ -5,11 +5,6 @@ from .axioms import (
     AXIOM_IDS,
     AxiomVerdict,
     check_axiom,
-    check_iis,
-    check_isds,
-    check_jo,
-    check_literature_axiom,
-    check_mc,
     replay_witness,
 )
 from .closures import (

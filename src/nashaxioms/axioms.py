@@ -1,19 +1,22 @@
 """Exhaustive axiom checkers over finite game classes.
 
-Each checker scans a class in its insertion order (profiles in
-linear-index order, player subgroups in ascending bitmask order) and
-returns either a pass or the first violation found, as a structured
-witness that can be replayed through the definitional clauses.
+Each axiom is one scan: a generator that walks a class in its insertion
+order (profiles in linear-index order, player subgroups in ascending
+bitmask order) and yields a structured witness at every violation.
+``check_axiom`` reports the first witness, or a pass; ``replay_witness``
+reruns the same scan from the witness's game and looks for it again.
 
-The contraction and expansion checkers quantify only over games that
-are present in the class; the player-reduction checkers additionally
-report how many quantifier instances were skipped because the reduced
-game is absent.
+The contraction and expansion scans quantify only over games that are
+present in the class; the player-reduction scans additionally count
+how many quantifier instances were skipped because the reduced game is
+absent.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .closures import GameClass
 from .concepts import ConceptDomainError, eval_concept, jointly_optimal
@@ -24,9 +27,6 @@ from .games import (
     is_strict_reduction,
     reduce_players,
 )
-
-#: Axiom ids in report order.
-AXIOM_IDS = ("iis", "mc", "isds", "jo", "cons", "cocons", "ciis")
 
 
 @dataclass
@@ -77,10 +77,12 @@ def _label_set(game: Game, profiles) -> frozenset[tuple[str, ...]]:
     return frozenset(game.labels_of(p) for p in profiles)
 
 
-def check_iis(concept: str, cls: GameClass) -> AxiomVerdict:
+def _iis(
+    concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
+) -> Iterator[dict]:
     """Solutions survive into every reduction they belong to."""
     games = list(cls)
-    for parent in games:
+    for parent in parents:
         solutions = sorted(_phi(concept, parent))
         if not solutions:
             continue
@@ -93,19 +95,13 @@ def check_iis(concept: str, cls: GameClass) -> AxiomVerdict:
                 mapped = cand.profile_from_labels(labels)
                 if mapped is None or mapped in phi_cand:
                     continue
-                return AxiomVerdict(
-                    "iis",
-                    concept,
-                    "violated",
-                    witness={
-                        "game": parent.canonical_id,
-                        "reduction": cand.canonical_id,
-                        "profile": list(labels),
-                        "clause": "solution of the game is lost in a "
-                        "reduction containing it",
-                    },
-                )
-    return AxiomVerdict("iis", concept, "pass")
+                yield {
+                    "game": parent.canonical_id,
+                    "reduction": cand.canonical_id,
+                    "profile": list(labels),
+                    "clause": "solution of the game is lost in a "
+                    "reduction containing it",
+                }
 
 
 def _union_is_full(parent: Game, a: Game, b: Game) -> bool:
@@ -115,10 +111,12 @@ def _union_is_full(parent: Game, a: Game, b: Game) -> bool:
     )
 
 
-def check_mc(concept: str, cls: GameClass) -> AxiomVerdict:
+def _mc(
+    concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
+) -> Iterator[dict]:
     """Common solutions of two merging reductions solve the merge."""
     games = list(cls)
-    for parent in games:
+    for parent in parents:
         reductions = [g for g in games if is_reduction(g, parent)]
         if not reductions:
             continue
@@ -134,69 +132,55 @@ def check_mc(concept: str, cls: GameClass) -> AxiomVerdict:
                 common = sorted(phi_a & phi_b)
                 for labels in common:
                     if labels not in phi_parent:
-                        return AxiomVerdict(
-                            "mc",
-                            concept,
-                            "violated",
-                            witness={
-                                "game": parent.canonical_id,
-                                "reduction_a": ga.canonical_id,
-                                "reduction_b": gb.canonical_id,
-                                "profile": list(labels),
-                                "clause": "profile solves both merging "
-                                "reductions but not the merged game",
-                            },
-                        )
-    return AxiomVerdict("mc", concept, "pass")
+                        yield {
+                            "game": parent.canonical_id,
+                            "reduction_a": ga.canonical_id,
+                            "reduction_b": gb.canonical_id,
+                            "profile": list(labels),
+                            "clause": "profile solves both merging "
+                            "reductions but not the merged game",
+                        }
 
 
-def check_isds(concept: str, cls: GameClass) -> AxiomVerdict:
+def _isds(
+    concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
+) -> Iterator[dict]:
     """Strictly dominated removals leave the solution set unchanged."""
     games = list(cls)
-    for parent in games:
+    for parent in parents:
         for cand in games:
             if not is_strict_reduction(cand, parent):
                 continue
             phi_parent = _label_set(parent, _phi(concept, parent))
             phi_cand = _label_set(cand, _phi(concept, cand))
             if phi_parent != phi_cand:
-                return AxiomVerdict(
-                    "isds",
-                    concept,
-                    "violated",
-                    witness={
-                        "game": parent.canonical_id,
-                        "reduction": cand.canonical_id,
-                        "only_in_game": sorted(
-                            list(x) for x in phi_parent - phi_cand
-                        ),
-                        "only_in_reduction": sorted(
-                            list(x) for x in phi_cand - phi_parent
-                        ),
-                        "clause": "solution sets differ across a strict "
-                        "reduction",
-                    },
-                )
-    return AxiomVerdict("isds", concept, "pass")
+                yield {
+                    "game": parent.canonical_id,
+                    "reduction": cand.canonical_id,
+                    "only_in_game": sorted(
+                        list(x) for x in phi_parent - phi_cand
+                    ),
+                    "only_in_reduction": sorted(
+                        list(x) for x in phi_cand - phi_parent
+                    ),
+                    "clause": "solution sets differ across a strict "
+                    "reduction",
+                }
 
 
-def check_jo(concept: str, cls: GameClass) -> AxiomVerdict:
+def _jo(
+    concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
+) -> Iterator[dict]:
     """Profiles of weakly dominant strategies must be solutions."""
-    for game in cls:
+    for game in parents:
         phi_game = _phi(concept, game)
         for s in sorted(jointly_optimal(game)):
             if s not in phi_game:
-                return AxiomVerdict(
-                    "jo",
-                    concept,
-                    "violated",
-                    witness={
-                        "game": game.canonical_id,
-                        "profile": list(game.labels_of(s)),
-                        "clause": "jointly optimal profile is not a solution",
-                    },
-                )
-    return AxiomVerdict("jo", concept, "pass")
+                yield {
+                    "game": game.canonical_id,
+                    "profile": list(game.labels_of(s)),
+                    "clause": "jointly optimal profile is not a solution",
+                }
 
 
 def _player_subgroups(n: int):
@@ -205,9 +189,11 @@ def _player_subgroups(n: int):
         yield tuple(i for i in range(n) if mask >> i & 1)
 
 
-def _check_cons(concept: str, cls: GameClass) -> AxiomVerdict:
-    checked = skipped = 0
-    for game in cls:
+def _cons(
+    concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
+) -> Iterator[dict]:
+    """Restrictions of solutions solve the player-reduced games."""
+    for game in parents:
         if game.player_count < 2:
             continue
         for s in sorted(_phi(concept, game)):
@@ -215,39 +201,30 @@ def _check_cons(concept: str, cls: GameClass) -> AxiomVerdict:
                 reduced = reduce_players(game, keep, s)
                 member = cls.get(reduced.canonical_id)
                 if member is None:
-                    skipped += 1
+                    tally["skipped"] += 1
                     continue
-                checked += 1
+                tally["checked"] += 1
                 restricted = Profile(tuple(s.indices[i] for i in keep))
                 if restricted not in _phi(concept, member):
-                    return AxiomVerdict(
-                        "cons",
-                        concept,
-                        "violated",
-                        witness={
-                            "game": game.canonical_id,
-                            "player_reduced": member.canonical_id,
-                            "profile": list(game.labels_of(s)),
-                            "players_kept": list(keep),
-                            "restricted_profile": list(
-                                member.labels_of(restricted)
-                            ),
-                            "clause": "restriction of a solution is not a "
-                            "solution of the player-reduced game",
-                        },
-                        coverage={"checked": checked, "skipped": skipped},
-                    )
-    return AxiomVerdict(
-        "cons",
-        concept,
-        "pass",
-        coverage={"checked": checked, "skipped": skipped},
-    )
+                    yield {
+                        "game": game.canonical_id,
+                        "player_reduced": member.canonical_id,
+                        "profile": list(game.labels_of(s)),
+                        "players_kept": list(keep),
+                        "restricted_profile": list(
+                            member.labels_of(restricted)
+                        ),
+                        "clause": "restriction of a solution is not a "
+                        "solution of the player-reduced game",
+                    }
 
 
-def _check_cocons(concept: str, cls: GameClass) -> AxiomVerdict:
-    checked = vacuous = 0
-    for game in cls:
+def _cocons(
+    concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
+) -> Iterator[dict]:
+    """A profile whose restrictions solve every available player-reduced
+    game solves the game."""
+    for game in parents:
         if game.player_count < 2:
             continue
         phi_game = _phi(concept, game)
@@ -261,48 +238,39 @@ def _check_cocons(concept: str, cls: GameClass) -> AxiomVerdict:
                 if member is not None:
                     available.append((keep, member))
             if not available:
-                vacuous += 1
+                tally["vacuous"] += 1
                 continue
-            checked += 1
+            tally["checked"] += 1
             if all(
                 Profile(tuple(s.indices[i] for i in keep))
                 in _phi(concept, member)
                 for keep, member in available
             ):
-                return AxiomVerdict(
-                    "cocons",
-                    concept,
-                    "violated",
-                    witness={
-                        "game": game.canonical_id,
-                        "profile": list(game.labels_of(s)),
-                        "subgroups": [
-                            {
-                                "players_kept": list(keep),
-                                "game": member.canonical_id,
-                            }
-                            for keep, member in available
-                        ],
-                        "clause": "profile solves every available "
-                        "player-reduced game yet not the game itself",
-                    },
-                    coverage={"checked": checked, "vacuous": vacuous},
-                )
-    return AxiomVerdict(
-        "cocons",
-        concept,
-        "pass",
-        coverage={"checked": checked, "vacuous": vacuous},
-    )
+                yield {
+                    "game": game.canonical_id,
+                    "profile": list(game.labels_of(s)),
+                    "subgroups": [
+                        {
+                            "players_kept": list(keep),
+                            "game": member.canonical_id,
+                        }
+                        for keep, member in available
+                    ],
+                    "clause": "profile solves every available "
+                    "player-reduced game yet not the game itself",
+                }
 
 
-def _check_ciis(concept: str, cls: GameClass) -> AxiomVerdict:
+def _ciis(
+    concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
+) -> Iterator[dict]:
+    """A profile that solves every proper reduction containing it solves
+    the game."""
     # The quantifier over proper reductions is read as non-vacuous: a
     # profile with no proper reduction present in the class cannot
     # trigger a violation, it is only counted in the coverage data.
     games = list(cls)
-    checked = vacuous = 0
-    for game in games:
+    for game in parents:
         if game.num_profiles < 3:
             continue
         phi_game = _phi(concept, game)
@@ -321,184 +289,66 @@ def _check_ciis(concept: str, cls: GameClass) -> AxiomVerdict:
                 if g.profile_from_labels(labels) is not None
             ]
             if not containing:
-                vacuous += 1
+                tally["vacuous"] += 1
                 continue
-            checked += 1
+            tally["checked"] += 1
             if all(mapped in _phi(concept, g) for g, mapped in containing):
-                return AxiomVerdict(
-                    "ciis",
-                    concept,
-                    "violated",
-                    witness={
-                        "game": game.canonical_id,
-                        "profile": list(labels),
-                        "reductions": [g.canonical_id for g, _ in containing],
-                        "clause": "profile solves every proper reduction "
-                        "containing it yet not the game itself",
-                    },
-                    coverage={"checked": checked, "vacuous": vacuous},
-                )
-    return AxiomVerdict(
-        "ciis",
-        concept,
-        "pass",
-        coverage={"checked": checked, "vacuous": vacuous},
-    )
+                yield {
+                    "game": game.canonical_id,
+                    "profile": list(labels),
+                    "reductions": [g.canonical_id for g, _ in containing],
+                    "clause": "profile solves every proper reduction "
+                    "containing it yet not the game itself",
+                }
 
 
-_LITERATURE = {"cons": _check_cons, "cocons": _check_cocons, "ciis": _check_ciis}
-
-
-def check_literature_axiom(which: str, concept: str, cls: GameClass) -> AxiomVerdict:
-    """Check one of the player-reduction / proper-reduction axioms."""
-    key = which.lower()
-    try:
-        fn = _LITERATURE[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown literature axiom {which!r}; known: cons, cocons, ciis"
-        ) from None
-    return fn(concept, cls)
-
-
-CHECKERS = {
-    "iis": check_iis,
-    "mc": check_mc,
-    "isds": check_isds,
-    "jo": check_jo,
-    "cons": lambda c, g: check_literature_axiom("cons", c, g),
-    "cocons": lambda c, g: check_literature_axiom("cocons", c, g),
-    "ciis": lambda c, g: check_literature_axiom("ciis", c, g),
+#: Each axiom's scan and the names of the coverage counters it reports
+#: (None: the verdict carries no coverage record).
+_AXIOMS = {
+    "iis": (_iis, None),
+    "mc": (_mc, None),
+    "isds": (_isds, None),
+    "jo": (_jo, None),
+    "cons": (_cons, ("checked", "skipped")),
+    "cocons": (_cocons, ("checked", "vacuous")),
+    "ciis": (_ciis, ("checked", "vacuous")),
 }
+
+#: Axiom ids in report order.
+AXIOM_IDS = tuple(_AXIOMS)
 
 
 def check_axiom(axiom: str, concept: str, cls: GameClass) -> AxiomVerdict:
+    """Scan the whole class; the first witness found is the verdict's."""
+    key = axiom.lower()
     try:
-        fn = CHECKERS[axiom.lower()]
+        scan, counters = _AXIOMS[key]
     except KeyError:
         raise ValueError(
             f"unknown axiom {axiom!r}; known: {', '.join(AXIOM_IDS)}"
         ) from None
-    return fn(concept, cls)
-
-
-# ----------------------------------------------------------------------
-# witness replay: feed a violated verdict back through the definitional
-# clauses and confirm it still demonstrates the violation
-# ----------------------------------------------------------------------
+    tally = Counter()
+    witness = next(scan(concept, cls, cls, tally), None)
+    return AxiomVerdict(
+        key,
+        concept,
+        "pass" if witness is None else "violated",
+        witness=witness,
+        coverage=None if counters is None else {c: tally[c] for c in counters},
+    )
 
 
 def replay_witness(verdict: AxiomVerdict, cls: GameClass) -> bool:
-    """True when a violated verdict's witness re-verifies clause by clause."""
-    if not verdict.violated or not verdict.witness:
+    """True when a violated verdict's witness re-verifies: the axiom's
+    own scan, started from the witness's game, yields it again."""
+    entry = _AXIOMS.get(verdict.axiom)
+    if entry is None or not verdict.violated or not verdict.witness:
         return False
-    w = verdict.witness
-    concept = verdict.concept
-    game = cls.get(w["game"])
+    game = cls.get(verdict.witness.get("game"))
     if game is None:
         return False
-    if verdict.axiom == "iis":
-        cand = cls.get(w["reduction"])
-        if cand is None or not is_reduction(cand, game):
-            return False
-        s = game.profile_from_labels(w["profile"])
-        mapped = cand.profile_from_labels(w["profile"])
-        return (
-            s is not None
-            and mapped is not None
-            and s in _phi(concept, game)
-            and mapped not in _phi(concept, cand)
-        )
-    if verdict.axiom == "mc":
-        ga = cls.get(w["reduction_a"])
-        gb = cls.get(w["reduction_b"])
-        if ga is None or gb is None:
-            return False
-        if not (is_reduction(ga, game) and is_reduction(gb, game)):
-            return False
-        if not _union_is_full(game, ga, gb):
-            return False
-        labels = tuple(w["profile"])
-        sa = ga.profile_from_labels(labels)
-        sb = gb.profile_from_labels(labels)
-        s = game.profile_from_labels(labels)
-        return (
-            sa is not None
-            and sb is not None
-            and s is not None
-            and sa in _phi(concept, ga)
-            and sb in _phi(concept, gb)
-            and s not in _phi(concept, game)
-        )
-    if verdict.axiom == "isds":
-        cand = cls.get(w["reduction"])
-        if cand is None or not is_strict_reduction(cand, game):
-            return False
-        diff_parent = _label_set(game, _phi(concept, game)) - _label_set(
-            cand, _phi(concept, cand)
-        )
-        diff_cand = _label_set(cand, _phi(concept, cand)) - _label_set(
-            game, _phi(concept, game)
-        )
-        return sorted(list(x) for x in diff_parent) == w["only_in_game"] and sorted(
-            list(x) for x in diff_cand
-        ) == w["only_in_reduction"] and bool(diff_parent or diff_cand)
-    if verdict.axiom == "jo":
-        s = game.profile_from_labels(w["profile"])
-        return (
-            s is not None
-            and s in jointly_optimal(game)
-            and s not in _phi(concept, game)
-        )
-    if verdict.axiom == "cons":
-        member = cls.get(w["player_reduced"])
-        if member is None:
-            return False
-        s = game.profile_from_labels(w["profile"])
-        if s is None or s not in _phi(concept, game):
-            return False
-        keep = tuple(w["players_kept"])
-        rebuilt = reduce_players(game, keep, s)
-        if rebuilt.canonical_id != member.canonical_id:
-            return False
-        restricted = Profile(tuple(s.indices[i] for i in keep))
-        return restricted not in _phi(concept, member)
-    if verdict.axiom == "cocons":
-        s = game.profile_from_labels(w["profile"])
-        if s is None or s in _phi(concept, game):
-            return False
-        if not w["subgroups"]:
-            return False
-        for entry in w["subgroups"]:
-            member = cls.get(entry["game"])
-            if member is None:
-                return False
-            keep = tuple(entry["players_kept"])
-            if reduce_players(game, keep, s).canonical_id != member.canonical_id:
-                return False
-            restricted = Profile(tuple(s.indices[i] for i in keep))
-            if restricted not in _phi(concept, member):
-                return False
-        return True
-    if verdict.axiom == "ciis":
-        if game.num_profiles < 3:
-            return False
-        s = game.profile_from_labels(w["profile"])
-        if s is None or s in _phi(concept, game):
-            return False
-        containing = [
-            g
-            for g in cls
-            if g.canonical_id != game.canonical_id
-            and is_reduction(g, game)
-            and g.profile_from_labels(w["profile"]) is not None
-        ]
-        if not containing:
-            return False
-        if sorted(g.canonical_id for g in containing) != sorted(w["reductions"]):
-            return False
-        return all(
-            g.profile_from_labels(w["profile"]) in _phi(concept, g)
-            for g in containing
-        )
-    return False
+    scan, _ = entry
+    return any(
+        found == verdict.witness
+        for found in scan(verdict.concept, cls, [game], Counter())
+    )

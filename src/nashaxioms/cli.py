@@ -28,12 +28,7 @@ from .closures import (
     reduction_closure,
     strict_closure,
 )
-from .concepts import (
-    CONCEPT_IDS,
-    ConceptDomainError,
-    eval_concept,
-    prewarm_cache,
-)
+from .concepts import CONCEPT_IDS, ConceptDomainError, eval_concept
 from .fixtures import FIXTURES, fixture_game
 from .games import BudgetExceededError, DEFAULT_BUDGET, Game, GameFormatError
 from .gamefiles import load_game
@@ -47,16 +42,25 @@ from .theorems import (
 BUDGET_ENV = "NASHAXIOMS_BUDGET"
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise GameFormatError(
-            f"environment variable {BUDGET_ENV} is not an integer: {raw!r}"
-        ) from None
+def _budget(flag: int | None = None) -> int:
+    """The closure budget: ``--budget``, else the environment, else the
+    default.  A budget below 1 cannot admit even the seed games."""
+    if flag is not None:
+        budget, source = flag, "--budget"
+    else:
+        raw = os.environ.get(BUDGET_ENV)
+        if raw is None:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise GameFormatError(
+                f"environment variable {BUDGET_ENV} is not an integer: {raw!r}"
+            ) from None
+        source = f"environment variable {BUDGET_ENV}"
+    if budget < 1:
+        raise GameFormatError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def _resolve_game(spec: str) -> Game:
@@ -111,7 +115,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args.budget)
     source = Path(args.source)
     if source.is_dir():
         seeds = list(GameClass.read_dir(source))
@@ -134,9 +138,7 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    budget = _default_budget()
-    class_name, cls = _resolve_class(args.class_spec, budget)
-    prewarm_cache(cls, args.jobs)
+    class_name, cls = _resolve_class(args.class_spec, _budget())
     verdict = check_axiom(args.axiom, args.concept, cls)
     record = verdict.to_record(class_name)
     print(
@@ -175,7 +177,7 @@ def _cmd_construct(args) -> int:
     else:  # lemma 2
         if not args.class_spec:
             raise GameFormatError("--lemma 2 needs --class")
-        class_name, cls = _resolve_class(args.class_spec, _default_budget())
+        class_name, cls = _resolve_class(args.class_spec, _budget())
         report = verify_one_player_lemma(cls)
         record = report.to_record(class_name)
         ok = report.all_consistent
@@ -189,7 +191,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    rows = run_suite(jobs=args.jobs)
+    rows = run_suite()
     sys.stdout.write(render(rows))
     if args.report:
         Path(args.report).write_text(
@@ -240,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="class directory or named class",
     )
     p.add_argument("--report", default=None, help="write a JSON record here")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("construct", help="run a proof construction")
@@ -253,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("reproduce", help="run the full expectation suite")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.add_argument("--report", default=None, help="write JSON records here")
     p.set_defaults(func=_cmd_reproduce)
 

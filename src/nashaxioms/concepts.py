@@ -2,14 +2,12 @@
 
 The registry holds every concept the engine can evaluate by id.  All
 concepts are deterministic functions of a game's canonical form, and
-``eval_concept`` memoizes results behind a lock so concurrent callers
-observe identical values.
+``eval_concept`` memoizes results.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Callable
 
 from .games import Game, Profile
@@ -45,7 +43,7 @@ def nash(game: Game) -> frozenset[Profile]:
 
 
 def _coalition_blocks(
-    game: Game, profile: Profile, coalition: tuple[int, ...], weak: bool
+    game: Game, profile: Profile, coalition: tuple[int, ...]
 ) -> bool:
     base = {i: game.rank(i, profile) for i in coalition}
     for move in itertools.product(*(range(game.shape[i]) for i in coalition)):
@@ -55,23 +53,16 @@ def _coalition_blocks(
         deviated = Profile(tuple(target))
         if deviated == profile:
             continue
-        diffs = [game.rank(i, deviated) - base[i] for i in coalition]
-        if weak:
-            if all(d <= 0 for d in diffs) and any(d < 0 for d in diffs):
-                return True
-        elif all(d < 0 for d in diffs):
+        if all(game.rank(i, deviated) < base[i] for i in coalition):
             return True
     return False
 
 
-def strong_nash(game: Game, *, weak_blocking: bool = False) -> frozenset[Profile]:
+def strong_nash(game: Game) -> frozenset[Profile]:
     """Profiles no coalition can profitably deviate from.
 
-    By default a deviation blocks only when every coalition member
-    strictly improves.  ``weak_blocking=True`` switches to the
-    alternative reading (all weakly improve, at least one strictly),
-    exposed for sensitivity checks; it is not the registered default.
-    Singleton coalitions make this a subset of ``nash``.
+    A deviation blocks only when every coalition member strictly
+    improves.  Singleton coalitions make this a subset of ``nash``.
     """
     n = game.player_count
     coalitions = [
@@ -82,7 +73,7 @@ def strong_nash(game: Game, *, weak_blocking: bool = False) -> frozenset[Profile
         p
         for p in game.profiles()
         if not any(
-            _coalition_blocks(game, p, c, weak_blocking) for c in coalitions
+            _coalition_blocks(game, p, c) for c in coalitions
         )
     )
 
@@ -205,47 +196,22 @@ CONCEPTS: dict[str, Callable[[Game], frozenset[Profile]]] = {
 CONCEPT_IDS = tuple(CONCEPTS)
 
 _cache: dict[tuple[str, str], frozenset[Profile]] = {}
-_cache_lock = threading.Lock()
 
 
 def eval_concept(concept: str, game: Game) -> frozenset[Profile]:
-    """Evaluate a registered concept on a game, memoized and thread-safe."""
+    """Evaluate a registered concept on a game, memoized."""
     try:
         fn = CONCEPTS[concept]
     except KeyError:
         raise ValueError(f"unknown solution concept id: {concept!r}") from None
     key = (concept, game.canonical_id)
-    with _cache_lock:
-        hit = _cache.get(key)
+    hit = _cache.get(key)
     if hit is not None:
         return hit
     value = fn(game)
-    with _cache_lock:
-        _cache[key] = value
+    _cache[key] = value
     return value
 
 
 def clear_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
-
-
-def prewarm_cache(games, jobs: int = 1) -> None:
-    """Evaluate every registered concept on the given games with a
-    thread pool.  Purely a cache fill: scans that follow read identical
-    values whatever the worker count."""
-    if jobs <= 1:
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    work = [(concept, game) for game in list(games) for concept in CONCEPT_IDS]
-
-    def run(item):
-        concept, game = item
-        try:
-            eval_concept(concept, game)
-        except ConceptDomainError:
-            pass
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(run, work))
+    _cache.clear()

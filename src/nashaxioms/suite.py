@@ -2,8 +2,8 @@
 
 Every expectation the bundled examples and classes are known to
 satisfy is checked and rendered as one fixed-format line, so the
-output is byte-stable across runs and worker counts.  Exit status of
-the CLI command is derived from the returned rows.
+output is byte-stable across runs.  Exit status of the CLI command is
+derived from the returned rows.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from . import fixtures
 from .axioms import AxiomVerdict, check_axiom, replay_witness
 from .closures import GameClass, build_named_class, d_closure, strict_closure
-from .concepts import (
-    CONCEPT_IDS,
-    ConceptDomainError,
-    eval_concept,
-    nash,
-    prewarm_cache,
-)
+from .concepts import CONCEPT_IDS, ConceptDomainError, eval_concept, nash
 from .games import Game
 from .oracles import nash_bruteforce
 from .theorems import lemma1a_witness, lemma1b_construct, verify_one_player_lemma, verify_theorem1
@@ -45,16 +39,7 @@ def _labels(game: Game, profiles) -> set[tuple[str, ...]]:
     return {game.labels_of(p) for p in profiles}
 
 
-def _strategy_sets(game: Game) -> tuple[tuple[str, ...], ...]:
-    return game.strategies
-
-
-def _prewarm(classes: dict[str, GameClass], jobs: int) -> None:
-    for cls in classes.values():
-        prewarm_cache(cls, jobs)
-
-
-def run_suite(jobs: int = 1) -> list[Expectation]:
+def run_suite() -> list[Expectation]:
     rows: list[Expectation] = []
     recorded: list[tuple[AxiomVerdict, GameClass]] = []
 
@@ -85,7 +70,6 @@ def run_suite(jobs: int = 1) -> list[Expectation]:
         "cube_dclosed": d_closure([cube]),
         "chain_strict": strict_closure([chain]),
     }
-    _prewarm(classes, jobs)
 
     # ------------------------------------------------------------------
     # 1. equilibrium sets of the bundled games, against the oracle
@@ -158,7 +142,7 @@ def run_suite(jobs: int = 1) -> list[Expectation]:
             and w.get("profile") == ["D", "R"]
             and ga is not None
             and gb is not None
-            and {_strategy_sets(ga), _strategy_sets(gb)} == want_pair
+            and {ga.strategies, gb.strategies} == want_pair
         )
     expect(
         sec,
@@ -174,7 +158,7 @@ def run_suite(jobs: int = 1) -> list[Expectation]:
             w.get("game") == ex2.canonical_id
             and w.get("profile") == ["D", "L"]
             and red is not None
-            and _strategy_sets(red) == (("U", "D"), ("L",))
+            and red.strategies == (("U", "D"), ("L",))
         )
     expect(
         sec,

@@ -1,13 +1,9 @@
 import pytest
 
 from nashaxioms import (
+    AxiomVerdict,
     ConceptDomainError,
     check_axiom,
-    check_iis,
-    check_isds,
-    check_jo,
-    check_literature_axiom,
-    check_mc,
     replay_witness,
 )
 from nashaxioms.concepts import CONCEPT_IDS
@@ -25,11 +21,11 @@ def strategy_sets(cls, cid):
 
 
 def test_iis_nash_passes(ex2_dclosed):
-    assert check_iis("nash", ex2_dclosed).passed
+    assert check_axiom("iis", "nash", ex2_dclosed).passed
 
 
 def test_iis_indifference_closure_witness(ex2_dclosed, ex2):
-    verdict = check_iis("ne_indifference_closure", ex2_dclosed)
+    verdict = check_axiom("iis", "ne_indifference_closure", ex2_dclosed)
     assert verdict.violated
     w = verdict.witness
     assert w["game"] == ex2.canonical_id
@@ -39,7 +35,7 @@ def test_iis_indifference_closure_witness(ex2_dclosed, ex2):
 
 
 def test_iis_empty_passes(pd_dclosed):
-    assert check_iis("empty", pd_dclosed).passed
+    assert check_axiom("iis", "empty", pd_dclosed).passed
 
 
 # ----------------------------------------------------------------------
@@ -48,7 +44,7 @@ def test_iis_empty_passes(pd_dclosed):
 
 
 def test_mc_strong_nash_witness(ex2_dclosed, ex2):
-    verdict = check_mc("strong_nash", ex2_dclosed)
+    verdict = check_axiom("mc", "strong_nash", ex2_dclosed)
     assert verdict.violated
     w = verdict.witness
     assert w["game"] == ex2.canonical_id
@@ -62,11 +58,11 @@ def test_mc_strong_nash_witness(ex2_dclosed, ex2):
 
 
 def test_mc_nash_passes(ex5_dclosed):
-    assert check_mc("nash", ex5_dclosed).passed
+    assert check_axiom("mc", "nash", ex5_dclosed).passed
 
 
 def test_mc_ex5_concept_fails_on_reduction_class(ex5_class):
-    verdict = check_mc("ex5_phi", ex5_class)
+    verdict = check_axiom("mc", "ex5_phi", ex5_class)
     assert verdict.violated
     assert replay_witness(verdict, ex5_class)
 
@@ -77,18 +73,18 @@ def test_mc_ex5_concept_fails_on_reduction_class(ex5_class):
 
 
 def test_isds_all_profiles_fails(pd_dclosed):
-    verdict = check_isds("all_profiles", pd_dclosed)
+    verdict = check_axiom("isds", "all_profiles", pd_dclosed)
     assert verdict.violated
     assert verdict.witness["only_in_game"]
     assert replay_witness(verdict, pd_dclosed)
 
 
 def test_isds_nash_passes(pd_dclosed):
-    assert check_isds("nash", pd_dclosed).passed
+    assert check_axiom("isds", "nash", pd_dclosed).passed
 
 
 def test_isds_empty_passes(pd_dclosed):
-    assert check_isds("empty", pd_dclosed).passed
+    assert check_axiom("isds", "empty", pd_dclosed).passed
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +93,7 @@ def test_isds_empty_passes(pd_dclosed):
 
 
 def test_jo_empty_witness(pd_dclosed, pd):
-    verdict = check_jo("empty", pd_dclosed)
+    verdict = check_axiom("jo", "empty", pd_dclosed)
     assert verdict.violated
     assert verdict.witness["game"] == pd.canonical_id
     assert verdict.witness["profile"] == ["D", "D"]
@@ -105,12 +101,12 @@ def test_jo_empty_witness(pd_dclosed, pd):
 
 
 def test_jo_all_profiles_passes(pd_dclosed, ex2_dclosed):
-    assert check_jo("all_profiles", pd_dclosed).passed
-    assert check_jo("all_profiles", ex2_dclosed).passed
+    assert check_axiom("jo", "all_profiles", pd_dclosed).passed
+    assert check_axiom("jo", "all_profiles", ex2_dclosed).passed
 
 
 def test_jo_nash_passes(ex5_dclosed):
-    assert check_jo("nash", ex5_dclosed).passed
+    assert check_axiom("jo", "nash", ex5_dclosed).passed
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +115,7 @@ def test_jo_nash_passes(ex5_dclosed):
 
 
 def test_cons_parity_witness(ex3_cons, ex2):
-    verdict = check_literature_axiom("cons", "parity_ne", ex3_cons)
+    verdict = check_axiom("cons", "parity_ne", ex3_cons)
     assert verdict.violated
     w = verdict.witness
     assert w["game"] == ex2.canonical_id
@@ -130,43 +126,73 @@ def test_cons_parity_witness(ex3_cons, ex2):
 
 
 def test_cocons_example4(ex4_class):
-    bad = check_literature_axiom("cocons", "ex4_phi", ex4_class)
+    bad = check_axiom("cocons", "ex4_phi", ex4_class)
     assert bad.violated
     assert replay_witness(bad, ex4_class)
     assert check_axiom("mc", "ex4_phi", ex4_class).passed
-    good = check_literature_axiom("cocons", "ex4_phi_prime", ex4_class)
+    good = check_axiom("cocons", "ex4_phi_prime", ex4_class)
     assert good.passed
     assert check_axiom("mc", "ex4_phi_prime", ex4_class).violated
 
 
 def test_ciis_example5(ex5_class):
-    assert check_literature_axiom("ciis", "ex5_phi", ex5_class).passed
+    assert check_axiom("ciis", "ex5_phi", ex5_class).passed
 
 
 def test_cons_coverage_counts_skips(ex2_dclosed):
     # the d-closure holds no player-reduced games, so nothing is checkable
-    verdict = check_literature_axiom("cons", "nash", ex2_dclosed)
+    verdict = check_axiom("cons", "nash", ex2_dclosed)
     assert verdict.passed
     assert verdict.coverage["checked"] == 0
     assert verdict.coverage["skipped"] > 0
 
 
 def test_ciis_vacuous_profiles_are_flagged(ex3_cons):
-    verdict = check_literature_axiom("ciis", "empty", ex3_cons)
+    verdict = check_axiom("ciis", "empty", ex3_cons)
     assert verdict.passed
     assert verdict.coverage["vacuous"] > 0
+
+
+@pytest.mark.parametrize(
+    "axiom,concept,tamper",
+    [
+        pytest.param(
+            "cons",
+            "parity_ne",
+            lambda w: {**w, "restricted_profile": ["nope"]},
+            id="cons-restricted_profile",
+        ),
+        pytest.param(
+            "cons",
+            "parity_ne",
+            lambda w: {**w, "players_kept": []},
+            id="cons-no_players_kept",
+        ),
+        pytest.param(
+            "cocons",
+            "strong_nash",
+            lambda w: {**w, "subgroups": w["subgroups"][:1]},
+            id="cocons-subgroup_dropped",
+        ),
+    ],
+)
+def test_tampered_witness_does_not_replay(axiom, concept, tamper, ex3_cons):
+    verdict = check_axiom(axiom, concept, ex3_cons)
+    assert replay_witness(verdict, ex3_cons)
+    tampered = tamper(verdict.witness)
+    assert tampered != verdict.witness
+    forged = AxiomVerdict(axiom, concept, "violated", witness=tampered)
+    assert replay_witness(forged, ex3_cons) is False
 
 
 def test_unknown_ids(ex2_dclosed):
     with pytest.raises(ValueError):
         check_axiom("nope", "nash", ex2_dclosed)
-    with pytest.raises(ValueError):
-        check_literature_axiom("nope", "nash", ex2_dclosed)
 
 
 def test_domain_error_names_offending_game(ex4_class):
     with pytest.raises(ConceptDomainError) as err:
-        check_mc("ex5_phi", ex4_class)
+        check_axiom("mc", "ex5_phi", ex4_class)
     assert "[game " in str(err.value)
 
 

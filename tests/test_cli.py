@@ -119,6 +119,29 @@ def test_budget_env_var(capsys, tmp_path, monkeypatch):
     assert "9 games" in out
 
 
+def test_budget_flag_below_one_is_rejected(capsys, tmp_path):
+    out_dir = tmp_path / "x"
+    code, out, err = run_cli(
+        capsys, "closure", "ex2", "--mode", "d", "--budget", "-1", "--out", str(out_dir)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --budget must be at least 1, got -1\n"
+    assert not out_dir.exists()
+
+
+def test_budget_env_var_below_one_is_rejected(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("NASHAXIOMS_BUDGET", "-3")
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "mc", "--concept", "nash", "--class", "ex5"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: environment variable NASHAXIOMS_BUDGET must be at least 1, got -3\n"
+    )
+
+
 def test_closure_reductions_mode(capsys, tmp_path):
     out_dir = tmp_path / "reds"
     code, out, _ = run_cli(
@@ -211,7 +234,7 @@ def test_written_game_reparses_identically(tmp_path, capsys, pd):
 def test_reproduce_is_stable_and_green(capsys, tmp_path):
     report = tmp_path / "rows.json"
     code1, out1, _ = run_cli(capsys, "reproduce", "--report", str(report))
-    code2, out2, _ = run_cli(capsys, "reproduce", "--jobs", "4")
+    code2, out2, _ = run_cli(capsys, "reproduce")
     assert code1 == code2 == 0
     assert out1 == out2
     assert "SUMMARY" in out1

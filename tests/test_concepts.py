@@ -66,19 +66,6 @@ def test_strong_nash_single_column(ex2):
     assert labels(sub, strong_nash(sub)) == {("D", "R")}
 
 
-def test_weak_blocking_variant_is_stricter():
-    g = build_game(
-        2,
-        [["A", "B"], ["A", "B"]],
-        payoffs=[[1, 0, 0, 1], [1, 0, 0, 2]],
-    )
-    default = labels(g, strong_nash(g))
-    weak = labels(g, strong_nash(g, weak_blocking=True))
-    assert ("A", "A") in default
-    assert ("A", "A") not in weak
-    assert weak <= default
-
-
 # ----------------------------------------------------------------------
 # joint optimality
 # ----------------------------------------------------------------------
