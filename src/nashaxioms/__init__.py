@@ -25,7 +25,7 @@ from .concepts import (
     nash,
     strong_nash,
 )
-from .gamefiles import dump_game, load_game, parse_game, save_game
+from .gamefiles import dump_game, load_game, parse_game
 from .games import (
     DEFAULT_BUDGET,
     BudgetExceededError,

@@ -344,7 +344,8 @@ def replay_witness(verdict: AxiomVerdict, cls: GameClass) -> bool:
     entry = _AXIOMS.get(verdict.axiom)
     if entry is None or not verdict.violated or not verdict.witness:
         return False
-    game = cls.get(verdict.witness.get("game"))
+    cid = verdict.witness.get("game")
+    game = cls.get(cid) if isinstance(cid, str) else None
     if game is None:
         return False
     scan, _ = entry

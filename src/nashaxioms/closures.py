@@ -24,7 +24,7 @@ from .games import (
     reduce_players,
     restrict,
 )
-from .gamefiles import game_payload, game_from_payload
+from .gamefiles import dump_game, load_game
 
 #: Provenance kinds a class member can carry.
 PROVENANCE_KINDS = (
@@ -152,10 +152,7 @@ class GameClass:
         entries = []
         for cid, game in self._games.items():
             fname = f"{cid[:16]}.game"
-            (path / fname).write_text(
-                json.dumps(game_payload(game), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            (path / fname).write_text(dump_game(game), encoding="utf-8")
             entries.append(
                 {
                     "id": cid,
@@ -179,10 +176,7 @@ class GameClass:
         manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
         out = cls(params=manifest.get("params", {}))
         for entry in manifest["games"]:
-            data = json.loads(
-                (path / entry["file"]).read_text(encoding="utf-8")
-            )
-            game = game_from_payload(data)
+            game = load_game(path / entry["file"])
             if game.canonical_id != entry["id"]:
                 raise GameFormatError(
                     f"game file {entry['file']} does not match its manifest id"

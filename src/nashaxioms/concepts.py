@@ -7,7 +7,6 @@ concepts are deterministic functions of a game's canonical form, and
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable
 
 from .games import Game, Profile
@@ -23,39 +22,30 @@ def nash(game: Game) -> frozenset[Profile]:
     A profile is kept when every player's strategy attains the minimal
     rank in its opponent column.
     """
-    colmin: list[dict[tuple[int, ...], int]] = []
-    for player in range(game.player_count):
-        best: dict[tuple[int, ...], int] = {}
-        for p in game.profiles():
-            col = p.drop(player)
-            r = game.rank(player, p)
-            if r < best.get(col, r + 1):
-                best[col] = r
-        colmin.append(best)
+    best_responses = [0] * game.num_profiles
+    for player, table in enumerate(game.ranks):
+        for col in game.columns(player):
+            low = min(table[k] for k in col)
+            for k in col:
+                if table[k] == low:
+                    best_responses[k] += 1
     return frozenset(
-        p
-        for p in game.profiles()
-        if all(
-            game.rank(i, p) == colmin[i][p.drop(i)]
-            for i in range(game.player_count)
-        )
+        game.profile_at(k)
+        for k, count in enumerate(best_responses)
+        if count == game.player_count
     )
 
 
-def _coalition_blocks(
-    game: Game, profile: Profile, coalition: tuple[int, ...]
-) -> bool:
-    base = {i: game.rank(i, profile) for i in coalition}
-    for move in itertools.product(*(range(game.shape[i]) for i in coalition)):
-        target = list(profile.indices)
-        for i, v in zip(coalition, move):
-            target[i] = v
-        deviated = Profile(tuple(target))
-        if deviated == profile:
-            continue
-        if all(game.rank(i, deviated) < base[i] for i in coalition):
-            return True
-    return False
+def _coalition_blocks(game: Game, coalition: tuple[int, ...]) -> set[int]:
+    """Linear indices of the profiles that a joint deviation of the
+    coalition improves strictly for every member."""
+    tables = [game.ranks[i] for i in coalition]
+    return {
+        k
+        for deviations in game.columns(*coalition)
+        for k in deviations
+        if any(all(t[d] < t[k] for t in tables) for d in deviations)
+    }
 
 
 def strong_nash(game: Game) -> frozenset[Profile]:
@@ -65,16 +55,13 @@ def strong_nash(game: Game) -> frozenset[Profile]:
     improves.  Singleton coalitions make this a subset of ``nash``.
     """
     n = game.player_count
-    coalitions = [
-        tuple(i for i in range(n) if mask >> i & 1)
-        for mask in range(1, 1 << n)
-    ]
-    return frozenset(
-        p
-        for p in game.profiles()
-        if not any(
-            _coalition_blocks(game, p, c) for c in coalitions
+    blocked: set[int] = set()
+    for mask in range(1, 1 << n):
+        blocked |= _coalition_blocks(
+            game, tuple(i for i in range(n) if mask >> i & 1)
         )
+    return frozenset(
+        game.profile_at(k) for k in range(game.num_profiles) if k not in blocked
     )
 
 
@@ -86,20 +73,15 @@ def jointly_optimal(game: Game) -> frozenset[Profile]:
     one-player games the two coincide.
     """
     dominant: list[list[int]] = []
-    for player in range(game.player_count):
+    for player, table in enumerate(game.ranks):
         options = set(range(game.shape[player]))
-        others = [k for i, k in enumerate(game.shape) if i != player]
-        for col in itertools.product(*(range(k) for k in others)):
-            ranks = {
-                a: game.rank(player, Profile(col[:player] + (a,) + col[player:]))
-                for a in range(game.shape[player])
-            }
-            best = min(ranks.values())
-            options &= {a for a, r in ranks.items() if r == best}
+        for col in game.columns(player):
+            low = min(table[k] for k in col)
+            options &= {a for a, k in enumerate(col) if table[k] == low}
             if not options:
                 return frozenset()
         dominant.append(sorted(options))
-    return frozenset(Profile(c) for c in itertools.product(*dominant))
+    return frozenset(game.profile_at(k) for k in game.subgrid(dominant))
 
 
 def empty_set(game: Game) -> frozenset[Profile]:
@@ -113,20 +95,10 @@ def all_profiles(game: Game) -> frozenset[Profile]:
 def ne_indifference_closure(game: Game) -> frozenset[Profile]:
     """Nash equilibria plus every profile all players are indifferent
     to some equilibrium about."""
-    ne = nash(game)
-    if not ne:
-        return ne
+    rank_vectors = list(zip(*game.ranks))
+    tied = {rank_vectors[game.linear_index(t)] for t in nash(game)}
     return frozenset(
-        s
-        for s in game.profiles()
-        if s in ne
-        or any(
-            all(
-                game.rank(i, s) == game.rank(i, t)
-                for i in range(game.player_count)
-            )
-            for t in ne
-        )
+        game.profile_at(k) for k, v in enumerate(rank_vectors) if v in tied
     )
 
 

@@ -1,9 +1,10 @@
 """Bundled benchmark games.
 
 Each fixture exists both as a builder here and as a ``.game`` file
-under ``nashaxioms/data`` (the files are what the CLI resolves bare
-names like ``ex2.game`` against).  The tests assert the two stay in
-sync.
+under ``nashaxioms/data``.  The CLI resolves a bare name like ``ex2``
+or ``ex2.game`` that is not an existing file by calling the builder;
+the ``.game`` files are sample game files, and the tests assert the
+two stay in sync.
 """
 
 from __future__ import annotations

@@ -75,9 +75,3 @@ def game_payload(game: Game) -> dict:
 
 def dump_game(game: Game) -> str:
     return json.dumps(game_payload(game), indent=2, sort_keys=True) + "\n"
-
-
-def save_game(game: Game, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(dump_game(game), encoding="utf-8")
-    return path

@@ -68,22 +68,14 @@ class Profile:
         idx[player] = value
         return Profile(tuple(idx))
 
-    def drop(self, player: int) -> tuple[int, ...]:
-        return self.indices[:player] + self.indices[player + 1 :]
-
     def __repr__(self):
         return f"Profile{self.indices}"
 
 
-def _normalize_ranks(values: Sequence[int]) -> tuple[int, ...]:
-    """Remap rank values so the used set is exactly 0..k, order kept."""
-    order = {v: r for r, v in enumerate(sorted(set(values)))}
-    return tuple(order[v] for v in values)
-
-
-def _ranks_from_payoffs(values: Sequence[float]) -> tuple[int, ...]:
-    """Dense ranks from payoffs: higher payoff maps to lower rank."""
-    order = {v: r for r, v in enumerate(sorted(set(values), reverse=True))}
+def _normalize_ranks(values: Sequence, reverse: bool) -> tuple[int, ...]:
+    """Remap values to dense ranks 0..k: ascending values keep their
+    order, and ``reverse`` maps higher values (payoffs) to lower ranks."""
+    order = {v: r for r, v in enumerate(sorted(set(values), reverse=reverse))}
     return tuple(order[v] for v in values)
 
 
@@ -184,8 +176,26 @@ class Game:
         """Strict preference of player for profile a over profile b."""
         return self.rank(player, a) < self.rank(player, b)
 
-    def indifferent(self, player: int, a: Profile, b: Profile) -> bool:
-        return self.rank(player, a) == self.rank(player, b)
+    def subgrid(self, axes: Sequence[Sequence[int]]) -> list[int]:
+        """Linear indices of the sub-grid ``axes[0] x ... x axes[n-1]``
+        (each axis ascending), in linear-index order.  Besides
+        ``Profile.linear_index``/``from_linear``, the only code that
+        knows the flat-table layout."""
+        out = [0]
+        for size, axis in zip(self.shape, axes, strict=True):
+            out = [k * size + i for k in out for i in axis]
+        return out
+
+    def columns(self, *players: int) -> list[list[int]]:
+        """One sub-grid per assignment of the other players, in
+        linear-index order, over which ``players`` range freely: a
+        player's columns (entry ``a`` is strategy ``a``), or a
+        coalition's joint deviations."""
+        choices = [
+            [range(k)] if i in players else [(v,) for v in range(k)]
+            for i, k in enumerate(self.shape)
+        ]
+        return [self.subgrid(axes) for axes in itertools.product(*choices)]
 
     def labels_of(self, profile: Profile) -> tuple[str, ...]:
         return tuple(
@@ -246,13 +256,13 @@ def build_game(
             f"expected {player_count} tables, got {len(tables)}"
         )
     flat_tables = [_flatten_table(t, shape) for t in tables]
-    if payoffs is not None:
-        rank_tables = tuple(_ranks_from_payoffs(t) for t in flat_tables)
-    else:
-        for t in flat_tables:
-            if not all(isinstance(v, int) and v >= 0 for v in t):
-                raise GameFormatError("ranks must be non-negative integers")
-        rank_tables = tuple(_normalize_ranks(t) for t in flat_tables)
+    if ranks is not None and not all(
+        isinstance(v, int) and v >= 0 for t in flat_tables for v in t
+    ):
+        raise GameFormatError("ranks must be non-negative integers")
+    rank_tables = tuple(
+        _normalize_ranks(t, reverse=payoffs is not None) for t in flat_tables
+    )
     return Game(player_count, strategies, rank_tables)
 
 
@@ -325,10 +335,6 @@ class SubsetSpec:
     def full(cls, game: Game) -> "SubsetSpec":
         return cls(tuple(tuple(range(k)) for k in game.shape))
 
-    @classmethod
-    def singleton(cls, game: Game, profile: Profile) -> "SubsetSpec":
-        return cls.coerce(game, tuple((k,) for k in profile.indices))
-
     def validate_for(self, game: Game) -> None:
         if len(self.indices) != game.player_count:
             raise GameFormatError(
@@ -379,23 +385,25 @@ def restrict(parent: Game, subsets) -> Game:
     the parent.
     """
     spec = SubsetSpec.coerce(parent, subsets)
-    strategies = spec.labels(parent)
-    sub_shape = spec.sizes()
-    parent_linears = []
-    for combo in itertools.product(*(range(k) for k in sub_shape)):
-        mapped = Profile(
-            tuple(spec.indices[i][q] for i, q in enumerate(combo))
-        )
-        parent_linears.append(mapped.linear_index(parent.shape))
-    rank_tables = tuple(
-        _normalize_ranks([parent.ranks[i][k] for k in parent_linears])
-        for i in range(parent.player_count)
+    ranks = _slice_ranks(parent, spec.indices, range(parent.player_count))
+    return Game(parent.player_count, spec.labels(parent), ranks)
+
+
+def _slice_ranks(
+    game: Game, axes: Sequence[Sequence[int]], players: Iterable[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The players' rank tables on a sub-grid, dense-normalized."""
+    cells = game.subgrid(axes)
+    return tuple(
+        _normalize_ranks([game.ranks[i][k] for k in cells], reverse=False)
+        for i in players
     )
-    return Game(parent.player_count, strategies, rank_tables)
 
 
-def _embedding_spec(candidate: Game, parent: Game) -> SubsetSpec | None:
-    """Label-wise order-preserving embedding of candidate into parent."""
+def _reduction_spec(candidate: Game, parent: Game) -> SubsetSpec | None:
+    """The subsets restricting parent to candidate, or None when
+    candidate is not a reduction of parent: the labels must embed
+    player-wise in order, and the restriction must equal candidate."""
     if candidate.player_count != parent.player_count:
         return None
     idx = []
@@ -408,7 +416,8 @@ def _embedding_spec(candidate: Game, parent: Game) -> SubsetSpec | None:
         if any(b <= a for a, b in zip(ids, ids[1:])):
             return None
         idx.append(ids)
-    return SubsetSpec(tuple(idx))
+    spec = SubsetSpec(tuple(idx))
+    return spec if restrict(parent, spec) == candidate else None
 
 
 def is_reduction(candidate: Game, parent: Game) -> bool:
@@ -420,8 +429,7 @@ def is_reduction(candidate: Game, parent: Game) -> bool:
     tables, order agreement is exactly equality with the normalized
     restriction.
     """
-    spec = _embedding_spec(candidate, parent)
-    return spec is not None and restrict(parent, spec) == candidate
+    return _reduction_spec(candidate, parent) is not None
 
 
 def reduction_flavor(parent: Game, subsets) -> Flavor:
@@ -467,15 +475,8 @@ def strictly_dominates(game: Game, player: int, a: int, b: int) -> bool:
         raise GameFormatError("strategy index out of range")
     if a == b:
         return False
-    others = [
-        range(k) for i, k in enumerate(game.shape) if i != player
-    ]
-    for col in itertools.product(*others):
-        pa = Profile(col[:player] + (a,) + col[player:])
-        pb = Profile(col[:player] + (b,) + col[player:])
-        if game.rank(player, pa) >= game.rank(player, pb):
-            return False
-    return True
+    table = game.ranks[player]
+    return all(table[col[a]] < table[col[b]] for col in game.columns(player))
 
 
 def _removals_strictly_dominated(parent: Game, spec: SubsetSpec) -> bool:
@@ -502,10 +503,8 @@ def is_strict_reduction(candidate: Game, parent: Game) -> bool:
     dominated (against the parent's full opponent sets) by some
     strategy that was retained.
     """
-    spec = _embedding_spec(candidate, parent)
-    if spec is None or restrict(parent, spec) != candidate:
-        return False
-    return _removals_strictly_dominated(parent, spec)
+    spec = _reduction_spec(candidate, parent)
+    return spec is not None and _removals_strictly_dominated(parent, spec)
 
 
 def merge(parent: Game, a, b) -> Game:
@@ -541,18 +540,12 @@ def reduce_players(game: Game, keep: Iterable[int], fixed: Profile) -> Game:
         not (0 <= k < game.shape[i]) for i, k in enumerate(fixed.indices)
     ):
         raise GameFormatError("fixed profile does not fit the game")
+    axes = [
+        range(k) if i in keep else (fixed.indices[i],)
+        for i, k in enumerate(game.shape)
+    ]
     strategies = tuple(game.strategies[i] for i in keep)
-    sub_shape = tuple(game.shape[i] for i in keep)
-    linears = []
-    for combo in itertools.product(*(range(k) for k in sub_shape)):
-        full = list(fixed.indices)
-        for pos, i in enumerate(keep):
-            full[i] = combo[pos]
-        linears.append(Profile(tuple(full)).linear_index(game.shape))
-    rank_tables = tuple(
-        _normalize_ranks([game.ranks[i][k] for k in linears]) for i in keep
-    )
-    return Game(len(keep), strategies, rank_tables)
+    return Game(len(keep), strategies, _slice_ranks(game, axes, keep))
 
 
 def enumerate_reductions(

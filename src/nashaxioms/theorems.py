@@ -291,16 +291,6 @@ class TheoremOneReport:
             v.passed for v in self.verdicts.values()
         )
 
-    def lines(self) -> list[str]:
-        out = [f"class of {self.class_size} games (d-closed: audited)"]
-        for axiom, verdict in self.verdicts.items():
-            out.append(f"  nash vs {axiom}: {verdict.result}")
-        out.append(
-            "  engine agrees with brute-force equilibrium oracle: "
-            f"{'yes' if self.oracle_agreement else 'NO'}"
-        )
-        return out
-
     def to_record(self, class_name: str = "") -> dict:
         return {
             "kind": "theorem1-forward",
@@ -314,28 +304,30 @@ class TheoremOneReport:
         }
 
 
+def _audit_closed(
+    cls: GameClass, flavor_filter: str, closed: str, reduction: str
+) -> None:
+    """Raise unless every reduction of every member that passes
+    ``flavor_filter`` is itself a member."""
+    for game in cls:
+        for spec in enumerate_reductions(game, flavor_filter):
+            if restrict(game, spec) not in cls:
+                raise ValueError(
+                    f"class is not {closed}: game {game.canonical_id[:12]} "
+                    f"is missing the {reduction} with subsets "
+                    f"{spec.labels(game)}"
+                )
+
+
 def audit_d_closed(cls: GameClass) -> None:
     """Raise unless every dummy/quasi-dummy reduction of every member
     is itself a member."""
-    for game in cls:
-        for spec in enumerate_reductions(game, "dummy-or-quasi"):
-            if restrict(game, spec) not in cls:
-                raise ValueError(
-                    f"class is not d-closed: game {game.canonical_id[:12]} "
-                    f"is missing the reduction with subsets {spec.labels(game)}"
-                )
+    _audit_closed(cls, "dummy-or-quasi", "d-closed", "reduction")
 
 
 def audit_strictly_closed(cls: GameClass) -> None:
     """Raise unless every strict reduction of every member is a member."""
-    for game in cls:
-        for spec in enumerate_reductions(game, "strict"):
-            if restrict(game, spec) not in cls:
-                raise ValueError(
-                    f"class is not strictly closed: game "
-                    f"{game.canonical_id[:12]} is missing the strict "
-                    f"reduction with subsets {spec.labels(game)}"
-                )
+    _audit_closed(cls, "strict", "strictly closed", "strict reduction")
 
 
 def verify_theorem1(cls: GameClass) -> TheoremOneReport:

@@ -12,6 +12,7 @@ import itertools
 from nashaxioms import build_game
 from nashaxioms.concepts import eval_concept
 from nashaxioms.games import Game, Profile
+from nashaxioms.oracles import nash_bruteforce
 
 
 def _embedding(cand: Game, parent: Game):
@@ -242,3 +243,41 @@ def naive_check(axiom: str, concept: str, games) -> str:
         return "pass"
 
     raise ValueError(f"unknown axiom {axiom!r}")
+
+
+def _naive_blocked(game: Game, s: Profile) -> bool:
+    n = game.player_count
+    for size in range(1, n + 1):
+        for coalition in itertools.combinations(range(n), size):
+            for t in game.profiles():
+                if any(
+                    t.indices[j] != s.indices[j]
+                    for j in range(n)
+                    if j not in coalition
+                ):
+                    continue
+                if all(game.prefers(i, t, s) for i in coalition):
+                    return True
+    return False
+
+
+def naive_strong_nash(game: Game):
+    """Profiles from which no coalition has a joint deviation, with the
+    other players held fixed, that every member strictly prefers."""
+    return [s for s in game.profiles() if not _naive_blocked(game, s)]
+
+
+def naive_ne_indifference_closure(game: Game):
+    """Profiles every player ranks exactly as some Nash equilibrium."""
+    ne = nash_bruteforce(game)
+    return [
+        s
+        for s in game.profiles()
+        if any(
+            all(
+                game.rank(i, s) == game.rank(i, t)
+                for i in range(game.player_count)
+            )
+            for t in ne
+        )
+    ]

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the
 criterion lines; the reproduce CLI covers the same ground end to end.
 """
 
+from pathlib import Path
+
 import pytest
 
 from nashaxioms import (
@@ -191,3 +193,8 @@ def test_criterion_10_determinism():
     assert all(o == outputs[0] for o in outputs)
     assert all(row.ok for row in run_suite())
     announce(10, "reproduce output identical across 4 runs")
+
+
+def test_reproduce_output_matches_golden():
+    golden = Path(__file__).parent / "golden" / "reproduce.txt"
+    assert render(run_suite()) == golden.read_text(encoding="utf-8")

@@ -169,6 +169,12 @@ def test_ciis_vacuous_profiles_are_flagged(ex3_cons):
             id="cons-no_players_kept",
         ),
         pytest.param(
+            "cons",
+            "parity_ne",
+            lambda w: {**w, "game": ["x"]},
+            id="cons-game_not_a_string",
+        ),
+        pytest.param(
             "cocons",
             "strong_nash",
             lambda w: {**w, "subgroups": w["subgroups"][:1]},

@@ -88,6 +88,19 @@ def test_closure_and_check_directory(capsys, tmp_path):
     assert '["D", "D"]' in out
 
 
+def test_malformed_member_file_is_named(capsys, tmp_path, ex2_dclosed):
+    out_dir = ex2_dclosed.write_dir(tmp_path / "cls")
+    member = sorted(out_dir.glob("*.game"))[0]
+    member.write_text("{x", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "jo", "--concept", "nash", "--class", str(out_dir)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert member.name in err
+
+
 def test_closure_budget_error(capsys):
     code, _, err = run_cli(
         capsys, "closure", "ex2", "--mode", "d", "--budget", "3", "--out", "x"

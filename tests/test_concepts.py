@@ -17,6 +17,11 @@ from nashaxioms.concepts import CONCEPT_IDS, ne_indifference_closure
 from nashaxioms.oracles import nash_bruteforce
 
 from conftest import random_game, random_subsets
+from naive_checks import (
+    _naive_jointly_optimal,
+    naive_ne_indifference_closure,
+    naive_strong_nash,
+)
 
 
 def labels(game, profiles):
@@ -143,6 +148,36 @@ def test_inclusions_on_many_random_games():
         assert jointly_optimal(g) <= ne
         assert strong_nash(g) <= ne
         assert ne <= ne_indifference_closure(g)
+
+
+def test_jointly_optimal_agrees_with_naive():
+    rng = random.Random(303)
+    found = 0
+    for _ in range(300):
+        g = random_game(rng, max_players=3, max_strategies=4)
+        expected = frozenset(_naive_jointly_optimal(g))
+        assert jointly_optimal(g) == expected
+        found += bool(expected)
+    assert found > 30
+
+
+def test_strong_nash_agrees_with_naive():
+    rng = random.Random(304)
+    found = 0
+    for _ in range(300):
+        g = random_game(rng, max_players=3, max_strategies=4)
+        expected = frozenset(naive_strong_nash(g))
+        assert strong_nash(g) == expected
+        found += bool(expected) and expected != nash(g)
+    assert found > 0
+
+
+def test_ne_indifference_closure_agrees_with_naive():
+    rng = random.Random(305)
+    for _ in range(300):
+        g = random_game(rng, max_players=3, max_strategies=4)
+        expected = frozenset(naive_ne_indifference_closure(g))
+        assert ne_indifference_closure(g) == expected
 
 
 def test_nash_is_stable_under_reductions():

@@ -23,7 +23,12 @@ from nashaxioms.concepts import nash
 from nashaxioms.oracles import nash_bruteforce
 
 from conftest import random_game, random_subsets
-from naive_checks import naive_is_reduction, naive_is_strict_reduction
+from naive_checks import (
+    _naive_dominates,
+    _naive_reduce_players,
+    naive_is_reduction,
+    naive_is_strict_reduction,
+)
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +271,20 @@ def test_one_player_dominance_is_pairwise(chain):
     assert strictly_dominates(chain, 0, 2, 3)
 
 
+def test_strictly_dominates_agrees_with_naive():
+    rng = random.Random(401)
+    verdicts = set()
+    for _ in range(300):
+        g = random_game(rng, max_players=3, max_strategies=4)
+        for i, size in enumerate(g.shape):
+            for a in range(size):
+                for b in range(size):
+                    expected = _naive_dominates(g, i, a, b)
+                    assert strictly_dominates(g, i, a, b) == expected
+                    verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_strict_reduction_gadget(pd):
     pair = restrict(pd, SubsetSpec.from_labels(pd, [["C", "D"], ["C"]]))
     single = restrict(pd, SubsetSpec.from_labels(pd, [["D"], ["C"]]))
@@ -391,6 +410,23 @@ def test_reduce_players_guards(ex2):
         reduce_players(ex2, (0, 1), fixed)
     with pytest.raises(GameFormatError):
         reduce_players(ex2, (0,), Profile((0, 5)))
+
+
+def test_reduce_players_agrees_with_naive():
+    rng = random.Random(402)
+    checked = 0
+    for _ in range(300):
+        g = random_game(rng, max_players=3, max_strategies=4)
+        n = g.player_count
+        if n < 2:
+            continue
+        keep = rng.sample(range(n), rng.randint(1, n - 1))
+        fixed = Profile(tuple(rng.randrange(k) for k in g.shape))
+        assert reduce_players(g, keep, fixed) == _naive_reduce_players(
+            g, keep, fixed
+        )
+        checked += 1
+    assert checked > 100
 
 
 def test_reduce_players_never_callable_on_one_player(chain):

@@ -123,7 +123,9 @@ def test_forward_direction_rejects_unclosed_class(ex2_dclosed):
     members = list(ex2_dclosed)
     for game in members[:-1]:
         corrupted.add(game, Provenance("seed"))
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match="not d-closed: game .* missing the reduction with"
+    ):
         verify_theorem1(corrupted)
 
 
@@ -165,5 +167,8 @@ def test_one_player_lemma_rejects_multiplayer(ex2_dclosed):
 def test_one_player_lemma_rejects_unclosed(chain):
     cls = GameClass()
     cls.add(chain, Provenance("seed"))
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError,
+        match="not strictly closed: game .* missing the strict reduction with",
+    ):
         verify_one_player_lemma(cls)
