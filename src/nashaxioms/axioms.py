@@ -20,13 +20,7 @@ from typing import Iterable, Iterator
 
 from .closures import GameClass
 from .concepts import ConceptDomainError, eval_concept, jointly_optimal
-from .games import (
-    Game,
-    Profile,
-    is_reduction,
-    is_strict_reduction,
-    reduce_players,
-)
+from .games import Game, Profile, is_strict_reduction, reduce_players
 
 
 @dataclass
@@ -81,14 +75,11 @@ def _iis(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
     """Solutions survive into every reduction they belong to."""
-    games = list(cls)
     for parent in parents:
         solutions = sorted(_phi(concept, parent))
         if not solutions:
             continue
-        for cand in games:
-            if not is_reduction(cand, parent):
-                continue
+        for cand in cls.reductions(parent):
             phi_cand = _phi(concept, cand)
             for s in solutions:
                 labels = parent.labels_of(s)
@@ -115,17 +106,13 @@ def _mc(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
     """Common solutions of two merging reductions solve the merge."""
-    games = list(cls)
     for parent in parents:
-        reductions = [g for g in games if is_reduction(g, parent)]
-        if not reductions:
-            continue
         phi_parent = _label_set(parent, _phi(concept, parent))
-        for ga in reductions:
+        for ga in cls.reductions(parent):
             phi_a = _label_set(ga, _phi(concept, ga))
             if not phi_a:
                 continue
-            for gb in reductions:
+            for gb in cls.reductions(parent):
                 if not _union_is_full(parent, ga, gb):
                     continue
                 phi_b = _label_set(gb, _phi(concept, gb))
@@ -146,9 +133,8 @@ def _isds(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
     """Strictly dominated removals leave the solution set unchanged."""
-    games = list(cls)
     for parent in parents:
-        for cand in games:
+        for cand in cls.reductions(parent):
             if not is_strict_reduction(cand, parent):
                 continue
             phi_parent = _label_set(parent, _phi(concept, parent))
@@ -183,10 +169,16 @@ def _jo(
                 }
 
 
-def _player_subgroups(n: int):
-    """Non-empty proper player subsets, ascending bitmask order."""
+def _player_reduced(
+    cls: GameClass, game: Game, s: Profile
+) -> Iterator[tuple[tuple[int, ...], Game | None]]:
+    """``(keep, member or None)`` per non-empty proper player subgroup,
+    in ascending bitmask order: the member of the class that is ``game``
+    reduced to the players in ``keep`` with the others fixed at ``s``."""
+    n = game.player_count
     for mask in range(1, (1 << n) - 1):
-        yield tuple(i for i in range(n) if mask >> i & 1)
+        keep = tuple(i for i in range(n) if mask >> i & 1)
+        yield keep, cls.get(reduce_players(game, keep, s).canonical_id)
 
 
 def _cons(
@@ -197,9 +189,7 @@ def _cons(
         if game.player_count < 2:
             continue
         for s in sorted(_phi(concept, game)):
-            for keep in _player_subgroups(game.player_count):
-                reduced = reduce_players(game, keep, s)
-                member = cls.get(reduced.canonical_id)
+            for keep, member in _player_reduced(cls, game, s):
                 if member is None:
                     tally["skipped"] += 1
                     continue
@@ -231,12 +221,11 @@ def _cocons(
         for s in game.profiles():
             if s in phi_game:
                 continue
-            available: list[tuple[tuple[int, ...], Game]] = []
-            for keep in _player_subgroups(game.player_count):
-                reduced = reduce_players(game, keep, s)
-                member = cls.get(reduced.canonical_id)
-                if member is not None:
-                    available.append((keep, member))
+            available = [
+                (keep, member)
+                for keep, member in _player_reduced(cls, game, s)
+                if member is not None
+            ]
             if not available:
                 tally["vacuous"] += 1
                 continue
@@ -269,16 +258,11 @@ def _ciis(
     # The quantifier over proper reductions is read as non-vacuous: a
     # profile with no proper reduction present in the class cannot
     # trigger a violation, it is only counted in the coverage data.
-    games = list(cls)
     for game in parents:
         if game.num_profiles < 3:
             continue
         phi_game = _phi(concept, game)
-        proper = [
-            g
-            for g in games
-            if g.canonical_id != game.canonical_id and is_reduction(g, game)
-        ]
+        proper = [g for g in cls.reductions(game) if g != game]
         for s in game.profiles():
             if s in phi_game:
                 continue

@@ -9,6 +9,7 @@ class contents, insertion order, and provenance are reproducible.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -21,6 +22,7 @@ from .games import (
     GameFormatError,
     SubsetSpec,
     enumerate_reductions,
+    is_reduction,
     reduce_players,
     restrict,
 )
@@ -53,16 +55,8 @@ class Provenance:
     fixed: tuple[str, ...] | None = None
 
     def to_payload(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.parent is not None:
-            out["parent"] = self.parent
-        if self.subsets is not None:
-            out["subsets"] = [list(s) for s in self.subsets]
-        if self.keep is not None:
-            out["keep"] = list(self.keep)
-        if self.fixed is not None:
-            out["fixed"] = list(self.fixed)
-        return out
+        """The set fields, JSON-ready (tuples serialize as lists)."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
     @classmethod
     def from_payload(cls, data: dict) -> "Provenance":
@@ -84,6 +78,7 @@ class GameClass:
         self._games: dict[str, Game] = {}
         self.provenance: dict[str, Provenance] = {}
         self.params: dict = dict(params or {})
+        self._reductions: dict[str, tuple[Game, ...]] = {}
 
     def add(self, game: Game, provenance: Provenance) -> bool:
         """Insert a game; returns False when it was already present."""
@@ -96,10 +91,23 @@ class GameClass:
             raise ValueError("provenance parent is not in the class")
         self._games[cid] = game
         self.provenance[cid] = provenance
+        self._reductions.clear()
         return True
 
     def get(self, canonical_id: str) -> Game | None:
         return self._games.get(canonical_id)
+
+    def reductions(self, parent: Game) -> tuple[Game, ...]:
+        """The members that are reductions of ``parent``, in insertion
+        order; ``parent`` itself is one when it is a member.  Worked out
+        once per parent and kept until the next ``add``."""
+        cid = parent.canonical_id
+        found = self._reductions.get(cid)
+        if found is None:
+            found = self._reductions[cid] = tuple(
+                g for g in self._games.values() if is_reduction(g, parent)
+            )
+        return found
 
     def ids(self) -> list[str]:
         return list(self._games)
@@ -173,15 +181,35 @@ class GameClass:
         manifest_file = path / "manifest.json"
         if not manifest_file.is_file():
             raise GameFormatError(f"{path} has no manifest.json")
-        manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
+
+        def malformed(why: object) -> GameFormatError:
+            return GameFormatError(f"{manifest_file}: {why}")
+
+        try:
+            manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
+        except ValueError as exc:  # undecodable bytes or JSON syntax
+            raise malformed(exc) from None
+        if not (
+            isinstance(manifest, dict)
+            and isinstance(manifest.get("games"), list)
+            and isinstance(manifest.get("params", {}), dict)
+        ):
+            raise malformed("expected an object with a 'games' list")
         out = cls(params=manifest.get("params", {}))
-        for entry in manifest["games"]:
-            game = load_game(path / entry["file"])
-            if game.canonical_id != entry["id"]:
-                raise GameFormatError(
-                    f"game file {entry['file']} does not match its manifest id"
-                )
-            out.add(game, Provenance.from_payload(entry["provenance"]))
+        for k, entry in enumerate(manifest["games"]):
+            try:
+                cid, fname = entry["id"], entry["file"]
+                provenance = Provenance.from_payload(entry["provenance"])
+            except (AttributeError, KeyError, TypeError):
+                raise malformed(
+                    f"game entry {k} needs an 'id', a 'file' and a 'provenance'"
+                ) from None
+            if not isinstance(fname, str) or os.path.basename(fname) != fname:
+                raise malformed(f"game entry {k}: {fname!r} is not a plain file name")
+            game = load_game(path / fname)
+            if game.canonical_id != cid:
+                raise malformed(f"game file {fname} does not match its id")
+            out.add(game, provenance)
         return out
 
 
@@ -279,9 +307,8 @@ NAMED_CLASSES = ("pd_dclosed", "ex2_dclosed", "ex3_cons", "ex4", "ex5")
 def _player_reduced_members(cls: GameClass, seed: Game) -> None:
     for i in range(seed.player_count):
         for s in seed.profiles():
-            reduced = reduce_players(seed, (i,), s)
             cls.add(
-                reduced,
+                reduce_players(seed, (i,), s),
                 Provenance(
                     "player-reduction-of",
                     parent=seed.canonical_id,
@@ -297,27 +324,14 @@ def build_named_class(name: str, budget: int = DEFAULT_BUDGET) -> GameClass:
         return d_closure([fixtures.prisoners_dilemma()], budget=budget)
     if name == "ex2_dclosed":
         return d_closure([fixtures.safe_coordination()], budget=budget)
-    if name == "ex3_cons":
+    if name in ("ex3_cons", "ex4"):
         seed = fixtures.safe_coordination()
-        cls = GameClass(params={"mode": "named", "name": name})
-        cls.add(seed, Provenance("seed"))
-        _player_reduced_members(cls, seed)
-        return cls
-    if name == "ex4":
-        seed = fixtures.safe_coordination()
-        cls = GameClass(params={"mode": "named", "name": name})
-        cls.add(seed, Provenance("seed"))
-        for spec in enumerate_reductions(seed, "all", budget=budget):
-            if spec.is_full(seed):
-                continue
-            cls.add(
-                restrict(seed, spec),
-                Provenance(
-                    "reduction-of",
-                    parent=seed.canonical_id,
-                    subsets=spec.labels(seed),
-                ),
-            )
+        if name == "ex4":
+            cls = reduction_closure(seed, budget=budget)
+        else:
+            cls = GameClass()
+            cls.add(seed, Provenance("seed"))
+        cls.params = {"mode": "named", "name": name}
         _player_reduced_members(cls, seed)
         return cls
     if name == "ex5":

@@ -10,6 +10,7 @@ linear-index order with player 1 most significant, so profile
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .games import Game, GameFormatError, build_game
@@ -23,7 +24,8 @@ def game_from_payload(data: dict) -> Game:
         if field not in data:
             raise GameFormatError(f"missing field {field!r}")
     players = data["players"]
-    if not isinstance(players, int) or players < 1:
+    # ``type(x) is int``, since bool subclasses int (json makes no other).
+    if type(players) is not int or players < 1:
         raise GameFormatError("'players' must be a positive integer")
     strategies = data["strategies"]
     if not isinstance(strategies, list) or not all(
@@ -36,10 +38,13 @@ def game_from_payload(data: dict) -> Game:
         raise GameFormatError("give exactly one of 'payoffs' or 'ranks'")
     tables = data["payoffs"] if has_payoffs else data["ranks"]
     if not isinstance(tables, list) or not all(
-        isinstance(t, list) and all(isinstance(v, (int, float)) for v in t)
+        isinstance(t, list)
+        and all(
+            type(v) is int or type(v) is float and math.isfinite(v) for v in t
+        )
         for t in tables
     ):
-        raise GameFormatError("tables must be flat lists of numbers")
+        raise GameFormatError("tables must be flat lists of finite numbers")
     if has_payoffs:
         return build_game(players, strategies, payoffs=tables)
     return build_game(players, strategies, ranks=tables)
@@ -60,7 +65,7 @@ def load_game(path: str | Path) -> Game:
     path = Path(path)
     try:
         return parse_game(path.read_text(encoding="utf-8"))
-    except GameFormatError as exc:
+    except (GameFormatError, OSError, UnicodeDecodeError) as exc:
         raise GameFormatError(f"{path}: {exc}") from None
 
 

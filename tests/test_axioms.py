@@ -1,9 +1,18 @@
+import json
+import math
+import random
+from pathlib import Path
+
 import pytest
 
 from nashaxioms import (
+    AXIOM_IDS,
     AxiomVerdict,
     ConceptDomainError,
+    GameClass,
+    build_game,
     check_axiom,
+    reduction_closure,
     replay_witness,
 )
 from nashaxioms.concepts import CONCEPT_IDS
@@ -235,6 +244,69 @@ def test_checkers_agree_with_naive_scans(
         assert got == want, f"{axiom}/{concept} disagrees on a class"
 
 
+def _random_reduction_closure(shape, seed):
+    """The reduction closure of a random two-player game with ranks drawn
+    from three levels, so ties are common."""
+    rng = random.Random(seed)
+    labels = [[f"p{i}s{k}" for k in range(size)] for i, size in enumerate(shape)]
+    total = math.prod(shape)
+    ranks = [[rng.randrange(3) for _ in range(total)] for _ in shape]
+    return reduction_closure(build_game(len(shape), labels, ranks=ranks))
+
+
+@pytest.fixture(scope="module")
+def closure_4x3():
+    cls = _random_reduction_closure((4, 3), seed=0)
+    assert len(cls) == 105
+    return cls
+
+
+@pytest.fixture(scope="module")
+def closure_3x3():
+    return _random_reduction_closure((3, 3), seed=0)
+
+
+# naive mc costs about 0.7 s per concept on the 49-game 3x3 closure and
+# grows with the cube of the class size, so mc runs on the smaller class
+@pytest.mark.parametrize(
+    "axiom,concept,closure",
+    [
+        ("iis", "nash", "closure_4x3"),
+        ("iis", "ne_indifference_closure", "closure_4x3"),
+        ("isds", "nash", "closure_4x3"),
+        ("isds", "all_profiles", "closure_4x3"),
+        ("ciis", "nash", "closure_4x3"),
+        ("ciis", "ex5_phi", "closure_4x3"),
+        ("mc", "nash", "closure_3x3"),
+        ("mc", "strong_nash", "closure_3x3"),
+        ("mc", "ex5_phi", "closure_3x3"),
+    ],
+)
+def test_reduction_scans_agree_with_naive_on_random_closures(
+    axiom, concept, closure, request
+):
+    cls = request.getfixturevalue(closure)
+    got = check_axiom(axiom, concept, cls).result
+    assert got == naive_check(axiom, concept, list(cls))
+
+
+def test_scans_see_members_added_after_a_scan(ex2):
+    full = reduction_closure(ex2)
+    grown = GameClass()
+    grown.add(ex2, full.provenance[ex2.canonical_id])
+    assert grown.reductions(ex2) == (ex2,)
+    assert check_axiom("iis", "ne_indifference_closure", grown).passed
+    for cid in full.ids()[1:]:
+        grown.add(full.get(cid), full.provenance[cid])
+    assert grown.reductions(ex2) == tuple(full)
+    for axiom in ("iis", "mc", "isds", "ciis"):
+        for concept in ("ne_indifference_closure", "strong_nash"):
+            again = check_axiom(axiom, concept, grown)
+            fresh = check_axiom(axiom, concept, reduction_closure(ex2))
+            assert again == fresh, (axiom, concept)
+    assert not check_axiom("iis", "ne_indifference_closure", grown).passed
+
+
 def test_mc_implies_ciis_on_all_classes(
     pd_dclosed, ex2_dclosed, ex3_cons, ex4_class, ex5_class, cube_dclosed, chain_strict
 ):
@@ -278,3 +350,51 @@ def test_all_violated_verdicts_replay(
                     )
                     replayed += 1
     assert replayed > 10
+
+
+# ----------------------------------------------------------------------
+# every verdict on the bundled classes, witnesses included
+# ----------------------------------------------------------------------
+
+GOLDEN_VERDICTS = Path(__file__).parent / "golden" / "verdicts.jsonl"
+
+GOLDEN_CLASSES = (
+    "pd_dclosed",
+    "ex2_dclosed",
+    "ex3_cons",
+    "ex4",
+    "ex5",
+    "ex5_dclosed",
+    "cube_dclosed",
+    "chain_strict",
+)
+
+
+def verdict_lines(classes) -> str:
+    """One sorted-key JSON line per (class, axiom, concept) check; a
+    domain error is recorded with its message."""
+    lines = []
+    for name, cls in classes.items():
+        for axiom in AXIOM_IDS:
+            for concept in CONCEPT_IDS:
+                try:
+                    record = check_axiom(axiom, concept, cls).to_record(name)
+                except ConceptDomainError as exc:
+                    record = {
+                        "axiom": axiom,
+                        "concept": concept,
+                        "class": name,
+                        "error": f"ConceptDomainError: {exc}",
+                    }
+                lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def test_verdicts_match_golden(request):
+    classes = {
+        name: request.getfixturevalue(
+            {"ex4": "ex4_class", "ex5": "ex5_class"}.get(name, name)
+        )
+        for name in GOLDEN_CLASSES
+    }
+    assert verdict_lines(classes) == GOLDEN_VERDICTS.read_text(encoding="utf-8")

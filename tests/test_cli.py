@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nashaxioms import dump_game
 from nashaxioms.cli import main
 
@@ -99,6 +101,52 @@ def test_malformed_member_file_is_named(capsys, tmp_path, ex2_dclosed):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert member.name in err
+
+
+def _edit_first_entry(edit):
+    def rewrite(manifest):
+        edit(manifest["games"][0])
+        return json.dumps(manifest)
+
+    return rewrite
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        pytest.param(lambda m: "{", id="malformed-json"),
+        pytest.param(lambda m: b"\xff", id="not-utf-8"),
+        pytest.param(lambda m: "[]", id="list"),
+        pytest.param(lambda m: json.dumps({"params": {}}), id="no-games"),
+        *(
+            pytest.param(
+                _edit_first_entry(lambda e, key=key: e.pop(key)),
+                id=f"entry-without-{key}",
+            )
+            for key in ("file", "id", "provenance")
+        ),
+        pytest.param(
+            _edit_first_entry(lambda e: e.update(file="../../../etc/passwd")),
+            id="file-escapes-directory",
+        ),
+        # an existing member reached through the parent directory
+        pytest.param(
+            _edit_first_entry(lambda e: e.update(file=f"../cls/{e['file']}")),
+            id="file-path-via-parent",
+        ),
+    ],
+)
+def test_malformed_manifest_is_named(capsys, tmp_path, ex2_dclosed, rewrite):
+    out_dir = ex2_dclosed.write_dir(tmp_path / "cls")
+    manifest = out_dir / "manifest.json"
+    data = rewrite(json.loads(manifest.read_text(encoding="utf-8")))
+    manifest.write_bytes(data if isinstance(data, bytes) else data.encode())
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "jo", "--concept", "nash", "--class", str(out_dir)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {manifest}: ") and err.count("\n") == 1
 
 
 def test_closure_budget_error(capsys):

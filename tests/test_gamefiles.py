@@ -61,3 +61,36 @@ def test_linear_order_is_player_one_most_significant():
 def test_build_game_rejects_bad_nested_shape():
     with pytest.raises(GameFormatError):
         build_game(2, [["a", "b"], ["x"]], payoffs=[[[1], [2], [3]], [[1], [2]]])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"players": true, "strategies": [["a"]], "payoffs": [[1]]}',
+        '{"players": 1, "strategies": [["a", "b"]], "payoffs": [[true, 0]]}',
+        '{"players": 1, "strategies": [["a", "b"]], "ranks": [[0, false]]}',
+        '{"players": 1, "strategies": [["a", "b", "c"]], "payoffs": [[NaN, 1, NaN]]}',
+        '{"players": 1, "strategies": [["a", "b"]], "payoffs": [[Infinity, 1]]}',
+        '{"players": 1, "strategies": [["a", "b"]], "payoffs": [[-Infinity, 1]]}',
+    ],
+    ids=[
+        "players-bool",
+        "payoff-bool",
+        "rank-bool",
+        "payoff-nan",
+        "payoff-inf",
+        "payoff-minus-inf",
+    ],
+)
+def test_parse_rejects_values_that_are_not_numbers(text):
+    with pytest.raises(GameFormatError):
+        parse_game(text)
+
+
+def test_load_names_an_unreadable_file(tmp_path):
+    path = tmp_path / "g.game"
+    with pytest.raises(GameFormatError, match="g.game: .*No such file"):
+        load_game(path)
+    path.write_bytes(b"\xff")
+    with pytest.raises(GameFormatError, match="g.game: 'utf-8' codec"):
+        load_game(path)
