@@ -67,10 +67,6 @@ def _phi(concept: str, game: Game) -> frozenset[Profile]:
         ) from exc
 
 
-def _label_set(game: Game, profiles) -> frozenset[tuple[str, ...]]:
-    return frozenset(game.labels_of(p) for p in profiles)
-
-
 def _iis(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
@@ -107,15 +103,15 @@ def _mc(
 ) -> Iterator[dict]:
     """Common solutions of two merging reductions solve the merge."""
     for parent in parents:
-        phi_parent = _label_set(parent, _phi(concept, parent))
+        phi_parent = parent.label_set(_phi(concept, parent))
         for ga in cls.reductions(parent):
-            phi_a = _label_set(ga, _phi(concept, ga))
+            phi_a = ga.label_set(_phi(concept, ga))
             if not phi_a:
                 continue
             for gb in cls.reductions(parent):
                 if not _union_is_full(parent, ga, gb):
                     continue
-                phi_b = _label_set(gb, _phi(concept, gb))
+                phi_b = gb.label_set(_phi(concept, gb))
                 common = sorted(phi_a & phi_b)
                 for labels in common:
                     if labels not in phi_parent:
@@ -137,8 +133,8 @@ def _isds(
         for cand in cls.reductions(parent):
             if not is_strict_reduction(cand, parent):
                 continue
-            phi_parent = _label_set(parent, _phi(concept, parent))
-            phi_cand = _label_set(cand, _phi(concept, cand))
+            phi_parent = parent.label_set(_phi(concept, parent))
+            phi_cand = cand.label_set(_phi(concept, cand))
             if phi_parent != phi_cand:
                 yield {
                     "game": parent.canonical_id,

@@ -107,12 +107,6 @@ def _parse_profile_arg(game: Game, raw: str):
     return profile
 
 
-def _write_report(path: str | None, records: list[dict]) -> None:
-    if path:
-        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def _cmd_solve(args) -> int:
     game = _resolve_game(args.game)
     profiles = eval_concept(args.concept, game)
@@ -155,7 +149,11 @@ def _cmd_check(args) -> int:
         print("witness: " + json.dumps(verdict.witness, sort_keys=True))
     if verdict.coverage is not None:
         print("coverage: " + json.dumps(verdict.coverage, sort_keys=True))
-    _write_report(args.report, [record])
+    if args.report:
+        Path(args.report).write_text(
+            json.dumps([record], indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
     return 0
 
 
@@ -184,14 +182,23 @@ def _cmd_construct(args) -> int:
         record = report.to_record(class_name)
         ok = report.all_consistent
     print("\n".join(report.lines()))
-    _write_report(args.report, [record])
+    if args.report:
+        Path(args.report).write_text(
+            json.dumps([record], indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
     return 0 if ok else 1
 
 
 def _cmd_reproduce(args) -> int:
     rows = run_suite()
     sys.stdout.write(render(rows))
-    _write_report(args.report, [r.to_record() for r in rows])
+    if args.report:
+        Path(args.report).write_text(
+            json.dumps([r.to_record() for r in rows], indent=2, sort_keys=True)
+            + "\n",
+            encoding="utf-8",
+        )
     return 0 if all(r.ok for r in rows) else 1
 
 

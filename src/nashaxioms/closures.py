@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -55,8 +56,16 @@ class Provenance:
     fixed: tuple[str, ...] | None = None
 
     def to_payload(self) -> dict:
-        """The set fields, JSON-ready (tuples serialize as lists)."""
-        return {k: v for k, v in vars(self).items() if v is not None}
+        out: dict = {"kind": self.kind}
+        if self.parent is not None:
+            out["parent"] = self.parent
+        if self.subsets is not None:
+            out["subsets"] = [list(s) for s in self.subsets]
+        if self.keep is not None:
+            out["keep"] = list(self.keep)
+        if self.fixed is not None:
+            out["fixed"] = list(self.fixed)
+        return out
 
     @classmethod
     def from_payload(cls, data: dict) -> "Provenance":
@@ -71,6 +80,16 @@ class Provenance:
         )
 
 
+#: ``GameClass.reductions`` results per class, then per parent id; kept
+#: here, not on each class, so that ``clear_reductions`` reaches them all.
+_reductions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def clear_reductions() -> None:
+    """Forget the reduction relation of every class."""
+    _reductions.clear()
+
+
 class GameClass:
     """A finite, deduplicated set of games with provenance."""
 
@@ -78,7 +97,6 @@ class GameClass:
         self._games: dict[str, Game] = {}
         self.provenance: dict[str, Provenance] = {}
         self.params: dict = dict(params or {})
-        self._reductions: dict[str, tuple[Game, ...]] = {}
 
     def add(self, game: Game, provenance: Provenance) -> bool:
         """Insert a game; returns False when it was already present."""
@@ -91,7 +109,7 @@ class GameClass:
             raise ValueError("provenance parent is not in the class")
         self._games[cid] = game
         self.provenance[cid] = provenance
-        self._reductions.clear()
+        _reductions.pop(self, None)
         return True
 
     def get(self, canonical_id: str) -> Game | None:
@@ -100,11 +118,12 @@ class GameClass:
     def reductions(self, parent: Game) -> tuple[Game, ...]:
         """The members that are reductions of ``parent``, in insertion
         order; ``parent`` itself is one when it is a member.  Worked out
-        once per parent and kept until the next ``add``."""
-        cid = parent.canonical_id
-        found = self._reductions.get(cid)
+        once per parent and kept until the next ``add`` or
+        ``clear_reductions``."""
+        memo = _reductions.setdefault(self, {})
+        found = memo.get(parent.canonical_id)
         if found is None:
-            found = self._reductions[cid] = tuple(
+            found = memo[parent.canonical_id] = tuple(
                 g for g in self._games.values() if is_reduction(g, parent)
             )
         return found

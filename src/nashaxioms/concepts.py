@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .closures import clear_reductions
 from .games import Game, Profile
 
 
@@ -186,4 +187,7 @@ def eval_concept(concept: str, game: Game) -> frozenset[Profile]:
 
 
 def clear_cache() -> None:
+    """Forget every memoized result: concept values, and the reduction
+    relations that game classes have worked out."""
     _cache.clear()
+    clear_reductions()

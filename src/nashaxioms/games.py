@@ -202,6 +202,10 @@ class Game:
             self.strategies[i][k] for i, k in enumerate(profile.indices)
         )
 
+    def label_set(self, profiles: Iterable[Profile]) -> frozenset:
+        """The profiles' label tuples, comparable across games."""
+        return frozenset(self.labels_of(p) for p in profiles)
+
     def profile_from_labels(self, labels: Sequence[str]) -> Profile | None:
         """The profile carrying these labels, or None if any is absent."""
         if len(labels) != self.player_count:
@@ -444,16 +448,15 @@ def reduction_flavor(parent: Game, subsets) -> Flavor:
     sizes = spec.sizes()
     full = [len(s) == k for s, k in zip(spec.indices, parent.shape)]
     n = parent.player_count
-    dummy = any(
-        sizes[j] == 1
-        and all(full[i] or sizes[i] == 1 for i in range(n) if i != j)
-        for j in range(n)
-    )
-    quasi = any(
-        sizes[j] == 2
-        and all(full[i] or sizes[i] <= 2 for i in range(n) if i != j)
-        for j in range(n)
-    )
+
+    def cut_to(m: int) -> bool:
+        return any(
+            sizes[j] == m
+            and all(full[i] or sizes[i] <= m for i in range(n) if i != j)
+            for j in range(n)
+        )
+
+    dummy, quasi = cut_to(1), cut_to(2)
     if dummy and quasi:
         return Flavor.DUMMY_AND_QUASI
     if dummy:

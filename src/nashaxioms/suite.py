@@ -14,7 +14,6 @@ from . import fixtures
 from .axioms import AxiomVerdict, check_axiom, replay_witness
 from .closures import GameClass, build_named_class, d_closure, strict_closure
 from .concepts import CONCEPT_IDS, ConceptDomainError, eval_concept, nash
-from .games import Game
 from .oracles import nash_bruteforce
 from .theorems import lemma1a_witness, lemma1b_construct, verify_one_player_lemma, verify_theorem1
 
@@ -33,10 +32,6 @@ class Expectation:
             "ok": self.ok,
             "detail": self.detail,
         }
-
-
-def _labels(game: Game, profiles) -> set[tuple[str, ...]]:
-    return {game.labels_of(p) for p in profiles}
 
 
 def run_suite() -> list[Expectation]:
@@ -78,12 +73,12 @@ def run_suite() -> list[Expectation]:
     expect(
         sec,
         "nash(ex2) == {(U,L),(D,R)}",
-        _labels(ex2, nash(ex2)) == {("U", "L"), ("D", "R")},
+        ex2.label_set(nash(ex2)) == {("U", "L"), ("D", "R")},
     )
     expect(
         sec,
         "nash(ex5) == {(U,L),(C,R),(D,L)}",
-        _labels(ex5, nash(ex5)) == {("U", "L"), ("C", "R"), ("D", "L")},
+        ex5.label_set(nash(ex5)) == {("U", "L"), ("C", "R"), ("D", "L")},
     )
     expect(sec, "oracle agrees on ex2", nash(ex2) == nash_bruteforce(ex2))
     expect(sec, "oracle agrees on ex5", nash(ex5) == nash_bruteforce(ex5))

@@ -136,20 +136,8 @@ def lemma1a_witness(concept: str, game: Game, profile) -> ConstructionReport:
             break
     assert j is not None  # guaranteed by the non-equilibrium precondition
 
-    spec_pair = SubsetSpec.coerce(
-        game,
-        tuple(
-            tuple(sorted({s.indices[i], t})) if i == j else (s.indices[i],)
-            for i in range(game.player_count)
-        ),
-    )
-    spec_single = SubsetSpec.coerce(
-        game,
-        tuple(
-            (t,) if i == j else (s.indices[i],)
-            for i in range(game.player_count)
-        ),
-    )
+    spec_single = SubsetSpec(tuple((k,) for k in s.replace(j, t).indices))
+    spec_pair = spec_single.union(SubsetSpec(tuple((k,) for k in s.indices)))
     g_pair = restrict(game, spec_pair)
     g_single = restrict(game, spec_single)
 
@@ -178,12 +166,8 @@ def lemma1a_witness(concept: str, game: Game, profile) -> ConstructionReport:
     )
 
     jo_ok = unique in eval_concept(concept, g_single)
-    phi_pair = frozenset(
-        g_pair.labels_of(p) for p in eval_concept(concept, g_pair)
-    )
-    phi_single = frozenset(
-        g_single.labels_of(p) for p in eval_concept(concept, g_single)
-    )
+    phi_pair = g_pair.label_set(eval_concept(concept, g_pair))
+    phi_single = g_single.label_set(eval_concept(concept, g_single))
     isds_ok = phi_pair == phi_single
     iis_ok = game.labels_of(s) in phi_pair
     report.violated_axioms = [
@@ -248,14 +232,10 @@ def lemma1b_construct(game: Game, profile) -> ConstructionReport:
             mapped is not None and mapped in jointly_optimal(g_k),
         )
 
-    union_specs: list[SubsetSpec] = []
-    merged_games: list[Game] = []
+    prev_spec = free_specs[0]
     for ell in range(1, n):
-        prev_spec = union_specs[-1] if union_specs else free_specs[0]
         union_spec = prev_spec.union(free_specs[ell])
-        union_specs.append(union_spec)
         h_ell = restrict(game, union_spec)
-        merged_games.append(h_ell)
         role = f"H^{ell}"
         report.constructed.append((role, h_ell))
         report.check(
@@ -273,7 +253,8 @@ def lemma1b_construct(game: Game, profile) -> ConstructionReport:
                 and reduction_flavor(game, union_spec)
                 in (Flavor.DUMMY, Flavor.DUMMY_AND_QUASI),
             )
-    report.check(f"H^{n - 1} equals G", merged_games[-1] == game)
+        prev_spec = union_spec
+    report.check(f"H^{n - 1} equals G", h_ell == game)
     return report
 
 
@@ -474,12 +455,8 @@ def _replay_single_removal(concept: str, game: Game, s: Profile) -> Construction
         f"removing {game.strategies[0][removed]!r} is a strict reduction",
         is_strict_reduction(reduced, game),
     )
-    phi_parent = frozenset(
-        game.labels_of(p) for p in eval_concept(concept, game)
-    )
-    phi_reduced = frozenset(
-        reduced.labels_of(p) for p in eval_concept(concept, reduced)
-    )
+    phi_parent = game.label_set(eval_concept(concept, game))
+    phi_reduced = reduced.label_set(eval_concept(concept, reduced))
     report.check(
         "the solution set changes across the strict reduction",
         phi_parent != phi_reduced,

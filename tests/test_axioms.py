@@ -307,6 +307,26 @@ def test_scans_see_members_added_after_a_scan(ex2):
     assert not check_axiom("iis", "ne_indifference_closure", grown).passed
 
 
+def test_clear_cache_drops_the_reduction_relation(ex2, monkeypatch):
+    import nashaxioms.closures as closures
+    from nashaxioms.concepts import clear_cache
+
+    cls = reduction_closure(ex2)
+    calls = []
+    real = closures.is_reduction
+    monkeypatch.setattr(
+        closures, "is_reduction", lambda g, h: calls.append(1) or real(g, h)
+    )
+    first = check_axiom("iis", "nash", cls)
+    cold = len(calls)
+    assert cold == len(cls) ** 2
+    assert check_axiom("iis", "nash", cls) == first
+    assert len(calls) == cold
+    clear_cache()
+    assert check_axiom("iis", "nash", cls) == first
+    assert len(calls) == 2 * cold
+
+
 def test_mc_implies_ciis_on_all_classes(
     pd_dclosed, ex2_dclosed, ex3_cons, ex4_class, ex5_class, cube_dclosed, chain_strict
 ):
