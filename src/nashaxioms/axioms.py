@@ -104,11 +104,12 @@ def _mc(
     """Common solutions of two merging reductions solve the merge."""
     for parent in parents:
         phi_parent = parent.label_set(_phi(concept, parent))
-        for ga in cls.reductions(parent):
+        reductions = cls.reductions(parent)
+        for ga in reductions:
             phi_a = ga.label_set(_phi(concept, ga))
             if not phi_a:
                 continue
-            for gb in cls.reductions(parent):
+            for gb in reductions:
                 if not _union_is_full(parent, ga, gb):
                     continue
                 phi_b = gb.label_set(_phi(concept, gb))
@@ -264,9 +265,9 @@ def _ciis(
                 continue
             labels = game.labels_of(s)
             containing = [
-                (g, g.profile_from_labels(labels))
+                (g, mapped)
                 for g in proper
-                if g.profile_from_labels(labels) is not None
+                if (mapped := g.profile_from_labels(labels)) is not None
             ]
             if not containing:
                 tally["vacuous"] += 1

@@ -228,7 +228,10 @@ class GameClass:
             game = load_game(path / fname)
             if game.canonical_id != cid:
                 raise malformed(f"game file {fname} does not match its id")
-            out.add(game, provenance)
+            try:
+                out.add(game, provenance)
+            except ValueError as exc:  # unknown kind or parent
+                raise malformed(f"game entry {k}: {exc}") from None
         return out
 
 
@@ -298,24 +301,20 @@ def strict_closure(seeds: Iterable[Game], budget: int = DEFAULT_BUDGET) -> GameC
 def reduction_closure(seed: Game, budget: int = DEFAULT_BUDGET) -> GameClass:
     """The seed plus every one of its reductions.
 
-    Reductions of reductions are reductions of the seed, so a single
-    pass is already the fixpoint.
+    Reductions of reductions are reductions of the seed, so one pass
+    is the fixpoint.  The budget caps the specs, hence the members.
     """
     cls = GameClass(params={"mode": "reductions", "budget": budget})
     cls.add(seed, Provenance("seed"))
     for spec in enumerate_reductions(seed, "all", budget=budget):
         cls.add(
-            seed if spec.is_full(seed) else restrict(seed, spec),
+            restrict(seed, spec),
             Provenance(
                 "reduction-of",
                 parent=seed.canonical_id,
                 subsets=spec.labels(seed),
             ),
         )
-        if len(cls) > budget:
-            raise BudgetExceededError(
-                f"reduction closure exceeded the budget of {budget} games"
-            )
     return cls
 
 

@@ -97,7 +97,7 @@ def ne_indifference_closure(game: Game) -> frozenset[Profile]:
     """Nash equilibria plus every profile all players are indifferent
     to some equilibrium about."""
     rank_vectors = list(zip(*game.ranks))
-    tied = {rank_vectors[game.linear_index(t)] for t in nash(game)}
+    tied = {rank_vectors[t.linear_index(game.shape)] for t in nash(game)}
     return frozenset(
         game.profile_at(k) for k, v in enumerate(rank_vectors) if v in tied
     )

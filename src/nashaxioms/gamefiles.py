@@ -10,7 +10,6 @@ linear-index order with player 1 most significant, so profile
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from .games import Game, GameFormatError, build_game
@@ -38,13 +37,10 @@ def game_from_payload(data: dict) -> Game:
         raise GameFormatError("give exactly one of 'payoffs' or 'ranks'")
     tables = data["payoffs"] if has_payoffs else data["ranks"]
     if not isinstance(tables, list) or not all(
-        isinstance(t, list)
-        and all(
-            type(v) is int or type(v) is float and math.isfinite(v) for v in t
-        )
+        isinstance(t, list) and not any(isinstance(v, list) for v in t)
         for t in tables
     ):
-        raise GameFormatError("tables must be flat lists of finite numbers")
+        raise GameFormatError("tables must be flat lists")
     if has_payoffs:
         return build_game(players, strategies, payoffs=tables)
     return build_game(players, strategies, ranks=tables)

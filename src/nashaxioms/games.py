@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -127,7 +128,7 @@ class Game:
                     f"rank table for player {i + 1} covers {len(table)} profiles, "
                     f"expected {total}"
                 )
-            if not all(isinstance(r, int) and r >= 0 for r in table):
+            if not all(type(r) is int and r >= 0 for r in table):
                 raise GameFormatError(
                     f"rank table for player {i + 1} must hold non-negative integers"
                 )
@@ -162,9 +163,6 @@ class Game:
         """All profiles in linear-index order."""
         for combo in itertools.product(*(range(k) for k in self.shape)):
             yield Profile(combo)
-
-    def linear_index(self, profile: Profile) -> int:
-        return profile.linear_index(self.shape)
 
     def profile_at(self, linear: int) -> Profile:
         return Profile.from_linear(self.shape, linear)
@@ -242,7 +240,7 @@ def build_game(
     Exactly one of ``payoffs`` / ``ranks`` must be given, one table per
     player.  Tables may be flat lists in linear-index order (player 1
     most significant) or nested lists matching the strategy shape.
-    Payoffs are converted to dense ordinal ranks per player (higher
+    Finite real payoffs become dense ordinal ranks per player (higher
     payoff, lower rank) and the numeric values are discarded.  Rank
     input may use any non-negative integers; it is dense-normalized.
     """
@@ -260,10 +258,16 @@ def build_game(
             f"expected {player_count} tables, got {len(tables)}"
         )
     flat_tables = [_flatten_table(t, shape) for t in tables]
-    if ranks is not None and not all(
-        isinstance(v, int) and v >= 0 for t in flat_tables for v in t
-    ):
+    values = [v for t in flat_tables for v in t]
+    if ranks is not None and not all(type(v) is int and v >= 0 for v in values):
         raise GameFormatError("ranks must be non-negative integers")
+    # bool subclasses int; ``abs(v) < inf`` fails NaN and infinities but,
+    # unlike ``isfinite``, passes ints too large for a float.
+    if not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < math.inf
+        for v in values
+    ):
+        raise GameFormatError("payoffs must be finite numbers")
     rank_tables = tuple(
         _normalize_ranks(t, reverse=payoffs is not None) for t in flat_tables
     )
@@ -373,9 +377,6 @@ class SubsetSpec:
             )
         )
 
-    def is_full(self, game: Game) -> bool:
-        return all(len(s) == k for s, k in zip(self.indices, game.shape))
-
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.indices)
 
@@ -407,7 +408,7 @@ def _slice_ranks(
 def _reduction_spec(candidate: Game, parent: Game) -> SubsetSpec | None:
     """The subsets restricting parent to candidate, or None when
     candidate is not a reduction of parent: the labels must embed
-    player-wise in order, and the restriction must equal candidate."""
+    player-wise in order, and the parent's ranks on them must match."""
     if candidate.player_count != parent.player_count:
         return None
     idx = []
@@ -420,8 +421,8 @@ def _reduction_spec(candidate: Game, parent: Game) -> SubsetSpec | None:
         if any(b <= a for a, b in zip(ids, ids[1:])):
             return None
         idx.append(ids)
-    spec = SubsetSpec(tuple(idx))
-    return spec if restrict(parent, spec) == candidate else None
+    ranks = _slice_ranks(parent, idx, range(parent.player_count))
+    return SubsetSpec(tuple(idx)) if ranks == candidate.ranks else None
 
 
 def is_reduction(candidate: Game, parent: Game) -> bool:

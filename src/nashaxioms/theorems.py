@@ -289,10 +289,12 @@ def _audit_closed(
     cls: GameClass, flavor_filter: str, closed: str, reduction: str
 ) -> None:
     """Raise unless every reduction of every member that passes
-    ``flavor_filter`` is itself a member."""
+    ``flavor_filter`` is itself a member; a member reduction carrying
+    a spec's labels is that spec's restriction, so labels suffice."""
     for game in cls:
+        present = {g.strategies for g in cls.reductions(game)}
         for spec in enumerate_reductions(game, flavor_filter):
-            if restrict(game, spec) not in cls:
+            if spec.labels(game) not in present:
                 raise ValueError(
                     f"class is not {closed}: game {game.canonical_id[:12]} "
                     f"is missing the {reduction} with subsets "

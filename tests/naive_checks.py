@@ -11,7 +11,7 @@ import itertools
 
 from nashaxioms import build_game
 from nashaxioms.concepts import eval_concept
-from nashaxioms.games import Game, Profile
+from nashaxioms.games import Game, Profile, enumerate_reductions, restrict
 from nashaxioms.oracles import nash_bruteforce
 
 
@@ -281,3 +281,27 @@ def naive_ne_indifference_closure(game: Game):
             for t in ne
         )
     ]
+
+
+_AUDITS = {
+    "d": ("dummy-or-quasi", "d-closed", "reduction"),
+    "strict": ("strict", "strictly closed", "strict reduction"),
+}
+
+
+def naive_audit_message(games, mode: str):
+    """The closedness audit by building every filtered reduction and
+    looking it up: the message naming the first missing one, or None
+    when the games are closed (``mode`` is ``d`` or ``strict``)."""
+    flavor_filter, closed, reduction = _AUDITS[mode]
+    games = list(games)
+    ids = {g.canonical_id for g in games}
+    for game in games:
+        for spec in enumerate_reductions(game, flavor_filter):
+            if restrict(game, spec).canonical_id not in ids:
+                return (
+                    f"class is not {closed}: game {game.canonical_id[:12]} "
+                    f"is missing the {reduction} with subsets "
+                    f"{spec.labels(game)}"
+                )
+    return None

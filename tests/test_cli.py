@@ -134,6 +134,14 @@ def _edit_first_entry(edit):
             _edit_first_entry(lambda e: e.update(file=f"../cls/{e['file']}")),
             id="file-path-via-parent",
         ),
+        pytest.param(
+            _edit_first_entry(lambda e: e["provenance"].update(kind="bogus")),
+            id="unknown-provenance-kind",
+        ),
+        pytest.param(
+            _edit_first_entry(lambda e: e["provenance"].update(parent="0" * 64)),
+            id="provenance-parent-not-a-member",
+        ),
     ],
 )
 def test_malformed_manifest_is_named(capsys, tmp_path, ex2_dclosed, rewrite):

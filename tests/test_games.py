@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from nashaxioms import (
     BudgetExceededError,
     Flavor,
+    Game,
     GameFormatError,
     Profile,
     SubsetSpec,
@@ -81,6 +82,20 @@ def test_build_errors():
         build_game(1, [["a", "b"]], payoffs=[[1, 2]], ranks=[[0, 1]])
     with pytest.raises(GameFormatError):
         build_game(1, [["a", "b"]], ranks=[[0, -1]])
+    nan, inf = float("nan"), float("inf")
+    bad = ([nan, 1, nan], [inf, 1, 0], [-inf, 1, 0], [True, 0, 0], ["1", 0, 0])
+    for payoffs in bad:
+        with pytest.raises(GameFormatError, match="payoffs must be finite numbers"):
+            build_game(1, [["a", "b", "c"]], payoffs=[payoffs])
+    with pytest.raises(GameFormatError, match="ranks must be non-negative integers"):
+        build_game(1, [["a", "b"]], ranks=[[True, 0]])
+    with pytest.raises(GameFormatError, match="must hold non-negative integers"):
+        Game(1, (("a", "b"),), ((True, False),))
+
+
+def test_build_accepts_any_finite_real_payoff():
+    huge = build_game(1, [["a", "b", "c"]], payoffs=[[10**400, 0.5, -(10**400)]])
+    assert huge.ranks == ((0, 1, 2),)
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=1))
@@ -172,6 +187,34 @@ def test_reduction_agrees_with_naive_on_random_pairs():
         assert naive_is_reduction(sub, g)
         other = random_game(rng)
         assert is_reduction(other, g) == naive_is_reduction(other, g)
+
+
+def test_reduction_agrees_with_naive_on_near_misses():
+    # A restriction with two distinct ranks swapped in one table keeps
+    # the labels and shape, so only the rank tables tell it apart.
+    rng = random.Random(20261018)
+    tried = 0
+    for _ in range(400):
+        g = random_game(rng)
+        sub = restrict(g, random_subsets(rng, g))
+        i = rng.randrange(sub.player_count)
+        table = list(sub.ranks[i])
+        pairs = [
+            (a, b)
+            for a in range(len(table))
+            for b in range(a + 1, len(table))
+            if table[a] != table[b]
+        ]
+        if not pairs:
+            continue
+        a, b = rng.choice(pairs)
+        table[a], table[b] = table[b], table[a]
+        ranks = sub.ranks[:i] + (tuple(table),) + sub.ranks[i + 1 :]
+        near = Game(sub.player_count, sub.strategies, ranks)
+        assert is_reduction(near, g) == naive_is_reduction(near, g)
+        assert is_strict_reduction(near, g) == naive_is_strict_reduction(near, g)
+        tried += 1
+    assert tried > 200
 
 
 def test_restriction_transitivity():

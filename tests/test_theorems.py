@@ -1,16 +1,24 @@
+import random
+
 import pytest
 
 from nashaxioms import (
     GameClass,
+    d_closure,
     eval_concept,
     lemma1a_witness,
     lemma1b_construct,
     nash,
+    strict_closure,
     verify_one_player_lemma,
     verify_theorem1,
 )
 from nashaxioms.closures import Provenance
 from nashaxioms.oracles import nash_bruteforce
+from nashaxioms.theorems import audit_d_closed, audit_strictly_closed
+
+from conftest import random_game
+from naive_checks import naive_audit_message
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +135,39 @@ def test_forward_direction_rejects_unclosed_class(ex2_dclosed):
         ValueError, match="not d-closed: game .* missing the reduction with"
     ):
         verify_theorem1(corrupted)
+
+
+@pytest.mark.parametrize(
+    "mode,closure,audit",
+    [
+        ("d", d_closure, audit_d_closed),
+        ("strict", strict_closure, audit_strictly_closed),
+    ],
+)
+def test_closedness_audit_agrees_with_naive(mode, closure, audit):
+    # Random two-seed closures (their label sets overlap) pass the audit;
+    # with one non-seed member dropped, it raises exactly the
+    # restrict-and-lookup reference's message.
+    rng = random.Random(20261018)
+    dropped = 0
+    for _ in range(40):
+        full = closure([random_game(rng), random_game(rng)])
+        audit(full)
+        non_seeds = [c for c in full.ids() if full.provenance[c].kind != "seed"]
+        if not non_seeds:
+            continue
+        gone = rng.choice(non_seeds)
+        holed = GameClass()
+        for game in full:
+            if game.canonical_id != gone:
+                holed.add(game, Provenance("seed"))
+        expected = naive_audit_message(holed, mode)
+        assert expected is not None
+        with pytest.raises(ValueError) as exc:
+            audit(holed)
+        assert str(exc.value) == expected
+        dropped += 1
+    assert dropped >= 15
 
 
 def test_engine_oracle_agreement_everywhere(ex5_class, cube_dclosed):
