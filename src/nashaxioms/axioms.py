@@ -67,35 +67,35 @@ def _phi(concept: str, game: Game) -> frozenset[Profile]:
         ) from exc
 
 
+def _reduced(concept: str, cls: GameClass, parent: Game) -> list[tuple]:
+    """Per member of ``cls.reductions(parent)``, in order: the member,
+    its per-player strategy label sets and its solutions' label set.  A
+    parent profile lies in a member when each label is in its set."""
+    return [
+        (g, tuple(map(frozenset, g.strategies)), g.label_set(_phi(concept, g)))
+        for g in cls.reductions(parent)
+    ]
+
+
 def _iis(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
     """Solutions survive into every reduction they belong to."""
     for parent in parents:
-        solutions = sorted(_phi(concept, parent))
+        solutions = [parent.labels_of(s) for s in sorted(_phi(concept, parent))]
         if not solutions:
             continue
-        for cand in cls.reductions(parent):
-            phi_cand = _phi(concept, cand)
-            for s in solutions:
-                labels = parent.labels_of(s)
-                mapped = cand.profile_from_labels(labels)
-                if mapped is None or mapped in phi_cand:
-                    continue
-                yield {
-                    "game": parent.canonical_id,
-                    "reduction": cand.canonical_id,
-                    "profile": list(labels),
-                    "clause": "solution of the game is lost in a "
-                    "reduction containing it",
-                }
-
-
-def _union_is_full(parent: Game, a: Game, b: Game) -> bool:
-    return all(
-        set(a.strategies[i]) | set(b.strategies[i]) == set(parent.strategies[i])
-        for i in range(parent.player_count)
-    )
+        for cand, sets, phi_cand in _reduced(concept, cls, parent):
+            for labels in solutions:
+                inside = all(map(frozenset.__contains__, sets, labels))
+                if inside and labels not in phi_cand:
+                    yield {
+                        "game": parent.canonical_id,
+                        "reduction": cand.canonical_id,
+                        "profile": list(labels),
+                        "clause": "solution of the game is lost in a "
+                        "reduction containing it",
+                    }
 
 
 def _mc(
@@ -104,17 +104,15 @@ def _mc(
     """Common solutions of two merging reductions solve the merge."""
     for parent in parents:
         phi_parent = parent.label_set(_phi(concept, parent))
-        reductions = cls.reductions(parent)
-        for ga in reductions:
-            phi_a = ga.label_set(_phi(concept, ga))
+        full = tuple(map(frozenset, parent.strategies))
+        reduced = _reduced(concept, cls, parent)
+        for ga, sets_a, phi_a in reduced:
             if not phi_a:
                 continue
-            for gb in reductions:
-                if not _union_is_full(parent, ga, gb):
+            for gb, sets_b, phi_b in reduced:
+                if tuple(map(frozenset.union, sets_a, sets_b)) != full:
                     continue
-                phi_b = gb.label_set(_phi(concept, gb))
-                common = sorted(phi_a & phi_b)
-                for labels in common:
+                for labels in sorted(phi_a & phi_b):
                     if labels not in phi_parent:
                         yield {
                             "game": parent.canonical_id,
@@ -131,10 +129,11 @@ def _isds(
 ) -> Iterator[dict]:
     """Strictly dominated removals leave the solution set unchanged."""
     for parent in parents:
-        for cand in cls.reductions(parent):
-            if not is_strict_reduction(cand, parent):
-                continue
-            phi_parent = parent.label_set(_phi(concept, parent))
+        strict = [g for g in cls.reductions(parent) if is_strict_reduction(g, parent)]
+        if not strict:
+            continue
+        phi_parent = parent.label_set(_phi(concept, parent))
+        for cand in strict:
             phi_cand = cand.label_set(_phi(concept, cand))
             if phi_parent != phi_cand:
                 yield {
@@ -259,21 +258,21 @@ def _ciis(
         if game.num_profiles < 3:
             continue
         phi_game = _phi(concept, game)
-        proper = [g for g in cls.reductions(game) if g != game]
+        proper = [r for r in _reduced(concept, cls, game) if r[0] != game]
         for s in game.profiles():
             if s in phi_game:
                 continue
             labels = game.labels_of(s)
             containing = [
-                (g, mapped)
-                for g in proper
-                if (mapped := g.profile_from_labels(labels)) is not None
+                (g, phi_g)
+                for g, sets, phi_g in proper
+                if all(map(frozenset.__contains__, sets, labels))
             ]
             if not containing:
                 tally["vacuous"] += 1
                 continue
             tally["checked"] += 1
-            if all(mapped in _phi(concept, g) for g, mapped in containing):
+            if all(labels in phi_g for _, phi_g in containing):
                 yield {
                     "game": game.canonical_id,
                     "profile": list(labels),

@@ -8,7 +8,8 @@ game (pd, ex2, ex5, cube222, chain4, with or without ``.game``); class
 arguments accept a class directory or a named class.
 
 Exit codes: 0 on success, 1 when ``reproduce`` finds a failed
-expectation (or a construct report fails), 2 on parse or domain errors.
+expectation (or a construct report fails), 2 on parse or domain errors
+and when a ``--report`` or ``--out`` path cannot be written.
 """
 
 from __future__ import annotations
@@ -107,6 +108,15 @@ def _parse_profile_arg(game: Game, raw: str):
     return profile
 
 
+def _write_report(path: str | None, records: list[dict]) -> None:
+    """Write the ``--report`` JSON, if asked for.  Commands call this
+    before printing anything, so a failed write leaves no half-done run."""
+    if path:
+        Path(path).write_text(
+            json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+
+
 def _cmd_solve(args) -> int:
     game = _resolve_game(args.game)
     profiles = eval_concept(args.concept, game)
@@ -141,6 +151,7 @@ def _cmd_check(args) -> int:
     class_name, cls = _resolve_class(args.class_spec, _budget())
     verdict = check_axiom(args.axiom, args.concept, cls)
     record = verdict.to_record(class_name)
+    _write_report(args.report, [record])
     print(
         f"axiom={record['axiom']} concept={record['concept']} "
         f"class={record['class']} result={record['result']}"
@@ -149,11 +160,6 @@ def _cmd_check(args) -> int:
         print("witness: " + json.dumps(verdict.witness, sort_keys=True))
     if verdict.coverage is not None:
         print("coverage: " + json.dumps(verdict.coverage, sort_keys=True))
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps([record], indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
     return 0
 
 
@@ -181,24 +187,15 @@ def _cmd_construct(args) -> int:
         report = verify_one_player_lemma(cls)
         record = report.to_record(class_name)
         ok = report.all_consistent
+    _write_report(args.report, [record])
     print("\n".join(report.lines()))
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps([record], indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
     return 0 if ok else 1
 
 
 def _cmd_reproduce(args) -> int:
     rows = run_suite()
+    _write_report(args.report, [r.to_record() for r in rows])
     sys.stdout.write(render(rows))
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps([r.to_record() for r in rows], indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
     return 0 if all(r.ok for r in rows) else 1
 
 
@@ -270,6 +267,7 @@ def main(argv=None) -> int:
         BudgetExceededError,
         ConceptDomainError,
         ValueError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,25 @@ PROVENANCE_KINDS = (
 )
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+#: Per optional provenance field: its type test and its description.
+_PAYLOAD_TYPES = {
+    "parent": (lambda v: isinstance(v, str), "a string"),
+    "subsets": (
+        lambda v: isinstance(v, list) and all(map(_strings, v)),
+        "a list of lists of strings",
+    ),
+    "keep": (
+        lambda v: isinstance(v, list) and all(type(i) is int for i in v),
+        "a list of integers",
+    ),
+    "fixed": (_strings, "a list of strings"),
+}
+
+
 @dataclass(frozen=True)
 class Provenance:
     """How a game entered its class.
@@ -69,6 +88,11 @@ class Provenance:
 
     @classmethod
     def from_payload(cls, data: dict) -> "Provenance":
+        """Read a manifest record; a field of the wrong type raises
+        ``GameFormatError`` instead of being reshaped."""
+        for key, (fits, what) in _PAYLOAD_TYPES.items():
+            if key in data and not fits(data[key]):
+                raise GameFormatError(f"provenance {key!r} must be {what}")
         return cls(
             kind=data["kind"],
             parent=data.get("parent"),
@@ -223,6 +247,8 @@ class GameClass:
                 raise malformed(
                     f"game entry {k} needs an 'id', a 'file' and a 'provenance'"
                 ) from None
+            except GameFormatError as exc:
+                raise malformed(f"game entry {k}: {exc}") from None
             if not isinstance(fname, str) or os.path.basename(fname) != fname:
                 raise malformed(f"game entry {k}: {fname!r} is not a plain file name")
             game = load_game(path / fname)

@@ -48,7 +48,10 @@ class Profile:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        indices = tuple(self.indices)
+        if not all(type(i) is int for i in indices):
+            raise GameFormatError(f"profile indices must be integers, got {indices!r}")
+        object.__setattr__(self, "indices", indices)
 
     def linear_index(self, shape: Sequence[int]) -> int:
         k = 0
@@ -318,9 +321,10 @@ class SubsetSpec:
     indices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "indices", tuple(tuple(int(k) for k in s) for s in self.indices)
-        )
+        indices = tuple(tuple(s) for s in self.indices)
+        if not all(type(k) is int for s in indices for k in s):
+            raise GameFormatError(f"strategy indices must be integers, got {indices!r}")
+        object.__setattr__(self, "indices", indices)
 
     @classmethod
     def coerce(cls, game: Game, subsets) -> "SubsetSpec":

@@ -10,14 +10,19 @@ from nashaxioms import (
     AxiomVerdict,
     ConceptDomainError,
     GameClass,
+    Provenance,
     build_game,
     check_axiom,
+    d_closure,
+    enumerate_reductions,
+    reduce_players,
     reduction_closure,
     replay_witness,
+    restrict,
 )
 from nashaxioms.concepts import CONCEPT_IDS
 
-from naive_checks import naive_check
+from naive_checks import naive_check, naive_is_reduction
 
 
 def strategy_sets(cls, cid):
@@ -244,14 +249,18 @@ def test_checkers_agree_with_naive_scans(
         assert got == want, f"{axiom}/{concept} disagrees on a class"
 
 
-def _random_reduction_closure(shape, seed):
-    """The reduction closure of a random two-player game with ranks drawn
-    from three levels, so ties are common."""
-    rng = random.Random(seed)
+def _random_game(rng, shape):
+    """A game with ranks drawn from three levels, so ties are common; the
+    labels depend on the shape only, so games drawn alike share them."""
     labels = [[f"p{i}s{k}" for k in range(size)] for i, size in enumerate(shape)]
     total = math.prod(shape)
     ranks = [[rng.randrange(3) for _ in range(total)] for _ in shape]
-    return reduction_closure(build_game(len(shape), labels, ranks=ranks))
+    return build_game(len(shape), labels, ranks=ranks)
+
+
+def _random_reduction_closure(shape, seed):
+    """The reduction closure of a random game."""
+    return reduction_closure(_random_game(random.Random(seed), shape))
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +292,69 @@ def closure_3x3():
     ],
 )
 def test_reduction_scans_agree_with_naive_on_random_closures(
+    axiom, concept, closure, request
+):
+    cls = request.getfixturevalue(closure)
+    got = check_axiom(axiom, concept, cls).result
+    assert got == naive_check(axiom, concept, list(cls))
+
+
+def _fits_without_reducing(cls) -> bool:
+    """Some member's labels fit inside a member it is not a reduction
+    of, so a scan that tested labels alone would misjudge the pair."""
+    return any(
+        g.player_count == h.player_count
+        and all(set(a) <= set(b) for a, b in zip(g.strategies, h.strategies))
+        and not naive_is_reduction(g, h)
+        for g in cls
+        for h in cls
+    )
+
+
+@pytest.fixture(scope="module")
+def two_root_dclosure():
+    """The d-closure of two random 3x2 games with the same labels."""
+    rng = random.Random(1)
+    cls = d_closure([_random_game(rng, (3, 2)), _random_game(rng, (3, 2))])
+    assert len(cls) == 36 and _fits_without_reducing(cls)
+    return cls
+
+
+@pytest.fixture(scope="module")
+def player_reduction_class():
+    """A random 3x2 game's reduction closure, plus each game it reduces
+    to by pinning one player and that game's reductions."""
+    root = _random_game(random.Random(0), (3, 2))
+    cls = reduction_closure(root)
+    for keep in ((0,), (1,)):
+        for s in root.profiles():
+            game = reduce_players(root, keep, s)
+            cls.add(
+                game,
+                Provenance(
+                    "player-reduction-of",
+                    parent=root.canonical_id,
+                    keep=keep,
+                    fixed=root.labels_of(s),
+                ),
+            )
+            for spec in enumerate_reductions(game):
+                cls.add(
+                    restrict(game, spec),
+                    Provenance(
+                        "reduction-of",
+                        parent=game.canonical_id,
+                        subsets=spec.labels(game),
+                    ),
+                )
+    assert len(cls) == 36 and _fits_without_reducing(cls)
+    return cls
+
+
+@pytest.mark.parametrize("closure", ["two_root_dclosure", "player_reduction_class"])
+@pytest.mark.parametrize("concept", ["nash", "strong_nash", "ne_indifference_closure"])
+@pytest.mark.parametrize("axiom", ["iis", "mc", "isds", "ciis"])
+def test_reduction_scans_agree_with_naive_on_several_roots(
     axiom, concept, closure, request
 ):
     cls = request.getfixturevalue(closure)

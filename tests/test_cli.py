@@ -103,9 +103,9 @@ def test_malformed_member_file_is_named(capsys, tmp_path, ex2_dclosed):
     assert member.name in err
 
 
-def _edit_first_entry(edit):
+def _edit_entry(edit, k=0):
     def rewrite(manifest):
-        edit(manifest["games"][0])
+        edit(manifest["games"][k])
         return json.dumps(manifest)
 
     return rewrite
@@ -120,27 +120,48 @@ def _edit_first_entry(edit):
         pytest.param(lambda m: json.dumps({"params": {}}), id="no-games"),
         *(
             pytest.param(
-                _edit_first_entry(lambda e, key=key: e.pop(key)),
+                _edit_entry(lambda e, key=key: e.pop(key)),
                 id=f"entry-without-{key}",
             )
             for key in ("file", "id", "provenance")
         ),
         pytest.param(
-            _edit_first_entry(lambda e: e.update(file="../../../etc/passwd")),
+            _edit_entry(lambda e: e.update(file="../../../etc/passwd")),
             id="file-escapes-directory",
         ),
         # an existing member reached through the parent directory
         pytest.param(
-            _edit_first_entry(lambda e: e.update(file=f"../cls/{e['file']}")),
+            _edit_entry(lambda e: e.update(file=f"../cls/{e['file']}")),
             id="file-path-via-parent",
         ),
         pytest.param(
-            _edit_first_entry(lambda e: e["provenance"].update(kind="bogus")),
+            _edit_entry(lambda e: e["provenance"].update(kind="bogus")),
             id="unknown-provenance-kind",
         ),
         pytest.param(
-            _edit_first_entry(lambda e: e["provenance"].update(parent="0" * 64)),
+            _edit_entry(lambda e: e["provenance"].update(parent="0" * 64)),
             id="provenance-parent-not-a-member",
+        ),
+        # provenance fields of the wrong type are not reshaped by tuple()
+        pytest.param(
+            _edit_entry(lambda e: e["provenance"].update(parent=["x"]), k=1),
+            id="provenance-parent-not-a-string",
+        ),
+        pytest.param(
+            _edit_entry(lambda e: e["provenance"].update(subsets=["U", "LR"]), k=1),
+            id="provenance-subsets-of-strings",
+        ),
+        pytest.param(
+            _edit_entry(lambda e: e["provenance"].update(fixed="UL")),
+            id="provenance-fixed-a-string",
+        ),
+        pytest.param(
+            _edit_entry(lambda e: e["provenance"].update(keep="01")),
+            id="provenance-keep-a-string",
+        ),
+        pytest.param(
+            _edit_entry(lambda e: e["provenance"].update(keep=[True])),
+            id="provenance-keep-bools",
         ),
     ],
 )
@@ -155,6 +176,32 @@ def test_malformed_manifest_is_named(capsys, tmp_path, ex2_dclosed, rewrite):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {manifest}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(
+            ("check", "--axiom", "jo", "--concept", "nash", "--class", "pd_dclosed"),
+            id="check-report",
+        ),
+        pytest.param(
+            ("construct", "--lemma", "1b", "--game", "ex2", "--profile", "U,L"),
+            id="construct-report",
+        ),
+        pytest.param(("reproduce",), id="reproduce-report"),
+        pytest.param(("closure", "pd", "--mode", "d", "--out"), id="closure-out"),
+    ],
+)
+def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    flag = () if argv[-1] == "--out" else ("--report",)
+    code, out, err = run_cli(capsys, *argv, *flag, str(blocker / "x"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(blocker / "x") in err
 
 
 def test_closure_budget_error(capsys):

@@ -121,6 +121,12 @@ def test_linear_index_contract():
     assert Profile((1, 2, 1)).linear_index(shape) == (1 * 3 + 2) * 2 + 1
 
 
+@pytest.mark.parametrize("indices", [("1", 1), (1.9, 0), (True, 0), (0, False)])
+def test_profile_rejects_non_int_indices(indices):
+    with pytest.raises(GameFormatError, match="profile indices must be integers"):
+        Profile(indices)
+
+
 # ----------------------------------------------------------------------
 # restriction
 # ----------------------------------------------------------------------
@@ -148,6 +154,16 @@ def test_restrict_top_rows_nash(ex5):
 def test_restrict_empty_subset_rejected(ex2):
     with pytest.raises(GameFormatError):
         restrict(ex2, ((0,), ()))
+
+
+@pytest.mark.parametrize(
+    "subsets", [[[0.9], [0]], [["1"], [True]], [[0, 1], [False]], [[1.0], [1]]]
+)
+def test_restrict_rejects_non_int_indices(ex2, subsets):
+    with pytest.raises(GameFormatError, match="strategy indices must be integers"):
+        restrict(ex2, subsets)
+    with pytest.raises(GameFormatError, match="strategy indices must be integers"):
+        SubsetSpec(subsets)
 
 
 # ----------------------------------------------------------------------
