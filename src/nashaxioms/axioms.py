@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 from .closures import GameClass
 from .concepts import ConceptDomainError, eval_concept, jointly_optimal
-from .games import Game, Profile, is_strict_reduction, reduce_players
+from .games import Game, Profile, reduce_players, removes_only_dominated, strict_dominators
 
 
 @dataclass
@@ -129,7 +129,12 @@ def _isds(
 ) -> Iterator[dict]:
     """Strictly dominated removals leave the solution set unchanged."""
     for parent in parents:
-        strict = [g for g in cls.reductions(parent) if is_strict_reduction(g, parent)]
+        dominators = strict_dominators(parent)
+        strict = [
+            g
+            for g in cls.reductions(parent)
+            if removes_only_dominated(dominators, g.strategies)
+        ]
         if not strict:
             continue
         phi_parent = parent.label_set(_phi(concept, parent))

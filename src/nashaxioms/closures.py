@@ -8,6 +8,7 @@ class contents, insertion order, and provenance are reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import weakref
@@ -167,8 +168,6 @@ class GameClass:
         return item in self._games
 
     def content_id(self) -> str:
-        import hashlib
-
         joined = ",".join(sorted(self._games))
         return hashlib.sha256(joined.encode("ascii")).hexdigest()
 

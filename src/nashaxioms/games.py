@@ -116,10 +116,10 @@ class Game:
         for i, labels in enumerate(self.strategies):
             if not labels:
                 raise GameFormatError(f"player {i + 1} has an empty strategy list")
-            if len(set(labels)) != len(labels):
-                raise GameFormatError(f"player {i + 1} has duplicate strategy labels")
             if not all(isinstance(lab, str) for lab in labels):
                 raise GameFormatError(f"player {i + 1} has non-string labels")
+            if len(set(labels)) != len(labels):
+                raise GameFormatError(f"player {i + 1} has duplicate strategy labels")
         if len(self.ranks) != self.player_count:
             raise GameFormatError(
                 f"expected {self.player_count} rank tables, got {len(self.ranks)}"
@@ -328,12 +328,11 @@ class SubsetSpec:
 
     @classmethod
     def coerce(cls, game: Game, subsets) -> "SubsetSpec":
-        if isinstance(subsets, SubsetSpec):
-            spec = subsets
-        else:
-            spec = cls(tuple(tuple(sorted(set(s))) for s in subsets))
-        spec.validate_for(game)
-        return spec
+        if not isinstance(subsets, SubsetSpec):
+            # ``cls(subsets)`` checks the index types before they are sorted
+            subsets = cls(tuple(tuple(sorted(set(s))) for s in cls(subsets).indices))
+        subsets.validate_for(game)
+        return subsets
 
     @classmethod
     def from_labels(cls, game: Game, label_subsets) -> "SubsetSpec":
@@ -409,26 +408,6 @@ def _slice_ranks(
     )
 
 
-def _reduction_spec(candidate: Game, parent: Game) -> SubsetSpec | None:
-    """The subsets restricting parent to candidate, or None when
-    candidate is not a reduction of parent: the labels must embed
-    player-wise in order, and the parent's ranks on them must match."""
-    if candidate.player_count != parent.player_count:
-        return None
-    idx = []
-    for i in range(parent.player_count):
-        pos = {lab: k for k, lab in enumerate(parent.strategies[i])}
-        try:
-            ids = tuple(pos[lab] for lab in candidate.strategies[i])
-        except KeyError:
-            return None
-        if any(b <= a for a, b in zip(ids, ids[1:])):
-            return None
-        idx.append(ids)
-    ranks = _slice_ranks(parent, idx, range(parent.player_count))
-    return SubsetSpec(tuple(idx)) if ranks == candidate.ranks else None
-
-
 def is_reduction(candidate: Game, parent: Game) -> bool:
     """True when candidate is the parent restricted to a label subset.
 
@@ -438,7 +417,19 @@ def is_reduction(candidate: Game, parent: Game) -> bool:
     tables, order agreement is exactly equality with the normalized
     restriction.
     """
-    return _reduction_spec(candidate, parent) is not None
+    if candidate.player_count != parent.player_count:
+        return False
+    idx = []
+    for i in range(parent.player_count):
+        pos = {lab: k for k, lab in enumerate(parent.strategies[i])}
+        try:
+            ids = [pos[lab] for lab in candidate.strategies[i]]
+        except KeyError:
+            return False
+        if any(b <= a for a, b in zip(ids, ids[1:])):
+            return False
+        idx.append(ids)
+    return _slice_ranks(parent, idx, range(parent.player_count)) == candidate.ranks
 
 
 def reduction_flavor(parent: Game, subsets) -> Flavor:
@@ -471,48 +462,52 @@ def reduction_flavor(parent: Game, subsets) -> Flavor:
     return Flavor.PLAIN
 
 
-def strictly_dominates(game: Game, player: int, a: int, b: int) -> bool:
-    """True when strategy a beats strategy b at every opponent column.
+def strict_dominators(game: Game) -> tuple[dict[str, frozenset[str]], ...]:
+    """Per player, each strategy label mapped to the labels that beat it
+    at every column of the game's full opponent profile space (with one
+    player, a plain pairwise comparison).  No label maps to itself."""
+    out = []
+    for i, labels in enumerate(game.strategies):
+        cols = [[game.ranks[i][k] for k in col] for col in game.columns(i)]
+        out.append({
+            lab: frozenset(
+                by for a, by in enumerate(labels) if all(c[a] < c[b] for c in cols)
+            )
+            for b, lab in enumerate(labels)
+        })
+    return tuple(out)
 
-    The quantifier ranges over the game's full opponent profile space.
-    With one player there are no opponents and the test is a plain
-    pairwise comparison.  Never true for a strategy against itself.
-    """
+
+def removes_only_dominated(dominators, kept) -> bool:
+    """Some strategy is removed, and each removed one has a kept strict
+    dominator, given a parent's ``strict_dominators`` table and the
+    labels each player keeps."""
+    removed = [
+        (by, keep)
+        for by_label, keep in zip(dominators, kept, strict=True)
+        for label, by in by_label.items()
+        if label not in keep
+    ]
+    return bool(removed) and not any(by.isdisjoint(keep) for by, keep in removed)
+
+
+def strictly_dominates(game: Game, player: int, a: int, b: int) -> bool:
+    """True when strategy a strictly dominates strategy b (see
+    ``strict_dominators``); never for a strategy against itself."""
     size = game.shape[player]
     if not (0 <= a < size and 0 <= b < size):
         raise GameFormatError("strategy index out of range")
-    if a == b:
-        return False
-    table = game.ranks[player]
-    return all(table[col[a]] < table[col[b]] for col in game.columns(player))
-
-
-def _removals_strictly_dominated(parent: Game, spec: SubsetSpec) -> bool:
-    """Every removed strategy has a retained strict dominator; at
-    least one strategy is removed.  Dominance is evaluated in the
-    parent, over the parent's full opponent sets."""
-    proper = False
-    for i, keep in enumerate(spec.indices):
-        kept = set(keep)
-        for k in range(parent.shape[i]):
-            if k in kept:
-                continue
-            proper = True
-            if not any(strictly_dominates(parent, i, r, k) for r in keep):
-                return False
-    return proper
+    labels = game.strategies[player]
+    return labels[a] in strict_dominators(game)[player][labels[b]]
 
 
 def is_strict_reduction(candidate: Game, parent: Game) -> bool:
-    """True when candidate removes only strictly dominated strategies.
-
-    The candidate must be a reduction of the parent with at least one
-    strategy removed, and every removed strategy must be strictly
-    dominated (against the parent's full opponent sets) by some
-    strategy that was retained.
-    """
-    spec = _reduction_spec(candidate, parent)
-    return spec is not None and _removals_strictly_dominated(parent, spec)
+    """True when candidate is a reduction of parent that removes only
+    strictly dominated strategies: at least one, each with a retained
+    dominator against the parent's full opponent sets."""
+    return is_reduction(candidate, parent) and removes_only_dominated(
+        strict_dominators(parent), candidate.strategies
+    )
 
 
 def merge(parent: Game, a, b) -> Game:
@@ -536,7 +531,10 @@ def reduce_players(game: Game, keep: Iterable[int], fixed: Profile) -> Game:
     of ``fixed``.  Rank tables are the original ranks on the pinned
     slice, dense-normalized.
     """
-    keep = tuple(sorted(set(int(i) for i in keep)))
+    keep = tuple(keep)
+    if not all(type(i) is int for i in keep):
+        raise GameFormatError(f"player indices must be integers, got {keep!r}")
+    keep = tuple(sorted(set(keep)))
     n = game.player_count
     if not keep:
         raise GameFormatError("keep must name at least one player")
@@ -579,21 +577,19 @@ def enumerate_reductions(
             f"{total} subset specs exceed the budget of {budget}"
         )
 
-    def _mask_subsets(size: int) -> list[tuple[int, ...]]:
-        return [
-            tuple(k for k in range(size) if mask >> k & 1)
-            for mask in range(1, 1 << size)
-        ]
-
     def gen() -> Iterator[SubsetSpec]:
-        per_player = [_mask_subsets(k) for k in game.shape]
+        per_player = [
+            [tuple(j for j in range(k) if mask >> j & 1) for mask in range(1, 1 << k)]
+            for k in game.shape
+        ]
+        dominators = strict_dominators(game) if flavor_filter == "strict" else None
         for combo in itertools.product(*per_player):
             spec = SubsetSpec(tuple(combo))
             if flavor_filter == "dummy-or-quasi":
                 if reduction_flavor(game, spec) not in DUMMYISH:
                     continue
             elif flavor_filter == "strict":
-                if not _removals_strictly_dominated(game, spec):
+                if not removes_only_dominated(dominators, spec.labels(game)):
                     continue
             yield spec
 

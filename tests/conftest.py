@@ -71,7 +71,14 @@ def chain_strict(chain):
     return strict_closure([chain])
 
 
-def random_game(rng: random.Random, max_players: int = 3, max_strategies: int = 3):
+def random_game(
+    rng: random.Random,
+    max_players: int = 3,
+    max_strategies: int = 3,
+    levels: int | None = None,
+):
+    """A random game; ranks come from ``range(levels)``, or from one
+    level per profile when ``levels`` is None."""
     n = rng.randint(1, max_players)
     shape = [rng.randint(1, max_strategies) for _ in range(n)]
     labels = [[f"p{i}s{k}" for k in range(shape[i])] for i in range(n)]
@@ -79,7 +86,7 @@ def random_game(rng: random.Random, max_players: int = 3, max_strategies: int = 
     for k in shape:
         total *= k
     tables = [
-        [rng.randrange(0, total) for _ in range(total)] for _ in range(n)
+        [rng.randrange(0, levels or total) for _ in range(total)] for _ in range(n)
     ]
     return build_game(n, labels, ranks=tables)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from nashaxioms import (
     reduction_closure,
     replay_witness,
     restrict,
+    strict_closure,
 )
 from nashaxioms.concepts import CONCEPT_IDS
 
@@ -309,6 +311,30 @@ def _fits_without_reducing(cls) -> bool:
         for g in cls
         for h in cls
     )
+
+
+@pytest.fixture(scope="module")
+def strict_closures():
+    """Strict closures of random 2-player games that have a strictly
+    dominated strategy, so each class holds a strict reduction."""
+    rng = random.Random(5)
+    out = []
+    while len(out) < 12:
+        shape = (rng.randint(2, 4), rng.randint(2, 3))
+        cls = strict_closure([_random_game(rng, shape)])
+        if len(cls) > 1:
+            out.append(cls)
+    return out
+
+
+def test_isds_agrees_with_naive_on_strict_closures(strict_closures):
+    seen = Counter()
+    for concept in CONCEPT_IDS:
+        for cls in strict_closures:
+            got = check_axiom("isds", concept, cls).result
+            assert got == naive_check("isds", concept, list(cls)), concept
+            seen[got] += 1
+    assert seen["pass"] > 10 and seen["violated"] > 10
 
 
 @pytest.fixture(scope="module")

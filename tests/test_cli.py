@@ -40,6 +40,22 @@ def test_solve_missing_file(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("label", [["x"], {"x": 1}])
+def test_solve_rejects_unhashable_labels(capsys, tmp_path, label):
+    path = tmp_path / "g.game"
+    path.write_text(
+        json.dumps(
+            {"players": 1, "strategies": [[label, "y"]], "payoffs": [[1, 0]]}
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "non-string labels" in err
+
+
 def test_solve_domain_error(capsys):
     code, _, err = run_cli(capsys, "solve", "cube222", "--concept", "ex5_phi")
     assert code == 2

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -157,7 +158,15 @@ def test_restrict_empty_subset_rejected(ex2):
 
 
 @pytest.mark.parametrize(
-    "subsets", [[[0.9], [0]], [["1"], [True]], [[0, 1], [False]], [[1.0], [1]]]
+    "subsets",
+    [
+        [[0.9], [0]],
+        [["1"], [True]],
+        [[0, 1], [False]],
+        [[1.0], [1]],
+        [["1", 0], [0]],
+        [[0], [1, None]],
+    ],
 )
 def test_restrict_rejects_non_int_indices(ex2, subsets):
     with pytest.raises(GameFormatError, match="strategy indices must be integers"):
@@ -471,6 +480,12 @@ def test_reduce_players_guards(ex2):
         reduce_players(ex2, (0,), Profile((0, 5)))
 
 
+@pytest.mark.parametrize("keep", [["0"], [True], [0.0], [1, False]])
+def test_reduce_players_rejects_non_int_indices(ex2, keep):
+    with pytest.raises(GameFormatError, match="player indices must be integers"):
+        reduce_players(ex2, keep, Profile((0, 0)))
+
+
 def test_reduce_players_agrees_with_naive():
     rng = random.Random(402)
     checked = 0
@@ -534,3 +549,20 @@ def test_strict_filter_matches_predicate():
         for spec in enumerate_reductions(g, "all"):
             expected = is_strict_reduction(restrict(g, spec), g)
             assert (spec.indices in strict_specs) == expected
+
+
+def test_strict_filter_agrees_with_naive_on_games_with_ties():
+    # Three rank levels make ties, and so weak-but-not-strict dominance,
+    # common; the naive test re-derives dominance from the raw tables.
+    # Games alternate between up to three players with two strategies
+    # and up to two players with three.
+    rng = random.Random(7007)
+    seen = Counter()
+    for k in range(300):
+        g = random_game(rng, *((3, 2), (2, 3))[k % 2], levels=3)
+        strict = {s.indices for s in enumerate_reductions(g, "strict")}
+        for spec in enumerate_reductions(g, "all"):
+            expected = naive_is_strict_reduction(restrict(g, spec), g)
+            assert (spec.indices in strict) == expected, (g, spec)
+            seen[expected] += 1
+    assert seen[True] > 100 and seen[False] > 100
