@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .closures import GameClass
+from .closures import GameClass, label_mask
 from .concepts import ConceptDomainError, eval_concept, jointly_optimal
 from .games import Game, Profile, reduce_players, removes_only_dominated, strict_dominators
 
@@ -67,12 +67,13 @@ def _phi(concept: str, game: Game) -> frozenset[Profile]:
         ) from exc
 
 
-def _reduced(concept: str, cls: GameClass, parent: Game) -> list[tuple]:
+def _reduced(concept: str, cls: GameClass, parent: Game, bits: dict) -> list[tuple]:
     """Per member of ``cls.reductions(parent)``, in order: the member,
-    its per-player strategy label sets and its solutions' label set.  A
-    parent profile lies in a member when each label is in its set."""
+    its ``label_mask`` under ``bits`` and its solutions' label set.  A
+    parent profile lies in a member when the profile's mask under the
+    same ``bits`` lies inside the member's."""
     return [
-        (g, tuple(map(frozenset, g.strategies)), g.label_set(_phi(concept, g)))
+        (g, label_mask(bits, g.strategies), g.label_set(_phi(concept, g)))
         for g in cls.reductions(parent)
     ]
 
@@ -82,13 +83,16 @@ def _iis(
 ) -> Iterator[dict]:
     """Solutions survive into every reduction they belong to."""
     for parent in parents:
-        solutions = [parent.labels_of(s) for s in sorted(_phi(concept, parent))]
+        bits: dict = {}
+        solutions = [
+            (labels, label_mask(bits, zip(labels)))
+            for labels in map(parent.labels_of, sorted(_phi(concept, parent)))
+        ]
         if not solutions:
             continue
-        for cand, sets, phi_cand in _reduced(concept, cls, parent):
-            for labels in solutions:
-                inside = all(map(frozenset.__contains__, sets, labels))
-                if inside and labels not in phi_cand:
+        for cand, mask, phi_cand in _reduced(concept, cls, parent, bits):
+            for labels, inside in solutions:
+                if not inside & ~mask and labels not in phi_cand:
                     yield {
                         "game": parent.canonical_id,
                         "reduction": cand.canonical_id,
@@ -104,24 +108,26 @@ def _mc(
     """Common solutions of two merging reductions solve the merge."""
     for parent in parents:
         phi_parent = parent.label_set(_phi(concept, parent))
-        full = tuple(map(frozenset, parent.strategies))
-        reduced = _reduced(concept, cls, parent)
-        for ga, sets_a, phi_a in reduced:
-            if not phi_a:
+        bits: dict = {}
+        full = label_mask(bits, parent.strategies)
+        reduced = _reduced(concept, cls, parent, bits)
+        for ga, mask_a, phi_a in reduced:
+            # only profiles that do not solve the parent can be witnesses
+            extra = phi_a - phi_parent
+            if not extra:
                 continue
-            for gb, sets_b, phi_b in reduced:
-                if tuple(map(frozenset.union, sets_a, sets_b)) != full:
+            for gb, mask_b, phi_b in reduced:
+                if mask_a | mask_b != full:
                     continue
-                for labels in sorted(phi_a & phi_b):
-                    if labels not in phi_parent:
-                        yield {
-                            "game": parent.canonical_id,
-                            "reduction_a": ga.canonical_id,
-                            "reduction_b": gb.canonical_id,
-                            "profile": list(labels),
-                            "clause": "profile solves both merging "
-                            "reductions but not the merged game",
-                        }
+                for labels in sorted(extra & phi_b):
+                    yield {
+                        "game": parent.canonical_id,
+                        "reduction_a": ga.canonical_id,
+                        "reduction_b": gb.canonical_id,
+                        "profile": list(labels),
+                        "clause": "profile solves both merging "
+                        "reductions but not the merged game",
+                    }
 
 
 def _isds(
@@ -171,26 +177,32 @@ def _jo(
 
 
 def _player_reduced(
-    cls: GameClass, game: Game, s: Profile
+    cls: GameClass, present: set, game: Game, s: Profile
 ) -> Iterator[tuple[tuple[int, ...], Game | None]]:
     """``(keep, member or None)`` per non-empty proper player subgroup,
     in ascending bitmask order: the member of the class that is ``game``
-    reduced to the players in ``keep`` with the others fixed at ``s``."""
+    reduced to the players in ``keep`` with the others fixed at ``s``.
+    That game has the kept players' strategies, so it is built only when
+    they are in ``present``, the set of the members' ``strategies``."""
     n = game.player_count
     for mask in range(1, (1 << n) - 1):
         keep = tuple(i for i in range(n) if mask >> i & 1)
-        yield keep, cls.get(reduce_players(game, keep, s).canonical_id)
+        if tuple(game.strategies[i] for i in keep) not in present:
+            yield keep, None
+        else:
+            yield keep, cls.get(reduce_players(game, keep, s).canonical_id)
 
 
 def _cons(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
     """Restrictions of solutions solve the player-reduced games."""
+    present = {g.strategies for g in cls}
     for game in parents:
         if game.player_count < 2:
             continue
         for s in sorted(_phi(concept, game)):
-            for keep, member in _player_reduced(cls, game, s):
+            for keep, member in _player_reduced(cls, present, game, s):
                 if member is None:
                     tally["skipped"] += 1
                     continue
@@ -215,6 +227,7 @@ def _cocons(
 ) -> Iterator[dict]:
     """A profile whose restrictions solve every available player-reduced
     game solves the game."""
+    present = {g.strategies for g in cls}
     for game in parents:
         if game.player_count < 2:
             continue
@@ -224,7 +237,7 @@ def _cocons(
                 continue
             available = [
                 (keep, member)
-                for keep, member in _player_reduced(cls, game, s)
+                for keep, member in _player_reduced(cls, present, game, s)
                 if member is not None
             ]
             if not available:
@@ -263,15 +276,15 @@ def _ciis(
         if game.num_profiles < 3:
             continue
         phi_game = _phi(concept, game)
-        proper = [r for r in _reduced(concept, cls, game) if r[0] != game]
+        bits: dict = {}
+        proper = [r for r in _reduced(concept, cls, game, bits) if r[0] != game]
         for s in game.profiles():
             if s in phi_game:
                 continue
             labels = game.labels_of(s)
+            inside = label_mask(bits, zip(labels))
             containing = [
-                (g, phi_g)
-                for g, sets, phi_g in proper
-                if all(map(frozenset.__contains__, sets, labels))
+                (g, phi_g) for g, mask, phi_g in proper if not inside & ~mask
             ]
             if not containing:
                 tally["vacuous"] += 1

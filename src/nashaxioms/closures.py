@@ -105,8 +105,17 @@ class Provenance:
         )
 
 
-#: ``GameClass.reductions`` results per class, then per parent id; kept
-#: here, not on each class, so that ``clear_reductions`` reaches them all.
+def label_mask(bits: dict, strategies: Iterable[Iterable[str]]) -> int:
+    """Per-player labels (``zip(labels)`` for a profile's) as the sum of
+    the bits that ``bits`` maps each (player index, label) to, a new pair
+    taking the next free bit.  Under one ``bits``, a subset of another
+    game's labels has a mask inside the other's."""
+    pairs = ((i, lab) for i, labels in enumerate(strategies) for lab in labels)
+    return sum(bits.setdefault(pair, 1 << len(bits)) for pair in pairs)
+
+
+#: Per class: ``label_mask`` bits, members with masks and the relation
+#: per parent id; kept here so that ``clear_reductions`` reaches them all.
 _reductions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -141,17 +150,26 @@ class GameClass:
         return self._games.get(canonical_id)
 
     def reductions(self, parent: Game) -> tuple[Game, ...]:
-        """The members that are reductions of ``parent``, in insertion
-        order; ``parent`` itself is one when it is a member.  Worked out
-        once per parent and kept until the next ``add`` or
-        ``clear_reductions``."""
-        memo = _reductions.setdefault(self, {})
-        found = memo.get(parent.canonical_id)
-        if found is None:
-            found = memo[parent.canonical_id] = tuple(
-                g for g in self._games.values() if is_reduction(g, parent)
+        """The members that are reductions of ``parent``, in insertion order;
+        ``parent`` itself is one when it is a member.  Worked out once per
+        parent and kept until the next ``add`` or ``clear_reductions``.  A
+        reduction keeps a subset of the parent's labels, so ``is_reduction``
+        runs only on members whose ``label_mask`` lies inside the parent's."""
+        memo = _reductions.get(self)
+        if memo is None:
+            bits: dict = {}
+            masks = [(g, label_mask(bits, g.strategies)) for g in self]
+            memo = _reductions[self] = (bits, masks, {})
+        bits, masks, found = memo
+        if parent.canonical_id not in found:
+            outer = label_mask(bits, parent.strategies)
+            found[parent.canonical_id] = tuple(
+                g
+                for g, mask in masks
+                if not mask & ~outer and g.player_count == parent.player_count
+                and is_reduction(g, parent)
             )
-        return found
+        return found[parent.canonical_id]
 
     def ids(self) -> list[str]:
         return list(self._games)

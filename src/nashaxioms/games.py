@@ -321,7 +321,10 @@ class SubsetSpec:
     indices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        indices = tuple(tuple(s) for s in self.indices)
+        try:
+            indices = tuple(tuple(s) for s in self.indices)
+        except TypeError:  # the spec or a subset is not iterable
+            raise GameFormatError(f"bad strategy subsets: {self.indices!r}") from None
         if not all(type(k) is int for s in indices for k in s):
             raise GameFormatError(f"strategy indices must be integers, got {indices!r}")
         object.__setattr__(self, "indices", indices)
@@ -336,10 +339,13 @@ class SubsetSpec:
 
     @classmethod
     def from_labels(cls, game: Game, label_subsets) -> "SubsetSpec":
-        idx = tuple(
-            tuple(sorted(game.label_index(i, lab) for lab in set(subset)))
-            for i, subset in enumerate(label_subsets)
-        )
+        try:
+            idx = [
+                {game.label_index(i, lab) for lab in set(subset)}
+                for i, subset in enumerate(label_subsets)
+            ]
+        except (TypeError, IndexError):  # not nested, unhashable, extra player
+            raise GameFormatError(f"bad label subsets: {label_subsets!r}") from None
         return cls.coerce(game, idx)
 
     @classmethod
@@ -531,7 +537,10 @@ def reduce_players(game: Game, keep: Iterable[int], fixed: Profile) -> Game:
     of ``fixed``.  Rank tables are the original ranks on the pinned
     slice, dense-normalized.
     """
-    keep = tuple(keep)
+    try:
+        keep = tuple(keep)
+    except TypeError:
+        raise GameFormatError(f"keep must be a sequence: {keep!r}") from None
     if not all(type(i) is int for i in keep):
         raise GameFormatError(f"player indices must be integers, got {keep!r}")
     keep = tuple(sorted(set(keep)))

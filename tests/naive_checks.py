@@ -245,6 +245,70 @@ def naive_check(axiom: str, concept: str, games) -> str:
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
+def naive_mc(concept: str, games) -> str:
+    """The mc verdict result, with each parent's reductions derived once
+    by ``naive_is_reduction`` and the merging pairs walked with plain
+    sets."""
+    games = list(games)
+    solved = {g.canonical_id: _label_sets(g, eval_concept(concept, g)) for g in games}
+    for parent in games:
+        below = [
+            ([set(labels) for labels in g.strategies], solved[g.canonical_id])
+            for g in games
+            if naive_is_reduction(g, parent)
+        ]
+        whole = [set(labels) for labels in parent.strategies]
+        target = solved[parent.canonical_id]
+        for sets_a, phi_a in below:
+            for sets_b, phi_b in below:
+                merged = [a | b for a, b in zip(sets_a, sets_b)]
+                if merged == whole and (phi_a & phi_b) - target:
+                    return "violated"
+    return "pass"
+
+
+def naive_coverage(axiom: str, concept: str, games) -> tuple[str, dict]:
+    """The cons or cocons result with its coverage counts, tallied in
+    scan order (games in class order, profiles ascending, player
+    subgroups in ascending bitmask order) up to the first violation.
+    Every player-reduced game is rebuilt by hand and looked up by id."""
+    games = list(games)
+    by_id = {g.canonical_id: g for g in games}
+    counts = {"checked": 0, "skipped" if axiom == "cons" else "vacuous": 0}
+    for game in games:
+        n = game.player_count
+        if n < 2:
+            continue
+        selected = eval_concept(concept, game)
+        profiles = sorted(selected) if axiom == "cons" else game.profiles()
+        for s in profiles:
+            if axiom == "cocons" and s in selected:
+                continue
+            hits = []
+            for subgroup in range(1, (1 << n) - 1):
+                keep = [i for i in range(n) if subgroup >> i & 1]
+                reduced = _naive_reduce_players(game, keep, s)
+                member = by_id.get(reduced.canonical_id)
+                if member is None:
+                    if axiom == "cons":
+                        counts["skipped"] += 1
+                    continue
+                part = Profile(tuple(s.indices[i] for i in keep))
+                hits.append(part in eval_concept(concept, member))
+                if axiom == "cons":
+                    counts["checked"] += 1
+                    if not hits[-1]:
+                        return "violated", counts
+            if axiom == "cocons":
+                if not hits:
+                    counts["vacuous"] += 1
+                    continue
+                counts["checked"] += 1
+                if all(hits):
+                    return "violated", counts
+    return "pass", counts
+
+
 def _naive_blocked(game: Game, s: Profile) -> bool:
     n = game.player_count
     for size in range(1, n + 1):

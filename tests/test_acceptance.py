@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the
 criterion lines; the reproduce CLI covers the same ground end to end.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -198,3 +199,23 @@ def test_criterion_10_determinism():
 def test_reproduce_output_matches_golden():
     golden = Path(__file__).parent / "golden" / "reproduce.txt"
     assert render(run_suite()) == golden.read_text(encoding="utf-8")
+
+
+ROOT = Path(__file__).parent.parent
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name
+)
+def test_bench_trajectory_file_is_whole(path):
+    """A committed benchmark record parses, and every run in it is
+    correct, failed no item and reports each end-to-end metric that
+    BENCHMARK.json declares."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+    assert runs
+    for run in runs:
+        result = run["result"]
+        assert result["correct"] is True and result["failed"] == 0, run["order"]
+        assert metrics <= set(result["metrics"]), run["order"]

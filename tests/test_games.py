@@ -175,6 +175,30 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         SubsetSpec(subsets)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: restrict(g, [0, 0]),
+        lambda g: restrict(g, 5),
+        lambda g: reduce_players(g, 0, Profile((0, 0))),
+        lambda g: SubsetSpec.from_labels(g, [["U"], [["L"]]]),
+        lambda g: SubsetSpec.from_labels(g, 5),
+        lambda g: SubsetSpec.from_labels(g, [["U"], ["L"], ["L"]]),
+    ],
+    ids=[
+        "restrict-flat-list",
+        "restrict-int",
+        "reduce-players-int-keep",
+        "from-labels-list-label",
+        "from-labels-int",
+        "from-labels-extra-player",
+    ],
+)
+def test_malformed_arguments_raise_game_format_error(ex2, call):
+    with pytest.raises(GameFormatError):
+        call(ex2)
+
+
 # ----------------------------------------------------------------------
 # reduction recognition
 # ----------------------------------------------------------------------
