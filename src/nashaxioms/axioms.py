@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .closures import GameClass, label_mask
+from .closures import GameClass
 from .concepts import ConceptDomainError, eval_concept, jointly_optimal
 from .games import Game, Profile, reduce_players, removes_only_dominated, strict_dominators
 
@@ -67,13 +67,13 @@ def _phi(concept: str, game: Game) -> frozenset[Profile]:
         ) from exc
 
 
-def _reduced(concept: str, cls: GameClass, parent: Game, bits: dict) -> list[tuple]:
+def _reduced(concept: str, cls: GameClass, parent: Game) -> list[tuple]:
     """Per member of ``cls.reductions(parent)``, in order: the member,
-    its ``label_mask`` under ``bits`` and its solutions' label set.  A
-    parent profile lies in a member when the profile's mask under the
-    same ``bits`` lies inside the member's."""
+    its ``cls.label_mask`` and its solutions' label set.  A parent
+    profile lies in a member when the profile's mask lies inside the
+    member's."""
     return [
-        (g, label_mask(bits, g.strategies), g.label_set(_phi(concept, g)))
+        (g, cls.label_mask(g.strategies), g.label_set(_phi(concept, g)))
         for g in cls.reductions(parent)
     ]
 
@@ -83,14 +83,13 @@ def _iis(
 ) -> Iterator[dict]:
     """Solutions survive into every reduction they belong to."""
     for parent in parents:
-        bits: dict = {}
         solutions = [
-            (labels, label_mask(bits, zip(labels)))
+            (labels, cls.label_mask(zip(labels)))
             for labels in map(parent.labels_of, sorted(_phi(concept, parent)))
         ]
         if not solutions:
             continue
-        for cand, mask, phi_cand in _reduced(concept, cls, parent, bits):
+        for cand, mask, phi_cand in _reduced(concept, cls, parent):
             for labels, inside in solutions:
                 if not inside & ~mask and labels not in phi_cand:
                     yield {
@@ -108,9 +107,8 @@ def _mc(
     """Common solutions of two merging reductions solve the merge."""
     for parent in parents:
         phi_parent = parent.label_set(_phi(concept, parent))
-        bits: dict = {}
-        full = label_mask(bits, parent.strategies)
-        reduced = _reduced(concept, cls, parent, bits)
+        full = cls.label_mask(parent.strategies)
+        reduced = _reduced(concept, cls, parent)
         for ga, mask_a, phi_a in reduced:
             # only profiles that do not solve the parent can be witnesses
             extra = phi_a - phi_parent
@@ -276,13 +274,12 @@ def _ciis(
         if game.num_profiles < 3:
             continue
         phi_game = _phi(concept, game)
-        bits: dict = {}
-        proper = [r for r in _reduced(concept, cls, game, bits) if r[0] != game]
+        proper = [r for r in _reduced(concept, cls, game) if r[0] != game]
         for s in game.profiles():
             if s in phi_game:
                 continue
             labels = game.labels_of(s)
-            inside = label_mask(bits, zip(labels))
+            inside = cls.label_mask(zip(labels))
             containing = [
                 (g, phi_g) for g, mask, phi_g in proper if not inside & ~mask
             ]

@@ -105,17 +105,8 @@ class Provenance:
         )
 
 
-def label_mask(bits: dict, strategies: Iterable[Iterable[str]]) -> int:
-    """Per-player labels (``zip(labels)`` for a profile's) as the sum of
-    the bits that ``bits`` maps each (player index, label) to, a new pair
-    taking the next free bit.  Under one ``bits``, a subset of another
-    game's labels has a mask inside the other's."""
-    pairs = ((i, lab) for i, labels in enumerate(strategies) for lab in labels)
-    return sum(bits.setdefault(pair, 1 << len(bits)) for pair in pairs)
-
-
-#: Per class: ``label_mask`` bits, members with masks and the relation
-#: per parent id; kept here so that ``clear_reductions`` reaches them all.
+#: Per class: the reduction relation per parent id; kept here so that
+#: ``clear_reductions`` reaches every class.
 _reductions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -131,6 +122,9 @@ class GameClass:
         self._games: dict[str, Game] = {}
         self.provenance: dict[str, Provenance] = {}
         self.params: dict = dict(params or {})
+        # ``label_mask``'s bit per (player index, label), and each member's mask
+        self._bits: dict[tuple[int, str], int] = {}
+        self._masks: dict[str, int] = {}
 
     def add(self, game: Game, provenance: Provenance) -> bool:
         """Insert a game; returns False when it was already present."""
@@ -143,11 +137,28 @@ class GameClass:
             raise ValueError("provenance parent is not in the class")
         self._games[cid] = game
         self.provenance[cid] = provenance
+        self._masks[cid] = self.label_mask(game.strategies)
         _reductions.pop(self, None)
         return True
 
     def get(self, canonical_id: str) -> Game | None:
         return self._games.get(canonical_id)
+
+    def label_mask(self, strategies: Iterable[Iterable[str]]) -> int:
+        """Per-player labels (``zip(labels)`` for a profile's) as one int:
+        the sum of the class's bits for each (player index, label), a new
+        pair taking the next free bit.  One registry serves every mask of
+        the class, so a subset of a game's labels has a mask inside the
+        game's, whichever member or parent the masks were taken for."""
+        bits = self._bits
+        mask = 0
+        for i, labels in enumerate(strategies):
+            for lab in labels:
+                bit = bits.get((i, lab))
+                if bit is None:
+                    bit = bits[i, lab] = 1 << len(bits)
+                mask |= bit
+        return mask
 
     def reductions(self, parent: Game) -> tuple[Game, ...]:
         """The members that are reductions of ``parent``, in insertion order;
@@ -155,18 +166,14 @@ class GameClass:
         parent and kept until the next ``add`` or ``clear_reductions``.  A
         reduction keeps a subset of the parent's labels, so ``is_reduction``
         runs only on members whose ``label_mask`` lies inside the parent's."""
-        memo = _reductions.get(self)
-        if memo is None:
-            bits: dict = {}
-            masks = [(g, label_mask(bits, g.strategies)) for g in self]
-            memo = _reductions[self] = (bits, masks, {})
-        bits, masks, found = memo
+        found = _reductions.setdefault(self, {})
         if parent.canonical_id not in found:
-            outer = label_mask(bits, parent.strategies)
+            outer = self.label_mask(parent.strategies)
             found[parent.canonical_id] = tuple(
                 g
-                for g, mask in masks
-                if not mask & ~outer and g.player_count == parent.player_count
+                for cid, g in self._games.items()
+                if not self._masks[cid] & ~outer
+                and g.player_count == parent.player_count
                 and is_reduction(g, parent)
             )
         return found[parent.canonical_id]
@@ -247,7 +254,7 @@ class GameClass:
 
         try:
             manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
-        except ValueError as exc:  # undecodable bytes or JSON syntax
+        except (ValueError, RecursionError) as exc:  # bad bytes, syntax or nesting
             raise malformed(exc) from None
         if not (
             isinstance(manifest, dict)

@@ -54,6 +54,8 @@ def parse_game(text: str) -> Game:
         raise GameFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise GameFormatError(f"undecodable JSON: {exc}") from None
     return game_from_payload(data)
 
 

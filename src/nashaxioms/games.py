@@ -207,25 +207,19 @@ class Game:
         """The profiles' label tuples, comparable across games."""
         return frozenset(self.labels_of(p) for p in profiles)
 
+    @cached_property
+    def positions(self) -> tuple[dict[str, int], ...]:
+        """Per player, each strategy label mapped to its index."""
+        return tuple({lab: k for k, lab in enumerate(s)} for s in self.strategies)
+
     def profile_from_labels(self, labels: Sequence[str]) -> Profile | None:
         """The profile carrying these labels, or None if any is absent."""
         if len(labels) != self.player_count:
             return None
-        idx = []
-        for i, lab in enumerate(labels):
-            try:
-                idx.append(self.strategies[i].index(lab))
-            except ValueError:
-                return None
-        return Profile(tuple(idx))
-
-    def label_index(self, player: int, label: str) -> int:
         try:
-            return self.strategies[player].index(label)
-        except ValueError:
-            raise KeyError(
-                f"player {player + 1} has no strategy labeled {label!r}"
-            ) from None
+            return Profile(tuple(pos[lab] for pos, lab in zip(self.positions, labels)))
+        except (KeyError, TypeError):  # absent or unhashable label
+            return None
 
     def __repr__(self):
         dims = "x".join(str(k) for k in self.shape)
@@ -339,13 +333,17 @@ class SubsetSpec:
 
     @classmethod
     def from_labels(cls, game: Game, label_subsets) -> "SubsetSpec":
+        """The spec keeping these labels, per player.  A string is not read
+        as a subset of its characters."""
         try:
-            idx = [
-                {game.label_index(i, lab) for lab in set(subset)}
-                for i, subset in enumerate(label_subsets)
-            ]
-        except (TypeError, IndexError):  # not nested, unhashable, extra player
-            raise GameFormatError(f"bad label subsets: {label_subsets!r}") from None
+            subsets = list(label_subsets)
+            idx = [{pos[lab] for lab in s} for pos, s in zip(game.positions, subsets)]
+        except (TypeError, KeyError):  # not nested, unhashable or absent label
+            idx = None
+        if idx is None or len(subsets) > game.player_count or any(
+            isinstance(s, str) for s in subsets
+        ):
+            raise GameFormatError(f"bad label subsets: {label_subsets!r}")
         return cls.coerce(game, idx)
 
     @classmethod
@@ -426,10 +424,9 @@ def is_reduction(candidate: Game, parent: Game) -> bool:
     if candidate.player_count != parent.player_count:
         return False
     idx = []
-    for i in range(parent.player_count):
-        pos = {lab: k for k, lab in enumerate(parent.strategies[i])}
+    for pos, labels in zip(parent.positions, candidate.strategies):
         try:
-            ids = [pos[lab] for lab in candidate.strategies[i]]
+            ids = [pos[lab] for lab in labels]
         except KeyError:
             return False
         if any(b <= a for a, b in zip(ids, ids[1:])):

@@ -415,6 +415,7 @@ def verify_one_player_lemma(cls: GameClass) -> OnePlayerLemmaReport:
             )
     audit_strictly_closed(cls)
 
+    ne = {g.canonical_id: nash(g) for g in cls}
     results = []
     for concept in CONCEPT_IDS:
         res = ConceptOnePlayerResult(concept)
@@ -424,19 +425,13 @@ def verify_one_player_lemma(cls: GameClass) -> OnePlayerLemmaReport:
             res.skipped = True
             results.append(res)
             continue
-        res.agrees_with_nash = all(
-            values[g.canonical_id] == nash(g) for g in cls
-        )
         res.isds_pass = check_axiom("isds", concept, cls).passed
         res.jo_pass = check_axiom("jo", concept, cls).passed
-        res.refinement_holds = all(
-            values[g.canonical_id] <= nash(g) for g in cls
-        )
-        res.coarsening_holds = all(
-            nash(g) <= values[g.canonical_id] for g in cls
-        )
+        res.refinement_holds = all(values[c] <= ne[c] for c in ne)
+        res.coarsening_holds = all(ne[c] <= values[c] for c in ne)
+        res.agrees_with_nash = res.refinement_holds and res.coarsening_holds
         for game in cls:
-            for s in sorted(values[game.canonical_id] - nash(game)):
+            for s in sorted(values[game.canonical_id] - ne[game.canonical_id]):
                 res.replays.append(_replay_single_removal(concept, game, s))
         results.append(res)
     return OnePlayerLemmaReport(len(cls), results)

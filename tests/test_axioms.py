@@ -22,6 +22,7 @@ from nashaxioms import (
     restrict,
     strict_closure,
 )
+from nashaxioms.axioms import _AXIOMS
 from nashaxioms.concepts import CONCEPT_IDS
 
 from naive_checks import naive_check, naive_coverage, naive_is_reduction, naive_mc
@@ -466,6 +467,80 @@ def test_clear_cache_drops_the_reduction_relation(ex2, monkeypatch):
     clear_cache()
     assert check_axiom("iis", "nash", cls) == first
     assert len(calls) == 2 * cold
+
+
+def _all_witnesses(axiom, concept, cls):
+    """Every witness of the axiom's full scan, in scan order, and the
+    scan's coverage tally."""
+    tally = Counter()
+    found = list(_AXIOMS[axiom][0](concept, cls, cls, tally))
+    return found, tally
+
+
+def _as_set(witnesses):
+    """Witnesses compared across insertion orders: ``ciis`` lists the
+    containing reductions in class order."""
+    return {
+        json.dumps(
+            {k: sorted(v) if k == "reductions" else v for k, v in w.items()},
+            sort_keys=True,
+        )
+        for w in witnesses
+    }
+
+
+@pytest.mark.parametrize(
+    "closure", ["closure_4x3", "two_root_dclosure", "player_reduction_class"]
+)
+def test_insertion_order_does_not_change_reductions_or_witnesses(closure, request):
+    cls = request.getfixturevalue(closure)
+    members = list(cls)[::-1]
+    reordered = GameClass()
+    reordered.add(members[0], Provenance("seed"))
+    # a relation exists before the other members and their labels arrive
+    assert reordered.reductions(members[0]) == (members[0],)
+    for game in members[1:]:
+        reordered.add(game, Provenance("seed"))
+    assert any(
+        cls.label_mask(g.strategies) != reordered.label_mask(g.strategies)
+        for g in members
+    )
+    for parent in members:
+        assert set(cls.reductions(parent)) == set(reordered.reductions(parent))
+    witnesses = 0
+    for axiom in ("iis", "mc", "ciis"):
+        for concept in ("nash", "strong_nash", "ne_indifference_closure"):
+            found, tally = _all_witnesses(axiom, concept, cls)
+            again, again_tally = _all_witnesses(axiom, concept, reordered)
+            assert (_as_set(found), tally) == (_as_set(again), again_tally)
+            assert (
+                check_axiom(axiom, concept, cls).result
+                == check_axiom(axiom, concept, reordered).result
+            )
+            witnesses += len(found)
+    assert witnesses > 0
+
+
+def test_reductions_of_non_members_leave_later_scans_unchanged(player_reduction_class):
+    cls = GameClass()
+    for cid in player_reduction_class.ids():
+        cls.add(player_reduction_class.get(cid), player_reduction_class.provenance[cid])
+    root = next(iter(cls))
+    # the root with one more row: every two-player member is its reduction
+    wider = build_game(
+        2,
+        [root.strategies[0] + ("extra",), root.strategies[1]],
+        ranks=[list(table) + [0] * root.shape[1] for table in root.ranks],
+    )
+    fresh = build_game(2, [["x", "y"], ["z"]], ranks=[[0, 1], [1, 0]])
+    assert wider not in cls and fresh not in cls
+    assert root in cls.reductions(wider)
+    assert cls.reductions(fresh) == ()
+    for axiom in AXIOM_IDS:
+        for concept in ("nash", "strong_nash"):
+            assert _all_witnesses(axiom, concept, cls) == _all_witnesses(
+                axiom, concept, player_reduction_class
+            )
 
 
 def test_mc_implies_ciis_on_all_classes(

@@ -56,6 +56,25 @@ def test_solve_rejects_unhashable_labels(capsys, tmp_path, label):
     assert "non-string labels" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[" * 200_000, id="deeply-nested"),
+        pytest.param(
+            '{"players": 1, "strategies": [["a"]], "payoffs": [[' + "9" * 5000 + "]]}",
+            id="over-long-integer",
+        ),
+    ],
+)
+def test_undecodable_game_file_is_named(capsys, tmp_path, text):
+    path = tmp_path / "g.game"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 def test_solve_domain_error(capsys):
     code, _, err = run_cli(capsys, "solve", "cube222", "--concept", "ex5_phi")
     assert code == 2
@@ -133,6 +152,7 @@ def _edit_entry(edit, k=0):
         pytest.param(lambda m: "{", id="malformed-json"),
         pytest.param(lambda m: b"\xff", id="not-utf-8"),
         pytest.param(lambda m: "[]", id="list"),
+        pytest.param(lambda m: "[" * 200_000, id="deeply-nested"),
         pytest.param(lambda m: json.dumps({"params": {}}), id="no-games"),
         *(
             pytest.param(

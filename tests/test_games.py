@@ -184,6 +184,9 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         lambda g: SubsetSpec.from_labels(g, [["U"], [["L"]]]),
         lambda g: SubsetSpec.from_labels(g, 5),
         lambda g: SubsetSpec.from_labels(g, [["U"], ["L"], ["L"]]),
+        # a string is not a subset of its characters
+        lambda g: SubsetSpec.from_labels(g, ["UD", ["L"]]),
+        lambda g: SubsetSpec.from_labels(g, [["Q"], ["L"]]),
     ],
     ids=[
         "restrict-flat-list",
@@ -192,11 +195,34 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         "from-labels-list-label",
         "from-labels-int",
         "from-labels-extra-player",
+        "from-labels-string-subset",
+        "from-labels-unknown-label",
     ],
 )
 def test_malformed_arguments_raise_game_format_error(ex2, call):
     with pytest.raises(GameFormatError):
         call(ex2)
+
+
+def test_from_labels_reads_generators(ex2):
+    subsets = ((lab for lab in labels) for labels in (["D", "U"], ["R"]))
+    assert SubsetSpec.from_labels(ex2, subsets).indices == ((0, 1), (1,))
+
+
+def test_positions_agree_with_strategy_order():
+    rng = random.Random(11)
+    for _ in range(200):
+        g = random_game(rng)
+        assert g.positions == tuple(
+            {lab: labels.index(lab) for lab in labels} for labels in g.strategies
+        )
+        for s in g.profiles():
+            assert g.profile_from_labels(g.labels_of(s)) == s
+
+
+@pytest.mark.parametrize("labels", [("U", "Q"), ("U", ["L"]), ("U",), ("U", "L", "L")])
+def test_profile_from_labels_gives_none_when_labels_do_not_fit(ex2, labels):
+    assert ex2.profile_from_labels(labels) is None
 
 
 # ----------------------------------------------------------------------
