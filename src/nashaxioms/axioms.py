@@ -69,11 +69,11 @@ def _phi(concept: str, game: Game) -> frozenset[Profile]:
 
 def _reduced(concept: str, cls: GameClass, parent: Game) -> list[tuple]:
     """Per member of ``cls.reductions(parent)``, in order: the member,
-    its ``cls.label_mask`` and its solutions' label set.  A parent
+    its mask (``cls.mask_of``) and its solutions' label set.  A parent
     profile lies in a member when the profile's mask lies inside the
     member's."""
     return [
-        (g, cls.label_mask(g.strategies), g.label_set(_phi(concept, g)))
+        (g, cls.mask_of(g), g.label_set(_phi(concept, g)))
         for g in cls.reductions(parent)
     ]
 
@@ -107,7 +107,7 @@ def _mc(
     """Common solutions of two merging reductions solve the merge."""
     for parent in parents:
         phi_parent = parent.label_set(_phi(concept, parent))
-        full = cls.label_mask(parent.strategies)
+        full = cls.mask_of(parent)
         reduced = _reduced(concept, cls, parent)
         for ga, mask_a, phi_a in reduced:
             # only profiles that do not solve the parent can be witnesses
@@ -315,9 +315,8 @@ AXIOM_IDS = tuple(_AXIOMS)
 
 def check_axiom(axiom: str, concept: str, cls: GameClass) -> AxiomVerdict:
     """Scan the whole class; the first witness found is the verdict's."""
-    key = axiom.lower()
     try:
-        scan, counters = _AXIOMS[key]
+        scan, counters = _AXIOMS[axiom]
     except KeyError:
         raise ValueError(
             f"unknown axiom {axiom!r}; known: {', '.join(AXIOM_IDS)}"
@@ -325,7 +324,7 @@ def check_axiom(axiom: str, concept: str, cls: GameClass) -> AxiomVerdict:
     tally = Counter()
     witness = next(scan(concept, cls, cls, tally), None)
     return AxiomVerdict(
-        key,
+        axiom,
         concept,
         "pass" if witness is None else "violated",
         witness=witness,

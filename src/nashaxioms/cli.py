@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -40,28 +39,14 @@ from .theorems import (
     verify_one_player_lemma,
 )
 
-BUDGET_ENV = "NASHAXIOMS_BUDGET"
-
-
-def _budget(flag: int | None = None) -> int:
-    """The closure budget: ``--budget``, else the environment, else the
-    default.  A budget below 1 cannot admit even the seed games."""
-    if flag is not None:
-        budget, source = flag, "--budget"
-    else:
-        raw = os.environ.get(BUDGET_ENV)
-        if raw is None:
-            return DEFAULT_BUDGET
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise GameFormatError(
-                f"environment variable {BUDGET_ENV} is not an integer: {raw!r}"
-            ) from None
-        source = f"environment variable {BUDGET_ENV}"
-    if budget < 1:
-        raise GameFormatError(f"{source} must be at least 1, got {budget}")
-    return budget
+def _budget(flag: int | None) -> int:
+    """The closure budget: ``--budget``, else the default.  A budget
+    below 1 cannot admit even the seed games."""
+    if flag is None:
+        return DEFAULT_BUDGET
+    if flag < 1:
+        raise GameFormatError(f"--budget must be at least 1, got {flag}")
+    return flag
 
 
 def _resolve_game(spec: str) -> Game:
@@ -77,9 +62,9 @@ def _resolve_game(spec: str) -> Game:
     )
 
 
-def _resolve_class(spec: str, budget: int) -> tuple[str, GameClass]:
+def _resolve_class(spec: str) -> tuple[str, GameClass]:
     if spec in NAMED_CLASSES:
-        return spec, build_named_class(spec, budget=budget)
+        return spec, build_named_class(spec)
     path = Path(spec)
     if path.is_dir():
         return path.name, GameClass.read_dir(path)
@@ -148,7 +133,7 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    class_name, cls = _resolve_class(args.class_spec, _budget())
+    class_name, cls = _resolve_class(args.class_spec)
     verdict = check_axiom(args.axiom, args.concept, cls)
     record = verdict.to_record(class_name)
     _write_report(args.report, [record])
@@ -183,7 +168,7 @@ def _cmd_construct(args) -> int:
     else:  # lemma 2
         if not args.class_spec:
             raise GameFormatError("--lemma 2 needs --class")
-        class_name, cls = _resolve_class(args.class_spec, _budget())
+        class_name, cls = _resolve_class(args.class_spec)
         report = verify_one_player_lemma(cls)
         record = report.to_record(class_name)
         ok = report.all_consistent

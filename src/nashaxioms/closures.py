@@ -28,16 +28,18 @@ from .games import (
     reduce_players,
     restrict,
 )
-from .gamefiles import dump_game, load_game
+from .gamefiles import check_fields, dump_game, load_game
 
-#: Provenance kinds a class member can carry.
-PROVENANCE_KINDS = (
-    "seed",
-    "dummy-reduction-of",
-    "strict-reduction-of",
-    "player-reduction-of",
-    "reduction-of",
-)
+#: Per provenance kind a class member can carry: the fields its record
+#: holds besides ``kind``.
+_KIND_FIELDS = {
+    "seed": (),
+    "dummy-reduction-of": ("parent", "subsets"),
+    "strict-reduction-of": ("parent", "subsets"),
+    "player-reduction-of": ("parent", "keep", "fixed"),
+    "reduction-of": ("parent", "subsets"),
+}
+PROVENANCE_KINDS = tuple(_KIND_FIELDS)
 
 
 def _strings(value) -> bool:
@@ -89,13 +91,21 @@ class Provenance:
 
     @classmethod
     def from_payload(cls, data: dict) -> "Provenance":
-        """Read a manifest record; a field of the wrong type raises
-        ``GameFormatError`` instead of being reshaped."""
+        """Read a manifest record: exactly the fields of its kind, each of
+        its type, or ``GameFormatError`` instead of a reshaped record."""
+        kind = data["kind"]
+        if kind not in PROVENANCE_KINDS:
+            raise GameFormatError(f"unknown provenance kind: {kind!r}")
         for key, (fits, what) in _PAYLOAD_TYPES.items():
             if key in data and not fits(data[key]):
                 raise GameFormatError(f"provenance {key!r} must be {what}")
+        fields = ("kind", *_KIND_FIELDS[kind])
+        check_fields(data, fields, f"provenance of kind {kind!r}")
+        for key in fields:
+            if key not in data:
+                raise GameFormatError(f"provenance of kind {kind!r} needs {key!r}")
         return cls(
-            kind=data["kind"],
+            kind=kind,
             parent=data.get("parent"),
             subsets=tuple(tuple(s) for s in data["subsets"])
             if "subsets" in data
@@ -160,6 +170,12 @@ class GameClass:
                 mask |= bit
         return mask
 
+    def mask_of(self, game: Game) -> int:
+        """``label_mask(game.strategies)``: the mask ``add`` recorded for a
+        member, worked out afresh for any other game."""
+        mask = self._masks.get(game.canonical_id)
+        return self.label_mask(game.strategies) if mask is None else mask
+
     def reductions(self, parent: Game) -> tuple[Game, ...]:
         """The members that are reductions of ``parent``, in insertion order;
         ``parent`` itself is one when it is a member.  Worked out once per
@@ -168,7 +184,7 @@ class GameClass:
         runs only on members whose ``label_mask`` lies inside the parent's."""
         found = _reductions.setdefault(self, {})
         if parent.canonical_id not in found:
-            outer = self.label_mask(parent.strategies)
+            outer = self.mask_of(parent)
             found[parent.canonical_id] = tuple(
                 g
                 for cid, g in self._games.items()
@@ -262,11 +278,16 @@ class GameClass:
             and isinstance(manifest.get("params", {}), dict)
         ):
             raise malformed("expected an object with a 'games' list")
+        try:
+            check_fields(manifest, ("params", "games"), "the manifest")
+        except GameFormatError as exc:
+            raise malformed(exc) from None
         out = cls(params=manifest.get("params", {}))
         for k, entry in enumerate(manifest["games"]):
             try:
                 cid, fname = entry["id"], entry["file"]
                 provenance = Provenance.from_payload(entry["provenance"])
+                check_fields(entry, ("id", "file", "provenance"), "the entry")
             except (AttributeError, KeyError, TypeError):
                 raise malformed(
                     f"game entry {k} needs an 'id', a 'file' and a 'provenance'"
@@ -279,9 +300,11 @@ class GameClass:
             if game.canonical_id != cid:
                 raise malformed(f"game file {fname} does not match its id")
             try:
-                out.add(game, provenance)
-            except ValueError as exc:  # unknown kind or parent
+                added = out.add(game, provenance)
+            except ValueError as exc:  # a parent that is not an earlier member
                 raise malformed(f"game entry {k}: {exc}") from None
+            if not added:
+                raise malformed(f"game entry {k} repeats the id of an earlier entry")
         return out
 
 
@@ -386,16 +409,16 @@ def _player_reduced_members(cls: GameClass, seed: Game) -> None:
             )
 
 
-def build_named_class(name: str, budget: int = DEFAULT_BUDGET) -> GameClass:
+def build_named_class(name: str) -> GameClass:
     """Construct one of the bundled benchmark classes by name."""
     if name == "pd_dclosed":
-        return d_closure([fixtures.prisoners_dilemma()], budget=budget)
+        return d_closure([fixtures.prisoners_dilemma()])
     if name == "ex2_dclosed":
-        return d_closure([fixtures.safe_coordination()], budget=budget)
+        return d_closure([fixtures.safe_coordination()])
     if name in ("ex3_cons", "ex4"):
         seed = fixtures.safe_coordination()
         if name == "ex4":
-            cls = reduction_closure(seed, budget=budget)
+            cls = reduction_closure(seed)
         else:
             cls = GameClass()
             cls.add(seed, Provenance("seed"))
@@ -403,7 +426,7 @@ def build_named_class(name: str, budget: int = DEFAULT_BUDGET) -> GameClass:
         _player_reduced_members(cls, seed)
         return cls
     if name == "ex5":
-        return reduction_closure(fixtures.duplicate_row_game(), budget=budget)
+        return reduction_closure(fixtures.duplicate_row_game())
     raise ValueError(
         f"unknown class name {name!r}; known names: {', '.join(NAMED_CLASSES)}"
     )

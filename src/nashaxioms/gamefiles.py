@@ -1,10 +1,10 @@
 """Reading and writing the game file format.
 
-A game file is a JSON document with three fields: ``players`` (an
-integer), ``strategies`` (one list of labels per player), and exactly
-one of ``payoffs`` or ``ranks`` (one flat list per player, in
-linear-index order with player 1 most significant, so profile
-(i1,...,in) sits at index ((i1*|S2|+i2)*|S3|+...)).
+A game file is a JSON document with three fields and no others:
+``players`` (an integer), ``strategies`` (one list of labels per
+player), and exactly one of ``payoffs`` or ``ranks`` (one flat list per
+player, in linear-index order with player 1 most significant, so
+profile (i1,...,in) sits at index ((i1*|S2|+i2)*|S3|+...)).
 """
 
 from __future__ import annotations
@@ -15,10 +15,18 @@ from pathlib import Path
 from .games import Game, GameFormatError, build_game
 
 
+def check_fields(data: dict, fields: tuple[str, ...], what: str) -> None:
+    """Reject a decoded object holding a field outside ``fields``."""
+    for key in data:
+        if key not in fields:
+            raise GameFormatError(f"{what} has unknown field {key!r}")
+
+
 def game_from_payload(data: dict) -> Game:
     """Validate a decoded game document and build the game."""
     if not isinstance(data, dict):
         raise GameFormatError("game document must be a JSON object")
+    check_fields(data, ("players", "strategies", "payoffs", "ranks"), "game document")
     for field in ("players", "strategies"):
         if field not in data:
             raise GameFormatError(f"missing field {field!r}")
@@ -36,10 +44,7 @@ def game_from_payload(data: dict) -> Game:
     if has_payoffs == has_ranks:
         raise GameFormatError("give exactly one of 'payoffs' or 'ranks'")
     tables = data["payoffs"] if has_payoffs else data["ranks"]
-    if not isinstance(tables, list) or not all(
-        isinstance(t, list) and not any(isinstance(v, list) for v in t)
-        for t in tables
-    ):
+    if not isinstance(tables, list) or not all(isinstance(t, list) for t in tables):
         raise GameFormatError("tables must be flat lists")
     if has_payoffs:
         return build_game(players, strategies, payoffs=tables)

@@ -235,8 +235,8 @@ def build_game(
     """Build a game from payoff tables or explicit rank tables.
 
     Exactly one of ``payoffs`` / ``ranks`` must be given, one table per
-    player.  Tables may be flat lists in linear-index order (player 1
-    most significant) or nested lists matching the strategy shape.
+    player.  Each table is a flat list in linear-index order (player 1
+    most significant); a nested table is rejected.
     Finite real payoffs become dense ordinal ranks per player (higher
     payoff, lower rank) and the numeric values are discarded.  Rank
     input may use any non-negative integers; it is dense-normalized.
@@ -248,13 +248,13 @@ def build_game(
         raise GameFormatError(
             f"expected {player_count} strategy lists, got {len(strategies)}"
         )
-    shape = tuple(len(s) for s in strategies)
+    total = math.prod(map(len, strategies))
     tables = payoffs if payoffs is not None else ranks
     if len(tables) != player_count:
         raise GameFormatError(
             f"expected {player_count} tables, got {len(tables)}"
         )
-    flat_tables = [_flatten_table(t, shape) for t in tables]
+    flat_tables = [_flat_table(t, total) for t in tables]
     values = [v for t in flat_tables for v in t]
     if ranks is not None and not all(type(v) is int and v >= 0 for v in values):
         raise GameFormatError("ranks must be non-negative integers")
@@ -271,29 +271,16 @@ def build_game(
     return Game(player_count, strategies, rank_tables)
 
 
-def _flatten_table(table, shape: tuple[int, ...]) -> list:
-    total = math.prod(shape)
+def _flat_table(table, total: int) -> list:
     try:
         items = list(table)
     except TypeError:
         raise GameFormatError("table is not a sequence") from None
-    if items and not isinstance(items[0], (list, tuple)):
-        if len(items) != total:
-            raise GameFormatError(
-                f"flat table has {len(items)} entries, expected {total}"
-            )
-        return items
-    # nested: outermost axis is player 1
-    if len(items) != shape[0]:
-        raise GameFormatError(
-            f"nested table has {len(items)} rows, expected {shape[0]}"
-        )
-    if len(shape) == 1:
-        raise GameFormatError("one-player tables must be flat")
-    out = []
-    for sub in items:
-        out.extend(_flatten_table(sub, shape[1:]))
-    return out
+    if any(isinstance(v, (list, tuple)) for v in items):
+        raise GameFormatError("tables must be flat lists")
+    if len(items) != total:
+        raise GameFormatError(f"flat table has {len(items)} entries, expected {total}")
+    return items
 
 
 class Flavor(str, Enum):

@@ -5,6 +5,7 @@ criterion lines; the reproduce CLI covers the same ground end to end.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -219,3 +220,14 @@ def test_bench_trajectory_file_is_whole(path):
         result = run["result"]
         assert result["correct"] is True and result["failed"] == 0, run["order"]
         assert metrics <= set(result["metrics"]), run["order"]
+
+
+def test_no_module_reads_the_environment():
+    """Every setting comes from a command-line flag or a default, never
+    from an environment variable."""
+    readers = [
+        path.name
+        for path in sorted((ROOT / "src" / "nashaxioms").glob("*.py"))
+        if re.search(r"\b(environ|getenv)\b", path.read_text(encoding="utf-8"))
+    ]
+    assert readers == []

@@ -211,6 +211,9 @@ def test_tampered_witness_does_not_replay(axiom, concept, tamper, ex3_cons):
 def test_unknown_ids(ex2_dclosed):
     with pytest.raises(ValueError):
         check_axiom("nope", "nash", ex2_dclosed)
+    # axiom ids are exact: no case folding
+    with pytest.raises(ValueError, match="unknown axiom 'IIS'"):
+        check_axiom("IIS", "nash", ex2_dclosed)
 
 
 def test_domain_error_names_offending_game(ex4_class):
@@ -541,6 +544,18 @@ def test_reductions_of_non_members_leave_later_scans_unchanged(player_reduction_
             assert _all_witnesses(axiom, concept, cls) == _all_witnesses(
                 axiom, concept, player_reduction_class
             )
+
+
+def test_iis_and_mc_read_the_recorded_member_masks(closure_4x3, monkeypatch):
+    edges = sum(len(closure_4x3.reductions(p)) for p in closure_4x3)
+    calls = []
+    real = GameClass.label_mask
+    monkeypatch.setattr(
+        GameClass, "label_mask", lambda self, s: calls.append(1) or real(self, s)
+    )
+    for axiom in ("iis", "mc"):
+        _all_witnesses(axiom, "nash", closure_4x3)
+    assert len(calls) < edges
 
 
 def test_mc_implies_ciis_on_all_classes(

@@ -75,6 +75,20 @@ def test_undecodable_game_file_is_named(capsys, tmp_path, text):
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+def test_unknown_game_file_field_is_named(capsys, tmp_path):
+    path = tmp_path / "g.game"
+    path.write_text(
+        json.dumps(
+            {"players": 1, "strategies": [["a", "b"]], "payoffs": [[1, 0]], "note": 1}
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: game document has unknown field 'note'\n"
+
+
 def test_solve_domain_error(capsys):
     code, _, err = run_cli(capsys, "solve", "cube222", "--concept", "ex5_phi")
     assert code == 2
@@ -174,9 +188,29 @@ def _edit_entry(edit, k=0):
             _edit_entry(lambda e: e["provenance"].update(kind="bogus")),
             id="unknown-provenance-kind",
         ),
+        # entry 0 is the seed, which takes no parent at all
         pytest.param(
-            _edit_entry(lambda e: e["provenance"].update(parent="0" * 64)),
+            _edit_entry(lambda e: e["provenance"].update(parent="0" * 64), k=1),
             id="provenance-parent-not-a-member",
+        ),
+        pytest.param(
+            _edit_entry(
+                lambda e: e["provenance"].update(parnet=e["provenance"].pop("parent")),
+                k=1,
+            ),
+            id="provenance-unknown-field",
+        ),
+        pytest.param(
+            _edit_entry(lambda e: e["provenance"].pop("parent"), k=1),
+            id="provenance-without-parent",
+        ),
+        pytest.param(_edit_entry(lambda e: e.update(note="x")), id="entry-unknown-field"),
+        pytest.param(
+            lambda m: json.dumps({**m, "version": 1}), id="manifest-unknown-field"
+        ),
+        pytest.param(
+            lambda m: json.dumps({**m, "games": m["games"] + m["games"][:1]}),
+            id="duplicate-id",
         ),
         # provenance fields of the wrong type are not reshaped by tuple()
         pytest.param(
@@ -248,29 +282,6 @@ def test_closure_budget_error(capsys):
     assert "budget" in err
 
 
-def test_budget_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("NASHAXIOMS_BUDGET", "3")
-    code, _, err = run_cli(
-        capsys, "closure", "ex2", "--mode", "d", "--out", str(tmp_path / "x")
-    )
-    assert code == 2
-    assert "budget" in err
-    # an explicit flag overrides the environment
-    code, out, _ = run_cli(
-        capsys,
-        "closure",
-        "ex2",
-        "--mode",
-        "d",
-        "--budget",
-        "50",
-        "--out",
-        str(tmp_path / "y"),
-    )
-    assert code == 0
-    assert "9 games" in out
-
-
 def test_budget_flag_below_one_is_rejected(capsys, tmp_path):
     out_dir = tmp_path / "x"
     code, out, err = run_cli(
@@ -280,18 +291,6 @@ def test_budget_flag_below_one_is_rejected(capsys, tmp_path):
     assert out == ""
     assert err == "error: --budget must be at least 1, got -1\n"
     assert not out_dir.exists()
-
-
-def test_budget_env_var_below_one_is_rejected(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("NASHAXIOMS_BUDGET", "-3")
-    code, out, err = run_cli(
-        capsys, "check", "--axiom", "mc", "--concept", "nash", "--class", "ex5"
-    )
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "error: environment variable NASHAXIOMS_BUDGET must be at least 1, got -3\n"
-    )
 
 
 def test_closure_reductions_mode(capsys, tmp_path):

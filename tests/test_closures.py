@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
 from nashaxioms import (
     BudgetExceededError,
     GameClass,
+    GameFormatError,
     build_game,
     build_named_class,
     d_closure,
@@ -128,6 +131,50 @@ def test_add_rejects_foreign_parent(ex2, ex5):
     cls.add(ex2, Provenance("seed"))
     with pytest.raises(ValueError):
         cls.add(ex5, Provenance("reduction-of", parent="deadbeef"))
+
+
+@pytest.mark.parametrize(
+    "payload,why",
+    [
+        pytest.param(
+            {"kind": "seed", "parent": "x"},
+            "has unknown field 'parent'",
+            id="seed-with-parent",
+        ),
+        pytest.param(
+            {"kind": "reduction-of", "parnet": "x", "subsets": [["U"], ["L"]]},
+            "has unknown field 'parnet'",
+            id="misspelled-parent",
+        ),
+        pytest.param(
+            {"kind": "reduction-of", "subsets": [["U"], ["L"]]},
+            "needs 'parent'",
+            id="reduction-without-parent",
+        ),
+        pytest.param(
+            {"kind": "player-reduction-of", "parent": "x", "keep": [0]},
+            "needs 'fixed'",
+            id="player-reduction-without-fixed",
+        ),
+    ],
+)
+def test_provenance_has_exactly_the_fields_of_its_kind(payload, why):
+    with pytest.raises(GameFormatError, match=why):
+        Provenance.from_payload(payload)
+
+
+def test_read_dir_rejects_a_repeated_id(tmp_path, ex2_dclosed):
+    out = ex2_dclosed.write_dir(tmp_path / "cls")
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest["games"].append(manifest["games"][0])
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(GameFormatError, match="game entry 9 repeats the id"):
+        GameClass.read_dir(out)
+
+
+def test_build_named_class_takes_no_budget():
+    with pytest.raises(TypeError):
+        build_named_class("ex5", budget=3)
 
 
 def test_directory_roundtrip(tmp_path, ex2_dclosed):

@@ -55,11 +55,16 @@ def test_build_duplicate_row_game_ranks(ex5):
     assert ex5.ranks[1] == (1, 2, 2, 0, 1, 2)
 
 
-def test_build_accepts_nested_tables(ex2):
-    nested = build_game(
-        2, [["U", "D"], ["L", "R"]], payoffs=[[[2, 0], [1, 1]], [[2, 0], [1, 1]]]
-    )
-    assert nested == ex2
+@pytest.mark.parametrize(
+    "tables",
+    [
+        [[[2, 0], [1, 1]], [[2, 0], [1, 1]]],
+        [[2, 0, 1, 1], [2, 0, 1, (1,)]],
+    ],
+)
+def test_build_rejects_nested_tables(tables):
+    with pytest.raises(GameFormatError, match="^tables must be flat lists$"):
+        build_game(2, [["U", "D"], ["L", "R"]], payoffs=tables)
 
 
 def test_scaling_payoffs_does_not_change_canonical_id(ex2):
