@@ -181,14 +181,19 @@ def _player_reduced(
     in ascending bitmask order: the member of the class that is ``game``
     reduced to the players in ``keep`` with the others fixed at ``s``.
     That game has the kept players' strategies, so it is built only when
-    they are in ``present``, the set of the members' ``strategies``."""
+    they are in ``present``, the set of the members' ``strategies``, and
+    then once per pinned slice (``cls.derive``), whichever scan asks."""
     n = game.player_count
     for mask in range(1, (1 << n) - 1):
         keep = tuple(i for i in range(n) if mask >> i & 1)
         if tuple(game.strategies[i] for i in keep) not in present:
             yield keep, None
         else:
-            yield keep, cls.get(reduce_players(game, keep, s).canonical_id)
+            pinned = tuple(k for i, k in enumerate(s.indices) if not mask >> i & 1)
+            yield keep, cls.derive(
+                ("player-reduced", game.canonical_id, keep, pinned),
+                lambda: cls.get(reduce_players(game, keep, s).canonical_id),
+            )
 
 
 def _cons(

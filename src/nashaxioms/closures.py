@@ -14,7 +14,7 @@ import os
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import fixtures
 from .games import (
@@ -115,13 +115,14 @@ class Provenance:
         )
 
 
-#: Per class: the reduction relation per parent id; kept here so that
-#: ``clear_reductions`` reaches every class.
+#: Per class: the facts ``GameClass.derive`` worked out from its members
+#: (member roots, the reduction relation per parent, the member per pinned
+#: slice); kept here so that ``clear_reductions`` reaches every class.
 _reductions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def clear_reductions() -> None:
-    """Forget the reduction relation of every class."""
+    """Forget the derived facts of every class."""
     _reductions.clear()
 
 
@@ -141,15 +142,51 @@ class GameClass:
         cid = game.canonical_id
         if cid in self._games:
             return False
-        if provenance.kind not in PROVENANCE_KINDS:
-            raise ValueError(f"unknown provenance kind: {provenance.kind!r}")
-        if provenance.parent is not None and provenance.parent not in self._games:
-            raise ValueError("provenance parent is not in the class")
+        self._check_record(game, provenance)
         self._games[cid] = game
         self.provenance[cid] = provenance
         self._masks[cid] = self.label_mask(game.strategies)
         _reductions.pop(self, None)
         return True
+
+    def _check_record(self, game: Game, provenance: Provenance) -> None:
+        """``ValueError`` unless the record holds exactly the fields of its
+        kind, names an earlier member as parent, and fits ``game`` in shape:
+        a reduction's ``subsets`` are its strategies; a player reduction
+        keeps a proper, sorted set of the parent's players, whose strategies
+        are the game's, and ``fixed`` names a profile of the parent.  These
+        are O(players) tests; whether the ranks replay is not checked."""
+        kind = provenance.kind
+        if kind not in PROVENANCE_KINDS:
+            raise ValueError(f"unknown provenance kind: {kind!r}")
+        for key in _PAYLOAD_TYPES:
+            needed = key in _KIND_FIELDS[kind]
+            if (getattr(provenance, key) is None) == needed:
+                verb = "needs" if needed else "has no"
+                raise ValueError(f"provenance of kind {kind!r} {verb} {key!r}")
+        if kind == "seed":
+            return
+        parent = self._games.get(provenance.parent)
+        if parent is None:
+            raise ValueError("provenance parent is not in the class")
+        if kind != "player-reduction-of":
+            if tuple(map(tuple, provenance.subsets)) != game.strategies:
+                raise ValueError("provenance subsets are not the game's strategies")
+            return
+        keep, n = tuple(provenance.keep), parent.player_count
+        if not (
+            0 < len(keep) < n
+            and all(type(i) is int for i in keep)
+            and list(keep) == sorted(set(keep))
+            and 0 <= keep[0] <= keep[-1] < n
+        ):
+            raise ValueError(
+                "provenance keep is not a proper, sorted set of the parent's players"
+            )
+        if tuple(parent.strategies[i] for i in keep) != game.strategies:
+            raise ValueError("provenance keep does not give the game's strategies")
+        if parent.profile_from_labels(provenance.fixed) is None:
+            raise ValueError("provenance fixed is not a profile of the parent")
 
     def get(self, canonical_id: str) -> Game | None:
         return self._games.get(canonical_id)
@@ -176,23 +213,67 @@ class GameClass:
         mask = self._masks.get(game.canonical_id)
         return self.label_mask(game.strategies) if mask is None else mask
 
+    def derive(self, key: tuple, compute: Callable[[], object]):
+        """``compute()``, worked out once per ``key`` and kept until the
+        next ``add`` or ``clear_reductions``: the class's memo of facts
+        derived from its members."""
+        memo = _reductions.get(self)
+        if memo is None:
+            memo = _reductions[self] = {}
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    def _roots(self) -> dict[str, int]:
+        """Per member, the number of its root, a game it restricts.  A seed
+        is its own root.  A reduction shares its parent's root when
+        ``is_reduction`` confirms it, and a player reduction that
+        ``reduce_players`` rebuilds from its record has the root (parent's
+        root, kept players, pinned labels of the others).  A member whose
+        record does not replay is its own root."""
+        numbers: dict = {}
+        roots: dict[str, int] = {}
+        for cid, game in self._games.items():
+            prov = self.provenance[cid]
+            parent = self._games.get(prov.parent)
+            key = cid
+            if prov.kind == "player-reduction-of":
+                fixed = parent.profile_from_labels(prov.fixed)
+                if reduce_players(parent, prov.keep, fixed) == game:
+                    pinned = tuple(
+                        lab for i, lab in enumerate(prov.fixed) if i not in prov.keep
+                    )
+                    key = (roots[prov.parent], tuple(prov.keep), pinned)
+            elif parent is not None and is_reduction(game, parent):
+                roots[cid] = roots[prov.parent]
+                continue
+            roots[cid] = numbers.setdefault(key, len(numbers))
+        return roots
+
     def reductions(self, parent: Game) -> tuple[Game, ...]:
         """The members that are reductions of ``parent``, in insertion order;
         ``parent`` itself is one when it is a member.  Worked out once per
-        parent and kept until the next ``add`` or ``clear_reductions``.  A
-        reduction keeps a subset of the parent's labels, so ``is_reduction``
-        runs only on members whose ``label_mask`` lies inside the parent's."""
-        found = _reductions.setdefault(self, {})
-        if parent.canonical_id not in found:
-            outer = self.mask_of(parent)
-            found[parent.canonical_id] = tuple(
-                g
-                for cid, g in self._games.items()
-                if not self._masks[cid] & ~outer
-                and g.player_count == parent.player_count
-                and is_reduction(g, parent)
-            )
-        return found[parent.canonical_id]
+        parent (``derive``).  A reduction keeps a subset of the parent's
+        labels, so only members whose ``label_mask`` lies inside the
+        parent's are candidates.  A candidate with the parent's root
+        (``_roots``) restricts the same game to fewer labels, so it is a
+        reduction; ``is_reduction`` decides the others, and every candidate
+        of a parent that is not a member."""
+        return self.derive(
+            ("reductions", parent.canonical_id), lambda: self._reductions_of(parent)
+        )
+
+    def _reductions_of(self, parent: Game) -> tuple[Game, ...]:
+        roots = self.derive(("roots",), self._roots)
+        root = roots.get(parent.canonical_id)
+        outer = self.mask_of(parent)
+        return tuple(
+            g
+            for cid, g in self._games.items()
+            if not self._masks[cid] & ~outer
+            and g.player_count == parent.player_count
+            and (roots[cid] == root or is_reduction(g, parent))
+        )
 
     def ids(self) -> list[str]:
         return list(self._games)

@@ -141,7 +141,7 @@ class Game:
                     f"rank table for player {i + 1} is not dense-normalized"
                 )
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.strategies)
 

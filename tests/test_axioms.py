@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -10,6 +11,7 @@ from nashaxioms import (
     AXIOM_IDS,
     AxiomVerdict,
     ConceptDomainError,
+    Game,
     GameClass,
     Provenance,
     build_game,
@@ -417,11 +419,96 @@ def test_reduction_scans_agree_with_naive_on_several_roots(
         assert got.result == naive_check(axiom, concept, list(cls))
 
 
+def _add_player_reductions(cls, members):
+    """Add every player reduction of each of ``members`` to ``cls``."""
+    for member in members:
+        n = member.player_count
+        for mask in range(1, (1 << n) - 1):
+            keep = tuple(i for i in range(n) if mask >> i & 1)
+            for s in member.profiles():
+                cls.add(
+                    reduce_players(member, keep, s),
+                    Provenance(
+                        "player-reduction-of",
+                        parent=member.canonical_id,
+                        keep=keep,
+                        fixed=member.labels_of(s),
+                    ),
+                )
+    return cls
+
+
+@pytest.fixture(scope="module")
+def player_reduced_3x3x2():
+    """A random 3x3x2 game's reduction closure plus every player reduction
+    of each member, the shape of the benchmark's player-reduced class."""
+    cls = _random_reduction_closure((3, 3, 2), seed=3)
+    return _add_player_reductions(cls, list(cls))
+
+
+@pytest.fixture(scope="module")
+def lying_class():
+    """A random 3x2 game's reduction closure and its player reductions,
+    plus two members whose records pass ``add``'s checks but whose ranks
+    do not replay: a reduction of the seed to two rows, and player 1's
+    game with player 2 pinned at its first strategy."""
+    cls = _random_reduction_closure((3, 2), seed=4)
+    seed = next(iter(cls))
+    _add_player_reductions(cls, [seed])
+    pinned = seed.profile_from_labels(("p0s0", "p1s0"))
+    records = [
+        (
+            restrict(seed, ((0, 1), (0, 1))),
+            {"kind": "reduction-of", "subsets": (("p0s0", "p0s1"), ("p1s0", "p1s1"))},
+        ),
+        (
+            reduce_players(seed, (0,), pinned),
+            {"kind": "player-reduction-of", "keep": (0,), "fixed": ("p0s0", "p1s0")},
+        ),
+    ]
+    for honest, record in records:
+        # the first rank tables on the honest game's labels that no member has
+        liar = next(
+            game
+            for tables in itertools.product(
+                itertools.permutations(range(honest.num_profiles)),
+                repeat=honest.player_count,
+            )
+            if (game := Game(honest.player_count, honest.strategies, tables))
+            not in cls
+        )
+        assert not naive_is_reduction(liar, seed)
+        assert cls.add(liar, Provenance(parent=seed.canonical_id, **record))
+        with pytest.raises(ValueError, match="different game"):
+            cls.replay_provenance(liar.canonical_id)
+    return cls
+
+
+@pytest.mark.parametrize(
+    "closure",
+    [
+        "two_root_dclosure",
+        "player_reduction_class",
+        "player_reduced_3x3x2",
+        "lying_class",
+    ],
+)
+def test_reductions_agree_with_naive_on_every_pair(closure, request):
+    from nashaxioms.concepts import clear_cache
+
+    cls = request.getfixturevalue(closure)
+    clear_cache()
+    for parent in cls:
+        want = tuple(g for g in cls if naive_is_reduction(g, parent))
+        assert cls.reductions(parent) == want, parent
+
+
 @pytest.mark.parametrize("axiom", ["cons", "cocons"])
 def test_player_reductions_are_built_only_when_they_can_be_members(
     axiom, two_root_dclosure, player_reduction_class, monkeypatch
 ):
     import nashaxioms.axioms as axioms
+    from nashaxioms.concepts import clear_cache
 
     built = []
     real = axioms.reduce_players
@@ -431,8 +518,65 @@ def test_player_reductions_are_built_only_when_they_can_be_members(
     # two-player games only: no one-player reduction is a member
     assert check_axiom(axiom, "nash", two_root_dclosure).coverage["checked"] == 0
     assert not built
+    # earlier tests' scans of the module's class left its slices memoized
+    clear_cache()
     assert check_axiom(axiom, "nash", player_reduction_class).coverage["checked"] > 0
     assert built
+
+
+def _count_slices(monkeypatch):
+    """Patch the scans' ``reduce_players`` to count builds per pinned
+    slice: (game, kept players, strategies of the others)."""
+    import nashaxioms.axioms as axioms
+
+    built = Counter()
+    real = axioms.reduce_players
+
+    def counted(game, keep, s):
+        pinned = tuple(k for i, k in enumerate(s.indices) if i not in keep)
+        built[game.canonical_id, keep, pinned] += 1
+        return real(game, keep, s)
+
+    monkeypatch.setattr(axioms, "reduce_players", counted)
+    return built
+
+
+def test_cons_and_cocons_build_each_pinned_slice_at_most_once(
+    player_reduced_3x3x2, monkeypatch
+):
+    from nashaxioms.concepts import clear_cache
+
+    clear_cache()
+    built = _count_slices(monkeypatch)
+    for axiom in ("cons", "cocons"):
+        assert check_axiom(axiom, "nash", player_reduced_3x3x2).passed
+    assert built and max(built.values()) == 1
+
+
+def test_add_and_clear_cache_drop_the_pinned_slice_memo(monkeypatch):
+    from nashaxioms.concepts import clear_cache
+
+    full = _random_reduction_closure((3, 2), seed=5)
+    _add_player_reductions(full, list(full))
+    # all members but the last, a player reduction that cons looks up
+    cls = GameClass()
+    for cid in full.ids()[:-1]:
+        cls.add(full.get(cid), full.provenance[cid])
+    built = _count_slices(monkeypatch)
+    short = check_axiom("cons", "nash", cls)
+    cold = sum(built.values())
+    assert cold > 0
+    assert check_axiom("cons", "nash", cls) == short
+    assert sum(built.values()) == cold
+    clear_cache()
+    assert check_axiom("cons", "nash", cls) == short
+    assert sum(built.values()) == 2 * cold
+    last = full.ids()[-1]
+    cls.add(full.get(last), full.provenance[last])
+    grown = check_axiom("cons", "nash", cls)
+    assert sum(built.values()) == 3 * cold
+    assert grown.coverage["checked"] > short.coverage["checked"]
+    assert (grown.result, grown.coverage) == naive_coverage("cons", "nash", full)
 
 
 def test_scans_see_members_added_after_a_scan(ex2):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from nashaxioms import dump_game
+from nashaxioms import build_named_class, dump_game
 from nashaxioms.cli import main
 
 
@@ -246,6 +246,36 @@ def test_malformed_manifest_is_named(capsys, tmp_path, ex2_dclosed, rewrite):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {manifest}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name,before,after",
+    [
+        pytest.param(
+            "ex2_dclosed",
+            {"subsets": [["U"], ["L"]]},
+            {"subsets": [["D"], ["R"]]},
+            id="subsets-of-another-member",
+        ),
+        pytest.param("ex3_cons", {"keep": [0]}, {"keep": [1]}, id="keep-another-player"),
+    ],
+)
+def test_record_that_does_not_fit_its_game_is_named(
+    capsys, tmp_path, name, before, after
+):
+    out_dir = build_named_class(name).write_dir(tmp_path / "cls")
+    manifest = out_dir / "manifest.json"
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    record = data["games"][1]["provenance"]
+    assert before.items() <= record.items()
+    record.update(after)
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "iis", "--concept", "nash", "--class", str(out_dir)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {manifest}: game entry 1: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

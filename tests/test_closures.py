@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from nashaxioms import (
     d_closure,
     enumerate_reductions,
     is_reduction,
+    reduce_players,
     reduction_closure,
     restrict,
     strict_closure,
@@ -131,6 +133,70 @@ def test_add_rejects_foreign_parent(ex2, ex5):
     cls.add(ex2, Provenance("seed"))
     with pytest.raises(ValueError):
         cls.add(ex5, Provenance("reduction-of", parent="deadbeef"))
+
+
+def test_add_rejects_a_parentless_reduction(ex2, pd):
+    cls = GameClass()
+    cls.add(ex2, Provenance("seed"))
+    with pytest.raises(ValueError, match="needs 'parent'"):
+        cls.add(pd, Provenance("reduction-of"))
+    assert pd not in cls
+
+
+#: Records for a member of a class seeded with ex2 (labels U, D and L, R):
+#: the reduction to (U, L), and player 1's game with player 2 pinned at L.
+_GOOD_RECORDS = {
+    "reduction-of": {"subsets": (("U",), ("L",))},
+    "player-reduction-of": {"keep": (0,), "fixed": ("U", "L")},
+}
+
+
+@pytest.mark.parametrize(
+    "kind,changes,why",
+    [
+        pytest.param("seed", {}, "has no 'parent'", id="seed-with-parent"),
+        pytest.param(
+            "reduction-of", {"subsets": None}, "needs 'subsets'", id="no-subsets"
+        ),
+        pytest.param(
+            "reduction-of", {"subsets": (("D",), ("R",))}, "subsets", id="other-subsets"
+        ),
+        pytest.param(
+            "reduction-of", {"subsets": (("U",),)}, "subsets", id="too-few-subsets"
+        ),
+        pytest.param(
+            "reduction-of", {"keep": (0,)}, "has no 'keep'", id="reduction-with-keep"
+        ),
+        pytest.param("player-reduction-of", {"keep": (0, 1)}, "keep", id="keep-all"),
+        pytest.param("player-reduction-of", {"keep": ()}, "keep", id="keep-none"),
+        pytest.param("player-reduction-of", {"keep": (2,)}, "keep", id="keep-too-high"),
+        pytest.param("player-reduction-of", {"keep": (-1,)}, "keep", id="keep-negative"),
+        pytest.param("player-reduction-of", {"keep": (0, 0)}, "keep", id="keep-repeated"),
+        pytest.param(
+            "player-reduction-of", {"keep": (1,)}, "strategies", id="keep-other-player"
+        ),
+        pytest.param(
+            "player-reduction-of", {"fixed": ("U", "X")}, "fixed", id="fixed-unknown"
+        ),
+        pytest.param(
+            "player-reduction-of", {"fixed": ("U",)}, "fixed", id="fixed-too-short"
+        ),
+    ],
+)
+def test_add_checks_that_a_record_fits_its_game(ex2, kind, changes, why):
+    cls = GameClass()
+    cls.add(ex2, Provenance("seed"))
+    if kind == "player-reduction-of":
+        game = reduce_players(ex2, (0,), ex2.profile_from_labels(("U", "L")))
+    else:
+        game = restrict(ex2, ((0,), (0,)))
+    good = Provenance(kind, parent=ex2.canonical_id, **_GOOD_RECORDS.get(kind, {}))
+    with pytest.raises(ValueError, match=why):
+        cls.add(game, replace(good, **changes))
+    assert game not in cls
+    if kind != "seed":
+        assert cls.add(game, good)
+        assert cls.replay_provenance(game.canonical_id) == game
 
 
 @pytest.mark.parametrize(
