@@ -29,20 +29,18 @@ from .gamefiles import dump_game, load_game, parse_game
 from .games import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    Flavor,
     Game,
     GameFormatError,
     Profile,
     SubsetSpec,
     build_game,
     enumerate_reductions,
+    is_cut,
     is_reduction,
     is_strict_reduction,
     merge,
     reduce_players,
-    reduction_flavor,
     restrict,
-    strictly_dominates,
 )
 from .oracles import nash_bruteforce
 from .theorems import (

@@ -341,7 +341,7 @@ def replay_witness(verdict: AxiomVerdict, cls: GameClass) -> bool:
     """True when a violated verdict's witness re-verifies: the axiom's
     own scan, started from the witness's game, yields it again."""
     entry = _AXIOMS.get(verdict.axiom)
-    if entry is None or not verdict.violated or not verdict.witness:
+    if entry is None or not verdict.violated or not isinstance(verdict.witness, dict):
         return False
     cid = verdict.witness.get("game")
     game = cls.get(cid) if isinstance(cid, str) else None

@@ -20,7 +20,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -106,6 +105,7 @@ class Game:
             self, "strategies", tuple(tuple(s) for s in self.strategies)
         )
         object.__setattr__(self, "ranks", tuple(tuple(r) for r in self.ranks))
+        _check_player_count(self.player_count)
         if self.player_count < 1:
             raise GameFormatError("a game needs at least one player")
         if len(self.strategies) != self.player_count:
@@ -243,6 +243,7 @@ def build_game(
     """
     if (payoffs is None) == (ranks is None):
         raise GameFormatError("give exactly one of payoffs or ranks")
+    _check_player_count(player_count)
     strategies = tuple(tuple(s) for s in strategies)
     if len(strategies) != player_count:
         raise GameFormatError(
@@ -271,6 +272,15 @@ def build_game(
     return Game(player_count, strategies, rank_tables)
 
 
+def _check_player_count(player_count) -> None:
+    # bool subclasses int, and True would make a game equal to, but with
+    # another canonical id than, the same game built with 1
+    if type(player_count) is not int:
+        raise GameFormatError(
+            f"player count must be an integer, got {player_count!r}"
+        )
+
+
 def _flat_table(table, total: int) -> list:
     try:
         items = list(table)
@@ -281,18 +291,6 @@ def _flat_table(table, total: int) -> list:
     if len(items) != total:
         raise GameFormatError(f"flat table has {len(items)} entries, expected {total}")
     return items
-
-
-class Flavor(str, Enum):
-    """Classification of a reduction by its subset-size pattern."""
-
-    PLAIN = "plain"
-    DUMMY = "dummy"
-    QUASI_DUMMY = "quasi_dummy"
-    DUMMY_AND_QUASI = "dummy_and_quasi"
-
-
-DUMMYISH = frozenset({Flavor.DUMMY, Flavor.QUASI_DUMMY, Flavor.DUMMY_AND_QUASI})
 
 
 @dataclass(frozen=True)
@@ -371,9 +369,6 @@ class SubsetSpec:
             )
         )
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.indices)
-
 
 def restrict(parent: Game, subsets) -> Game:
     """The reduction of ``parent`` to the given strategy subsets.
@@ -422,34 +417,15 @@ def is_reduction(candidate: Game, parent: Game) -> bool:
     return _slice_ranks(parent, idx, range(parent.player_count)) == candidate.ranks
 
 
-def reduction_flavor(parent: Game, subsets) -> Flavor:
-    """Classify a reduction spec as plain, dummy, quasi-dummy, or both.
-
-    Dummy: some player is cut to one strategy while every other player
-    keeps either their full set or a single strategy.  Quasi-dummy:
-    some player is cut to exactly two while every other player keeps
-    their full set or at most two strategies.  Both can hold at once.
-    """
+def is_cut(parent: Game, subsets, m: int) -> bool:
+    """Some player keeps exactly ``m`` strategies, and every other player
+    keeps their full set or at most ``m``: with ``m = 1`` a dummy player,
+    with ``m = 2`` a quasi-dummy player."""
     spec = SubsetSpec.coerce(parent, subsets)
-    sizes = spec.sizes()
-    full = [len(s) == k for s, k in zip(spec.indices, parent.shape)]
-    n = parent.player_count
-
-    def cut_to(m: int) -> bool:
-        return any(
-            sizes[j] == m
-            and all(full[i] or sizes[i] <= m for i in range(n) if i != j)
-            for j in range(n)
-        )
-
-    dummy, quasi = cut_to(1), cut_to(2)
-    if dummy and quasi:
-        return Flavor.DUMMY_AND_QUASI
-    if dummy:
-        return Flavor.DUMMY
-    if quasi:
-        return Flavor.QUASI_DUMMY
-    return Flavor.PLAIN
+    sizes = [len(s) for s in spec.indices]
+    return m in sizes and all(
+        size == k or size <= m for size, k in zip(sizes, parent.shape)
+    )
 
 
 def strict_dominators(game: Game) -> tuple[dict[str, frozenset[str]], ...]:
@@ -468,27 +444,23 @@ def strict_dominators(game: Game) -> tuple[dict[str, frozenset[str]], ...]:
     return tuple(out)
 
 
+def _undominated(by_label: dict[str, frozenset[str]]) -> list[str]:
+    """One player's strategies that no strategy strictly dominates, given
+    the player's ``strict_dominators`` entry.  Strict dominance is
+    transitive, so each other strategy has one of these as a dominator:
+    a subset keeps a dominator of every strategy it drops exactly when
+    it keeps all of them."""
+    return [label for label, by in by_label.items() if not by]
+
+
 def removes_only_dominated(dominators, kept) -> bool:
     """Some strategy is removed, and each removed one has a kept strict
     dominator, given a parent's ``strict_dominators`` table and the
     labels each player keeps."""
-    removed = [
-        (by, keep)
-        for by_label, keep in zip(dominators, kept, strict=True)
-        for label, by in by_label.items()
-        if label not in keep
-    ]
-    return bool(removed) and not any(by.isdisjoint(keep) for by, keep in removed)
-
-
-def strictly_dominates(game: Game, player: int, a: int, b: int) -> bool:
-    """True when strategy a strictly dominates strategy b (see
-    ``strict_dominators``); never for a strategy against itself."""
-    size = game.shape[player]
-    if not (0 <= a < size and 0 <= b < size):
-        raise GameFormatError("strategy index out of range")
-    labels = game.strategies[player]
-    return labels[a] in strict_dominators(game)[player][labels[b]]
+    pairs = list(zip(dominators, kept, strict=True))
+    return all(
+        label in keep for by_label, keep in pairs for label in _undominated(by_label)
+    ) and any(label not in keep for by_label, keep in pairs for label in by_label)
 
 
 def is_strict_reduction(candidate: Game, parent: Game) -> bool:
@@ -547,43 +519,75 @@ def reduce_players(game: Game, keep: Iterable[int], fixed: Profile) -> Game:
     return Game(len(keep), strategies, _slice_ranks(game, axes, keep))
 
 
+def _supersets(k: int, must: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The non-empty subsets of ``range(k)`` that contain ``must``, in
+    ascending bitmask order (bit j selects strategy j)."""
+    free = [j for j in range(k) if j not in must]
+    for bits in range(1 << len(free)):
+        chosen = {j for b, j in enumerate(free) if bits >> b & 1}
+        subset = tuple(j for j in range(k) if j in must or j in chosen)
+        if subset:
+            yield subset
+
+
+def _small_or_full(k: int) -> Iterator[tuple[int, ...]]:
+    """The subsets of ``range(k)`` with one or two members, then the full
+    set, in ascending bitmask order."""
+    for hi in range(k):
+        yield (hi,)
+        yield from ((lo, hi) for lo in range(hi))
+    if k > 2:
+        yield tuple(range(k))
+
+
 def enumerate_reductions(
     game: Game,
     flavor_filter: str = "all",
     budget: int | None = None,
 ) -> Iterator[SubsetSpec]:
-    """Stream every subset spec of the game in a fixed order.
+    """Stream the game's subset specs that pass ``flavor_filter``.
 
-    The order is player-wise subset bitmask ascending with player 1
-    most significant (bit k of a mask selects strategy index k), so
-    witnesses and golden tests are reproducible.  ``flavor_filter``
-    is one of ``all``, ``dummy-or-quasi`` (reductions with a dummy or
-    quasi-dummy player) and ``strict`` (specs whose restriction is a
-    strict reduction).  A budget caps the unfiltered stream length and
-    raises ``BudgetExceededError`` when the game is too large.
+    Each spec is drawn from a product of per-player candidate lists, in
+    player-wise subset bitmask ascending order with player 1 most
+    significant (bit k of a mask selects strategy index k), so
+    witnesses and golden tests are reproducible.  ``flavor_filter`` is
+    one of:
+
+    - ``all``: every player keeps any non-empty subset;
+    - ``dummy-or-quasi``: every player keeps their full set or at most
+      two strategies, and some player keeps at most two (a dummy or
+      quasi-dummy player, see ``is_cut``);
+    - ``strict``: every player keeps the strategies that no strategy
+      strictly dominates, so each one removed has a kept strict
+      dominator, and some strategy is removed (see
+      ``removes_only_dominated``).
+
+    The full spec is last in the product; it is dropped when it does
+    not pass the filter.  A budget caps the specs considered, the
+    product of the list lengths, and raises ``BudgetExceededError``
+    when the game is too large.  No list is read past the budget, so
+    a refused count can be lower than the full product.
     """
-    if flavor_filter not in ("all", "dummy-or-quasi", "strict"):
+    if flavor_filter == "all":
+        lists = [_supersets(k, ()) for k in game.shape]
+    elif flavor_filter == "dummy-or-quasi":
+        lists = [_small_or_full(k) for k in game.shape]
+    elif flavor_filter == "strict":
+        lists = [
+            _supersets(len(pos), [pos[label] for label in _undominated(by_label)])
+            for pos, by_label in zip(game.positions, strict_dominators(game))
+        ]
+    else:
         raise ValueError(f"unknown flavor filter: {flavor_filter!r}")
-    total = math.prod((1 << k) - 1 for k in game.shape)
+    cap = None if budget is None else budget + 1
+    lists = [list(itertools.islice(c, cap)) for c in lists]
+    total = math.prod(map(len, lists))
     if budget is not None and total > budget:
         raise BudgetExceededError(
             f"{total} subset specs exceed the budget of {budget}"
         )
-
-    def gen() -> Iterator[SubsetSpec]:
-        per_player = [
-            [tuple(j for j in range(k) if mask >> j & 1) for mask in range(1, 1 << k)]
-            for k in game.shape
-        ]
-        dominators = strict_dominators(game) if flavor_filter == "strict" else None
-        for combo in itertools.product(*per_player):
-            spec = SubsetSpec(tuple(combo))
-            if flavor_filter == "dummy-or-quasi":
-                if reduction_flavor(game, spec) not in DUMMYISH:
-                    continue
-            elif flavor_filter == "strict":
-                if not removes_only_dominated(dominators, spec.labels(game)):
-                    continue
-            yield spec
-
-    return gen()
+    keep_full = flavor_filter == "all" or (
+        flavor_filter == "dummy-or-quasi" and min(game.shape) <= 2
+    )
+    specs = itertools.islice(itertools.product(*lists), total - (not keep_full))
+    return (SubsetSpec(combo) for combo in specs)

@@ -22,16 +22,14 @@ from .concepts import (
     nash,
 )
 from .games import (
-    DUMMYISH,
-    Flavor,
     Game,
     Profile,
     SubsetSpec,
     enumerate_reductions,
+    is_cut,
     is_reduction,
     is_strict_reduction,
     merge,
-    reduction_flavor,
     restrict,
 )
 from .oracles import nash_bruteforce
@@ -148,14 +146,10 @@ def lemma1a_witness(concept: str, game: Game, profile) -> ConstructionReport:
     report.check("G' is a reduction of G", is_reduction(g_pair, game))
     report.check(
         "G' has a dummy or quasi-dummy player",
-        reduction_flavor(game, spec_pair) in DUMMYISH,
+        is_cut(game, spec_pair, 1) or is_cut(game, spec_pair, 2),
     )
     report.check("G'' is a reduction of G", is_reduction(g_single, game))
-    report.check(
-        "G'' has a dummy player",
-        reduction_flavor(game, spec_single)
-        in (Flavor.DUMMY, Flavor.DUMMY_AND_QUASI),
-    )
+    report.check("G'' has a dummy player", is_cut(game, spec_single, 1))
     report.check(
         "G'' is a strict reduction of G'", is_strict_reduction(g_single, g_pair)
     )
@@ -220,11 +214,7 @@ def lemma1b_construct(game: Game, profile) -> ConstructionReport:
         role = f"G^{k + 1}"
         report.constructed.append((role, g_k))
         report.check(f"{role} is a reduction of G", is_reduction(g_k, game))
-        report.check(
-            f"{role} has a dummy player",
-            reduction_flavor(game, spec)
-            in (Flavor.DUMMY, Flavor.DUMMY_AND_QUASI),
-        )
+        report.check(f"{role} has a dummy player", is_cut(game, spec, 1))
         mapped = g_k.profile_from_labels(game.labels_of(s))
         report.check(f"s survives in {role}", mapped is not None)
         report.check(
@@ -249,9 +239,7 @@ def lemma1b_construct(game: Game, profile) -> ConstructionReport:
         if ell <= n - 2:
             report.check(
                 f"{role} is a reduction of G with a dummy player",
-                is_reduction(h_ell, game)
-                and reduction_flavor(game, union_spec)
-                in (Flavor.DUMMY, Flavor.DUMMY_AND_QUASI),
+                is_reduction(h_ell, game) and is_cut(game, union_spec, 1),
             )
         prev_spec = union_spec
     report.check(f"H^{n - 1} equals G", h_ell == game)

@@ -91,6 +91,13 @@ def random_game(
     return build_game(n, labels, ranks=tables)
 
 
+def random_square_game(rng: random.Random, k: int):
+    """A random two-player k x k game with ranks from ``range(5)``."""
+    labels = [[f"p{i}s{j}" for j in range(k)] for i in range(2)]
+    tables = [[rng.randrange(5) for _ in range(k * k)] for _ in range(2)]
+    return build_game(2, labels, ranks=tables)
+
+
 def random_subsets(rng: random.Random, game):
     out = []
     for size in game.shape:

@@ -199,6 +199,7 @@ def test_ciis_vacuous_profiles_are_flagged(ex3_cons):
             lambda w: {**w, "subgroups": w["subgroups"][:1]},
             id="cocons-subgroup_dropped",
         ),
+        pytest.param("jo", "empty", lambda w: ["x"], id="jo-witness_not_a_dict"),
     ],
 )
 def test_tampered_witness_does_not_replay(axiom, concept, tamper, ex3_cons):

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,8 @@ from nashaxioms import (
     strict_closure,
 )
 from nashaxioms.closures import Provenance
+
+from conftest import random_square_game
 
 
 # golden class sizes, frozen after the first fixpoint computation
@@ -120,6 +123,13 @@ def test_budget_exceeded_names_frontier(ex2):
     with pytest.raises(BudgetExceededError) as err:
         d_closure([ex2], budget=3)
     assert "frontier" in str(err.value)
+
+
+def test_d_closure_of_10x10_fits_default_budget():
+    # The seed and its 3,135 dummy or quasi-dummy reductions; the
+    # 1,023 x 1,023 unfiltered subset specs would exceed the budget.
+    g = random_square_game(random.Random(10), 10)
+    assert len(d_closure([g])) == 3136
 
 
 def test_budget_monotonicity(ex2):

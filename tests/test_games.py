@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -6,30 +7,31 @@ from hypothesis import given, strategies as st
 
 from nashaxioms import (
     BudgetExceededError,
-    Flavor,
     Game,
     GameFormatError,
     Profile,
     SubsetSpec,
     build_game,
     enumerate_reductions,
+    is_cut,
     is_reduction,
     is_strict_reduction,
     merge,
     reduce_players,
-    reduction_flavor,
     restrict,
-    strictly_dominates,
 )
 from nashaxioms.concepts import nash
+from nashaxioms.fixtures import FIXTURES
+from nashaxioms.games import strict_dominators
 from nashaxioms.oracles import nash_bruteforce
 
-from conftest import random_game, random_subsets
+from conftest import random_game, random_square_game, random_subsets
 from naive_checks import (
     _naive_dominates,
     _naive_reduce_players,
     naive_is_reduction,
     naive_is_strict_reduction,
+    naive_reductions,
 )
 
 
@@ -97,6 +99,13 @@ def test_build_errors():
         build_game(1, [["a", "b"]], ranks=[[True, 0]])
     with pytest.raises(GameFormatError, match="must hold non-negative integers"):
         Game(1, (("a", "b"),), ((True, False),))
+    not_int = "player count must be an integer"
+    with pytest.raises(GameFormatError, match=not_int):
+        build_game(True, [["a"]], ranks=[[0]])
+    with pytest.raises(GameFormatError, match=not_int):
+        build_game("2", [["a"], ["x"]], ranks=[[0], [0]])
+    with pytest.raises(GameFormatError, match=not_int):
+        Game("2", (("a",), ("x",)), ((0,), (0,)))
 
 
 def test_build_accepts_any_finite_real_payoff():
@@ -324,39 +333,42 @@ def test_rank_order_preservation_on_many_random_pairs():
 
 
 # ----------------------------------------------------------------------
-# flavors
+# dummy and quasi-dummy cuts
 # ----------------------------------------------------------------------
+
+
+def cuts(game, subsets):
+    """The ``m`` in (1, 2) for which ``subsets`` is a cut: 1 a dummy, 2 a
+    quasi-dummy player."""
+    return {m for m in (1, 2) if is_cut(game, subsets, m)}
 
 
 def test_flavor_singleton_column_of_2x2_is_both(ex2):
     # dummy via the singleton column, quasi via the retained pair
-    assert reduction_flavor(ex2, ((0, 1), (1,))) == Flavor.DUMMY_AND_QUASI
+    assert cuts(ex2, ((0, 1), (1,))) == {1, 2}
 
 
 def test_flavor_singleton_column_of_3x2_is_dummy_only(ex5):
-    assert reduction_flavor(ex5, ((0, 1, 2), (0,))) == Flavor.DUMMY
+    assert cuts(ex5, ((0, 1, 2), (0,))) == {1}
 
 
 def test_flavor_full_two_by_two_is_quasi(ex2):
-    assert reduction_flavor(ex2, ((0, 1), (0, 1))) == Flavor.QUASI_DUMMY
+    assert cuts(ex2, ((0, 1), (0, 1))) == {2}
 
 
 def test_flavor_single_profile_of_wide_game_is_dummy(ex5):
-    assert reduction_flavor(ex5, ((0,), (0,))) == Flavor.DUMMY
+    assert cuts(ex5, ((0,), (0,))) == {1}
 
 
-def test_flavor_both_at_once(ex5):
+def test_flavor_both_at_once(ex5, cube):
     # one player cut to a pair, the other to a singleton of a 2-set
-    assert reduction_flavor(ex5, ((0, 1), (0,))) == Flavor.QUASI_DUMMY
-    cube_spec = ((0,), (0, 1), (0, 1))
-    from nashaxioms.fixtures import three_player_cube
-
-    assert reduction_flavor(three_player_cube(), cube_spec) == Flavor.DUMMY_AND_QUASI
+    assert cuts(ex5, ((0, 1), (0,))) == {2}
+    assert cuts(cube, ((0,), (0, 1), (0, 1))) == {1, 2}
 
 
 def test_flavor_full_3x2_is_quasi(ex5):
     # the width-2 player makes even the full spec quasi-dummy
-    assert reduction_flavor(ex5, ((0, 1, 2), (0, 1))) == Flavor.QUASI_DUMMY
+    assert cuts(ex5, ((0, 1, 2), (0, 1))) == {2}
 
 
 def test_flavor_plain_exists():
@@ -365,8 +377,8 @@ def test_flavor_plain_exists():
         [["a", "b", "c"], ["x", "y", "z"]],
         ranks=[[0] * 9, [0] * 9],
     )
-    assert reduction_flavor(wide, ((0, 1, 2), (0, 1, 2))) == Flavor.PLAIN
-    assert reduction_flavor(wide, ((0, 1, 2), (0, 2))) == Flavor.QUASI_DUMMY
+    assert cuts(wide, ((0, 1, 2), (0, 1, 2))) == set()
+    assert cuts(wide, ((0, 1, 2), (0, 2))) == {2}
 
 
 # ----------------------------------------------------------------------
@@ -375,23 +387,22 @@ def test_flavor_plain_exists():
 
 
 def test_defection_strictly_dominates(pd):
-    assert strictly_dominates(pd, 0, 1, 0)
-    assert strictly_dominates(pd, 1, 1, 0)
+    assert strict_dominators(pd) == ({"C": {"D"}, "D": set()},) * 2
 
 
 def test_no_dominance_between_rows(ex2):
-    assert not strictly_dominates(ex2, 0, 0, 1)
-    assert not strictly_dominates(ex2, 0, 1, 0)
+    assert strict_dominators(ex2)[0] == {"U": set(), "D": set()}
 
 
 def test_dominance_is_irreflexive(pd):
-    assert not strictly_dominates(pd, 0, 1, 1)
+    assert all(lab not in by[lab] for by in strict_dominators(pd) for lab in by)
 
 
 def test_one_player_dominance_is_pairwise(chain):
-    assert strictly_dominates(chain, 0, 0, 1)
-    assert not strictly_dominates(chain, 0, 1, 2)  # tie
-    assert strictly_dominates(chain, 0, 2, 3)
+    # b and c tie, so neither dominates the other
+    assert strict_dominators(chain) == (
+        {"a": set(), "b": {"a"}, "c": {"a"}, "d": {"a", "b", "c"}},
+    )
 
 
 def test_strictly_dominates_agrees_with_naive():
@@ -399,12 +410,12 @@ def test_strictly_dominates_agrees_with_naive():
     verdicts = set()
     for _ in range(300):
         g = random_game(rng, max_players=3, max_strategies=4)
-        for i, size in enumerate(g.shape):
-            for a in range(size):
-                for b in range(size):
-                    expected = _naive_dominates(g, i, a, b)
-                    assert strictly_dominates(g, i, a, b) == expected
-                    verdicts.add(expected)
+        for i, by in enumerate(strict_dominators(g)):
+            labels = g.strategies[i]
+            for a, b in itertools.product(range(len(labels)), repeat=2):
+                expected = _naive_dominates(g, i, a, b)
+                assert (labels[a] in by[labels[b]]) == expected
+                verdicts.add(expected)
     assert verdicts == {True, False}
 
 
@@ -594,6 +605,31 @@ def test_enumeration_streams_restart(ex2):
     first = [s.indices for s in enumerate_reductions(ex2, "all")]
     second = [s.indices for s in enumerate_reductions(ex2, "all")]
     assert first == second
+
+
+@pytest.mark.parametrize("mode", ["all", "dummy-or-quasi", "strict"])
+def test_enumeration_matches_naive_walk(mode):
+    # Every bundled game, then random games of 1-3 players with 1-4
+    # strategies each; three rank levels make ties common.
+    rng = random.Random(1212)
+    games = [build() for build in FIXTURES.values()]
+    games += [random_game(rng, 3, 4, levels=3) for _ in range(200)]
+    for g in games:
+        specs = [s.indices for s in enumerate_reductions(g, mode)]
+        assert specs == naive_reductions(g, mode), (g, mode)
+
+
+def test_dummy_or_quasi_budget_counts_considered_specs():
+    # Each player of a 10x10 game has 10 singletons, 45 pairs and the
+    # full set: 56 x 56 specs are considered, and the full spec, with
+    # no dummy or quasi-dummy player, is dropped.
+    g = random_square_game(random.Random(10), 10)
+    assert len(list(enumerate_reductions(g, "dummy-or-quasi"))) == 3135
+    assert len(list(enumerate_reductions(g, "dummy-or-quasi", budget=3136))) == 3135
+    with pytest.raises(
+        BudgetExceededError, match="^3136 subset specs exceed the budget of 3135$"
+    ):
+        enumerate_reductions(g, "dummy-or-quasi", budget=3135)
 
 
 def test_strict_filter_matches_predicate():
