@@ -67,13 +67,22 @@ def _phi(concept: str, game: Game) -> frozenset[Profile]:
         ) from exc
 
 
+def _solutions(concept: str, cls: GameClass, game: Game) -> frozenset:
+    """The label set of the game's solutions, worked out once per class
+    (``cls.derive``)."""
+    return cls.derive(
+        ("solutions", concept, game.canonical_id),
+        lambda: game.label_set(_phi(concept, game)),
+    )
+
+
 def _reduced(concept: str, cls: GameClass, parent: Game) -> list[tuple]:
     """Per member of ``cls.reductions(parent)``, in order: the member,
     its mask (``cls.mask_of``) and its solutions' label set.  A parent
     profile lies in a member when the profile's mask lies inside the
     member's."""
     return [
-        (g, cls.mask_of(g), g.label_set(_phi(concept, g)))
+        (g, cls.mask_of(g), _solutions(concept, cls, g))
         for g in cls.reductions(parent)
     ]
 
@@ -106,7 +115,7 @@ def _mc(
 ) -> Iterator[dict]:
     """Common solutions of two merging reductions solve the merge."""
     for parent in parents:
-        phi_parent = parent.label_set(_phi(concept, parent))
+        phi_parent = _solutions(concept, cls, parent)
         full = cls.mask_of(parent)
         reduced = _reduced(concept, cls, parent)
         for ga, mask_a, phi_a in reduced:
@@ -141,9 +150,9 @@ def _isds(
         ]
         if not strict:
             continue
-        phi_parent = parent.label_set(_phi(concept, parent))
+        phi_parent = _solutions(concept, cls, parent)
         for cand in strict:
-            phi_cand = cand.label_set(_phi(concept, cand))
+            phi_cand = _solutions(concept, cls, cand)
             if phi_parent != phi_cand:
                 yield {
                     "game": parent.canonical_id,

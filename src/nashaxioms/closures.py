@@ -117,7 +117,8 @@ class Provenance:
 
 #: Per class: the facts ``GameClass.derive`` worked out from its members
 #: (member roots, the reduction relation per parent, the member per pinned
-#: slice); kept here so that ``clear_reductions`` reaches every class.
+#: slice, each member's solution labels per concept); kept here so that
+#: ``clear_reductions`` reaches every class.
 _reductions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -409,10 +410,16 @@ def _closure(
         raise BudgetExceededError(
             f"seeds alone exceed the budget of {budget} games"
         )
+    # Every member is its seed restricted to its labels, and restriction
+    # composes, so (seed number, labels) names one game: a key seen before
+    # names a game already in the class, and is not restricted again.
+    seed_of = {g.canonical_id: k for k, g in enumerate(seed_list)}
+    seen = {(k, g.strategies) for k, g in enumerate(seed_list)}
     frontier = seed_list
     while frontier:
         next_frontier: list[Game] = []
         for parent in sorted(frontier, key=lambda g: g.canonical_id):
+            seed = seed_of[parent.canonical_id]
             try:
                 specs = enumerate_reductions(parent, flavor_filter, budget=budget)
             except BudgetExceededError as exc:
@@ -420,16 +427,17 @@ def _closure(
                     f"{exc}; frontier size {len(frontier)}"
                 ) from None
             for spec in specs:
+                labels = spec.labels(parent)
+                if (seed, labels) in seen:
+                    continue
+                seen.add((seed, labels))
                 child = restrict(parent, spec)
                 added = cls.add(
                     child,
-                    Provenance(
-                        kind,
-                        parent=parent.canonical_id,
-                        subsets=spec.labels(parent),
-                    ),
+                    Provenance(kind, parent=parent.canonical_id, subsets=labels),
                 )
                 if added:
+                    seed_of[child.canonical_id] = seed
                     next_frontier.append(child)
                     if len(cls) > budget:
                         raise BudgetExceededError(

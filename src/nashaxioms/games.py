@@ -60,6 +60,11 @@ class Profile:
 
     @classmethod
     def from_linear(cls, shape: Sequence[int], linear: int) -> "Profile":
+        if type(linear) is not int or not 0 <= linear < math.prod(shape):
+            raise GameFormatError(
+                f"linear index {linear!r} is outside a profile space of shape "
+                f"{tuple(shape)}"
+            )
         out = [0] * len(shape)
         for pos in reversed(range(len(shape))):
             out[pos] = linear % shape[pos]
@@ -101,9 +106,7 @@ class Game:
     ranks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "strategies", tuple(tuple(s) for s in self.strategies)
-        )
+        object.__setattr__(self, "strategies", _strategy_lists(self.strategies))
         object.__setattr__(self, "ranks", tuple(tuple(r) for r in self.ranks))
         _check_player_count(self.player_count)
         if self.player_count < 1:
@@ -192,6 +195,11 @@ class Game:
         linear-index order, over which ``players`` range freely: a
         player's columns (entry ``a`` is strategy ``a``), or a
         coalition's joint deviations."""
+        if not all(type(i) is int and 0 <= i < self.player_count for i in players):
+            raise GameFormatError(
+                f"player indices must be integers in range({self.player_count}), "
+                f"got {players!r}"
+            )
         choices = [
             [range(k)] if i in players else [(v,) for v in range(k)]
             for i, k in enumerate(self.shape)
@@ -244,7 +252,7 @@ def build_game(
     if (payoffs is None) == (ranks is None):
         raise GameFormatError("give exactly one of payoffs or ranks")
     _check_player_count(player_count)
-    strategies = tuple(tuple(s) for s in strategies)
+    strategies = _strategy_lists(strategies)
     if len(strategies) != player_count:
         raise GameFormatError(
             f"expected {player_count} strategy lists, got {len(strategies)}"
@@ -279,6 +287,21 @@ def _check_player_count(player_count) -> None:
         raise GameFormatError(
             f"player count must be an integer, got {player_count!r}"
         )
+
+
+def _strategy_lists(strategies) -> tuple[tuple, ...]:
+    """The per-player label lists as tuples.  A string is not read as a
+    list of its characters."""
+    try:
+        lists = tuple(strategies)
+        out = tuple(tuple(s) for s in lists)
+    except TypeError:  # not an iterable of iterables
+        out = None
+    if out is None or any(isinstance(s, str) for s in lists):
+        raise GameFormatError(
+            f"strategies must be one list of labels per player, got {strategies!r}"
+        )
+    return out
 
 
 def _flat_table(table, total: int) -> list:
@@ -507,6 +530,8 @@ def reduce_players(game: Game, keep: Iterable[int], fixed: Profile) -> Game:
         raise GameFormatError("keep must be a proper subset of the players")
     if keep[0] < 0 or keep[-1] >= n:
         raise GameFormatError("keep contains an invalid player index")
+    if not isinstance(fixed, Profile):
+        raise GameFormatError(f"fixed must be a Profile, got {fixed!r}")
     if len(fixed.indices) != n or any(
         not (0 <= k < game.shape[i]) for i, k in enumerate(fixed.indices)
     ):

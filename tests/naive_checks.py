@@ -362,6 +362,7 @@ def naive_reductions(game: Game, mode: str):
         for i, k in enumerate(game.shape)
         for a in range(k)
         for b in range(k)
+        if mode == "strict"
     }
     out = []
     for spec in itertools.product(*per_player):
@@ -421,3 +422,42 @@ def naive_audit_message(games, mode: str):
                     f"is missing the {reduction} with subsets {labels}"
                 )
     return None
+
+
+_CLOSURES = {
+    "d": ("dummy-or-quasi", "dummy-reduction-of"),
+    "strict": ("strict", "strict-reduction-of"),
+}
+
+
+def naive_closure(seeds, mode: str):
+    """The d- or strict closure (``mode`` is ``d`` or ``strict``) as
+    ``(canonical id, provenance payload)`` pairs in insertion order: a
+    breadth-first search over frontiers sorted by canonical id that
+    restricts each member to every ``naive_reductions`` spec and keeps
+    the games whose canonical id is new."""
+    flavor_filter, kind = _CLOSURES[mode]
+    members = {}
+    frontier = []
+    for game in sorted(seeds, key=lambda g: g.canonical_id):
+        if game.canonical_id not in members:
+            members[game.canonical_id] = {"kind": "seed"}
+            frontier.append(game)
+    while frontier:
+        next_frontier = []
+        for parent in sorted(frontier, key=lambda g: g.canonical_id):
+            for spec in naive_reductions(parent, flavor_filter):
+                child = restrict(parent, spec)
+                if child.canonical_id in members:
+                    continue
+                members[child.canonical_id] = {
+                    "kind": kind,
+                    "parent": parent.canonical_id,
+                    "subsets": [
+                        [parent.strategies[i][k] for k in subset]
+                        for i, subset in enumerate(spec)
+                    ],
+                }
+                next_frontier.append(child)
+        frontier = next_frontier
+    return list(members.items())

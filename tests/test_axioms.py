@@ -597,6 +597,34 @@ def test_scans_see_members_added_after_a_scan(ex2):
     assert not check_axiom("iis", "ne_indifference_closure", grown).passed
 
 
+def test_solution_labels_are_worked_out_once_and_follow_add(ex2, monkeypatch):
+    from nashaxioms.concepts import clear_cache
+
+    clear_cache()
+    made = Counter()
+    real = Game.label_set
+    monkeypatch.setattr(
+        Game,
+        "label_set",
+        lambda g, profiles: made.update([g.canonical_id]) or real(g, profiles),
+    )
+    scans = ("iis", "mc", "isds", "ciis")
+    cls = GameClass()
+    cls.add(ex2, Provenance("seed"))
+    first = [check_axiom(a, "ne_indifference_closure", cls) for a in scans]
+    assert all(v.passed for v in first)
+    assert made == {ex2.canonical_id: 1}
+    assert [check_axiom(a, "ne_indifference_closure", cls) for a in scans] == first
+    assert made == {ex2.canonical_id: 1}
+    # the reduction that loses the solution (D, L) of ex2
+    member = restrict(ex2, ((0, 1), (0,)))
+    cls.add(member, Provenance("reduction-of", ex2.canonical_id, member.strategies))
+    verdict = check_axiom("iis", "ne_indifference_closure", cls)
+    assert verdict.violated and verdict.witness["reduction"] == member.canonical_id
+    # ``add`` dropped every fact of the class, the seed's solutions too
+    assert made == {ex2.canonical_id: 2, member.canonical_id: 1}
+
+
 def test_clear_cache_drops_the_reduction_relation(ex2, monkeypatch):
     import nashaxioms.closures as closures
     from nashaxioms.concepts import clear_cache

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -18,9 +19,12 @@ from nashaxioms import (
     restrict,
     strict_closure,
 )
+import nashaxioms.closures as closures
 from nashaxioms.closures import Provenance
+from nashaxioms.fixtures import FIXTURES
 
-from conftest import random_square_game
+from conftest import random_square_game, random_subsets
+from naive_checks import naive_closure
 
 
 # golden class sizes, frozen after the first fixpoint computation
@@ -117,6 +121,69 @@ def test_provenance_kinds(ex3_cons, ex4_class):
     assert kinds == {"seed", "player-reduction-of"}
     kinds = {p.kind for p in ex4_class.provenance.values()}
     assert kinds == {"seed", "reduction-of", "player-reduction-of"}
+
+
+#: Shapes of the random seeds the closures are checked on.
+_SHAPES = [
+    (3,), (4,), (1, 3), (2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 2, 2), (3, 2, 2)
+]
+
+
+def _seed_game(rng, shape):
+    """A random game of this shape with ranks from two to four levels, so
+    ties are common; games of one shape share their labels."""
+    labels = [[f"p{i}s{k}" for k in range(size)] for i, size in enumerate(shape)]
+    levels = rng.randint(2, 4)
+    tables = [[rng.randrange(levels) for _ in range(math.prod(shape))] for _ in shape]
+    return build_game(len(shape), labels, ranks=tables)
+
+
+def _closure_seeds(rng, k):
+    """Seed lists in turn: one game; two or three games of one shape
+    (shared labels, other ranks); a game with one or two of its own
+    reductions."""
+    first = _seed_game(rng, rng.choice(_SHAPES))
+    if k % 3 == 0:
+        return [first]
+    if k % 3 == 1:
+        shape = first.shape
+        return [first] + [_seed_game(rng, shape) for _ in range(rng.randint(1, 2))]
+    return [first] + [
+        restrict(first, random_subsets(rng, first)) for _ in range(rng.randint(1, 2))
+    ]
+
+
+def _as_pairs(cls):
+    return [(cid, cls.provenance[cid].to_payload()) for cid in cls.ids()]
+
+
+@pytest.mark.parametrize("mode,build", [("d", d_closure), ("strict", strict_closure)])
+def test_closures_match_the_naive_search(mode, build):
+    """Members, insertion order and provenance agree with a search that
+    restricts every spec of every member."""
+    bundled = [make() for make in FIXTURES.values()]
+    seed_lists = [[g] for g in bundled] + [bundled]
+    rng = random.Random(13)
+    seed_lists += [_closure_seeds(rng, k) for k in range(210)]
+    for seeds in seed_lists:
+        assert _as_pairs(build(seeds)) == naive_closure(seeds, mode), seeds
+
+
+@pytest.mark.parametrize("seed", ["cube", "ex2", "chain", "4x4"])
+@pytest.mark.parametrize("build", [d_closure, strict_closure])
+def test_closure_restricts_once_per_new_member(seed, build, request, monkeypatch):
+    """With one seed, each restriction a closure makes is a new member."""
+    if seed == "4x4":
+        game = random_square_game(random.Random(4), 4)
+    else:
+        game = request.getfixturevalue(seed)
+    calls = []
+    real = closures.restrict
+    monkeypatch.setattr(
+        closures, "restrict", lambda g, spec: calls.append(1) or real(g, spec)
+    )
+    cls = build([game])
+    assert len(calls) == len(cls) - 1
 
 
 def test_budget_exceeded_names_frontier(ex2):

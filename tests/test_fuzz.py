@@ -2,8 +2,9 @@
 
 Whatever JSON arrives, parsing ends in a valid ``Game``/``GameClass`` or
 in ``GameFormatError``, the one error the CLI turns into a one-line
-message and exit 2.  The runs are derandomized, so a failure here
-reproduces on every run.
+message and exit 2.  Beside these, the law that restriction composes,
+which closures rely on, is checked on random games.  The runs are
+derandomized, so a failure here reproduces on every run.
 """
 
 import copy
@@ -12,7 +13,15 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nashaxioms import Game, GameClass, GameFormatError, d_closure, parse_game
+from nashaxioms import (
+    Game,
+    GameClass,
+    GameFormatError,
+    build_game,
+    d_closure,
+    parse_game,
+    restrict,
+)
 from nashaxioms.fixtures import prisoners_dilemma, safe_coordination
 from nashaxioms.gamefiles import game_payload
 
@@ -120,3 +129,42 @@ def test_read_dir_on_mutated_manifests(class_dir, data):
         return
     assert isinstance(cls, GameClass)
     assert all(isinstance(g, Game) for g in cls)
+
+
+@st.composite
+def games(draw):
+    """A game of one to three players with up to three strategies each,
+    its ranks drawn from two or three levels, so ties are common."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    levels = draw(st.integers(2, 3))
+    total = 1
+    for size in shape:
+        total *= size
+    tables = [
+        draw(st.lists(st.integers(0, levels - 1), min_size=total, max_size=total))
+        for _ in shape
+    ]
+    labels = [[f"p{i}s{k}" for k in range(size)] for i, size in enumerate(shape)]
+    return build_game(len(shape), labels, ranks=tables)
+
+
+def subsets(draw, shape):
+    """Per player, a non-empty set of strategy indices, sorted."""
+    return tuple(
+        tuple(sorted(draw(st.sets(st.integers(0, size - 1), min_size=1))))
+        for size in shape
+    )
+
+
+@FUZZ
+@given(games(), st.data())
+def test_restriction_composes(game, data):
+    """Restricting a restriction restricts the game to the composed
+    subsets: the fact that lets a closure name each member by its seed
+    and its labels."""
+    outer = subsets(data.draw, game.shape)
+    inner = subsets(data.draw, tuple(map(len, outer)))
+    composed = tuple(
+        tuple(kept[k] for k in chosen) for kept, chosen in zip(outer, inner)
+    )
+    assert restrict(restrict(game, outer), inner) == restrict(game, composed)

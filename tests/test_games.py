@@ -195,22 +195,37 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         lambda g: restrict(g, [0, 0]),
         lambda g: restrict(g, 5),
         lambda g: reduce_players(g, 0, Profile((0, 0))),
+        lambda g: reduce_players(g, (0,), (0, 0)),
         lambda g: SubsetSpec.from_labels(g, [["U"], [["L"]]]),
         lambda g: SubsetSpec.from_labels(g, 5),
         lambda g: SubsetSpec.from_labels(g, [["U"], ["L"], ["L"]]),
         # a string is not a subset of its characters
         lambda g: SubsetSpec.from_labels(g, ["UD", ["L"]]),
         lambda g: SubsetSpec.from_labels(g, [["Q"], ["L"]]),
+        # nor a list of strategy labels
+        lambda g: build_game(1, ["UD"], ranks=[[0, 1]]),
+        lambda g: Game(1, ("UD",), ((0, 1),)),
+        lambda g: g.profile_at(99),
+        lambda g: g.profile_at(-1),
+        lambda g: g.columns(5),
+        lambda g: g.columns(0, True),
     ],
     ids=[
         "restrict-flat-list",
         "restrict-int",
         "reduce-players-int-keep",
+        "reduce-players-tuple-fixed",
         "from-labels-list-label",
         "from-labels-int",
         "from-labels-extra-player",
         "from-labels-string-subset",
         "from-labels-unknown-label",
+        "build-game-string-strategies",
+        "game-string-strategies",
+        "profile-at-past-the-end",
+        "profile-at-negative",
+        "columns-player-out-of-range",
+        "columns-bool-player",
     ],
 )
 def test_malformed_arguments_raise_game_format_error(ex2, call):
