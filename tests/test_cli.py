@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +332,30 @@ def test_closure_reductions_mode(capsys, tmp_path):
     )
     assert code == 0
     assert "21 games" in out
+
+
+GOLDEN_CLOSURES = Path(__file__).parent / "golden" / "closures.json"
+CLOSURE_GAMES = ("pd", "ex2", "ex5", "cube222", "chain4")
+CLOSURE_MODES = ("d", "strict", "reductions")
+
+
+def closure_digests(out_dir) -> dict:
+    """The sha256 of every file in a closure directory, by file name."""
+    return {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(Path(out_dir).iterdir())
+    }
+
+
+@pytest.mark.parametrize("mode", CLOSURE_MODES)
+@pytest.mark.parametrize("game", CLOSURE_GAMES)
+def test_closure_directory_matches_golden(capsys, tmp_path, game, mode):
+    # every file the closure command writes is byte-identical to the record
+    golden = json.loads(GOLDEN_CLOSURES.read_text(encoding="utf-8"))
+    out_dir = tmp_path / "cls"
+    code, _, _ = run_cli(capsys, "closure", game, "--mode", mode, "--out", str(out_dir))
+    assert code == 0
+    assert closure_digests(out_dir) == golden[f"{game} --mode {mode}"]
 
 
 def test_construct_lemma_1a(capsys):
