@@ -32,7 +32,6 @@ from .games import (
     Game,
     GameFormatError,
     Profile,
-    SubsetSpec,
     build_game,
     enumerate_reductions,
     is_cut,

@@ -22,7 +22,6 @@ from .games import (
     BudgetExceededError,
     Game,
     GameFormatError,
-    SubsetSpec,
     enumerate_reductions,
     is_reduction,
     reduce_players,
@@ -307,7 +306,7 @@ class GameClass:
                 raise ValueError("provenance fixed profile is invalid")
             rebuilt = reduce_players(parent, prov.keep, fixed)
         else:
-            rebuilt = restrict(parent, SubsetSpec.from_labels(parent, prov.subsets))
+            rebuilt = restrict(parent, prov.subsets)
         if rebuilt.canonical_id != canonical_id:
             raise ValueError(
                 f"provenance replay for {canonical_id[:12]} produced a "
@@ -426,12 +425,11 @@ def _closure(
                 raise BudgetExceededError(
                     f"{exc}; frontier size {len(frontier)}"
                 ) from None
-            for spec in specs:
-                labels = spec.labels(parent)
+            for labels in specs:
                 if (seed, labels) in seen:
                     continue
                 seen.add((seed, labels))
-                child = restrict(parent, spec)
+                child = restrict(parent, labels)
                 added = cls.add(
                     child,
                     Provenance(kind, parent=parent.canonical_id, subsets=labels),
@@ -468,14 +466,10 @@ def reduction_closure(seed: Game, budget: int = DEFAULT_BUDGET) -> GameClass:
     """
     cls = GameClass(params={"mode": "reductions", "budget": budget})
     cls.add(seed, Provenance("seed"))
-    for spec in enumerate_reductions(seed, "all", budget=budget):
+    for labels in enumerate_reductions(seed, "all", budget=budget):
         cls.add(
-            restrict(seed, spec),
-            Provenance(
-                "reduction-of",
-                parent=seed.canonical_id,
-                subsets=spec.labels(seed),
-            ),
+            restrict(seed, labels),
+            Provenance("reduction-of", parent=seed.canonical_id, subsets=labels),
         )
     return cls
 

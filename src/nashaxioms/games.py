@@ -53,8 +53,16 @@ class Profile:
         object.__setattr__(self, "indices", indices)
 
     def linear_index(self, shape: Sequence[int]) -> int:
+        """The profile's position in a profile space of this shape, or
+        ``GameFormatError`` when the profile does not fit the shape."""
+        if len(self.indices) != len(shape) or not all(
+            0 <= i < size for i, size in zip(self.indices, shape)
+        ):
+            raise GameFormatError(
+                f"profile {self.indices} does not fit the shape {tuple(shape)}"
+            )
         k = 0
-        for i, size in zip(self.indices, shape, strict=True):
+        for i, size in zip(self.indices, shape):
             k = k * size + i
         return k
 
@@ -174,6 +182,7 @@ class Game:
         return Profile.from_linear(self.shape, linear)
 
     def rank(self, player: int, profile: Profile) -> int:
+        self._check_players((player,))
         return self.ranks[player][profile.linear_index(self.shape)]
 
     def prefers(self, player: int, a: Profile, b: Profile) -> bool:
@@ -187,6 +196,8 @@ class Game:
         knows the flat-table layout."""
         out = [0]
         for size, axis in zip(self.shape, axes, strict=True):
+            if axis and (min(axis) < 0 or max(axis) >= size):
+                raise GameFormatError(f"axis {list(axis)} is outside range({size})")
             out = [k * size + i for k in out for i in axis]
         return out
 
@@ -195,16 +206,19 @@ class Game:
         linear-index order, over which ``players`` range freely: a
         player's columns (entry ``a`` is strategy ``a``), or a
         coalition's joint deviations."""
-        if not all(type(i) is int and 0 <= i < self.player_count for i in players):
-            raise GameFormatError(
-                f"player indices must be integers in range({self.player_count}), "
-                f"got {players!r}"
-            )
+        self._check_players(players)
         choices = [
             [range(k)] if i in players else [(v,) for v in range(k)]
             for i, k in enumerate(self.shape)
         ]
         return [self.subgrid(axes) for axes in itertools.product(*choices)]
+
+    def _check_players(self, players: Sequence[int]) -> None:
+        if not all(type(i) is int and 0 <= i < self.player_count for i in players):
+            raise GameFormatError(
+                f"player indices must be integers in range({self.player_count}), "
+                f"got {players!r}"
+            )
 
     def labels_of(self, profile: Profile) -> tuple[str, ...]:
         return tuple(
@@ -316,94 +330,45 @@ def _flat_table(table, total: int) -> list:
     return items
 
 
-@dataclass(frozen=True)
-class SubsetSpec:
-    """Per-player non-empty subsets of strategy indices, sorted ascending."""
-
-    indices: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        try:
-            indices = tuple(tuple(s) for s in self.indices)
-        except TypeError:  # the spec or a subset is not iterable
-            raise GameFormatError(f"bad strategy subsets: {self.indices!r}") from None
-        if not all(type(k) is int for s in indices for k in s):
-            raise GameFormatError(f"strategy indices must be integers, got {indices!r}")
-        object.__setattr__(self, "indices", indices)
-
-    @classmethod
-    def coerce(cls, game: Game, subsets) -> "SubsetSpec":
-        if not isinstance(subsets, SubsetSpec):
-            # ``cls(subsets)`` checks the index types before they are sorted
-            subsets = cls(tuple(tuple(sorted(set(s))) for s in cls(subsets).indices))
-        subsets.validate_for(game)
-        return subsets
-
-    @classmethod
-    def from_labels(cls, game: Game, label_subsets) -> "SubsetSpec":
-        """The spec keeping these labels, per player.  A string is not read
-        as a subset of its characters."""
-        try:
-            subsets = list(label_subsets)
-            idx = [{pos[lab] for lab in s} for pos, s in zip(game.positions, subsets)]
-        except (TypeError, KeyError):  # not nested, unhashable or absent label
-            idx = None
-        if idx is None or len(subsets) > game.player_count or any(
-            isinstance(s, str) for s in subsets
-        ):
-            raise GameFormatError(f"bad label subsets: {label_subsets!r}")
-        return cls.coerce(game, idx)
-
-    @classmethod
-    def full(cls, game: Game) -> "SubsetSpec":
-        return cls(tuple(tuple(range(k)) for k in game.shape))
-
-    def validate_for(self, game: Game) -> None:
-        if len(self.indices) != game.player_count:
-            raise GameFormatError(
-                f"subset spec covers {len(self.indices)} players, "
-                f"game has {game.player_count}"
-            )
-        for i, subset in enumerate(self.indices):
-            if not subset:
-                raise GameFormatError(f"empty strategy subset for player {i + 1}")
-            if list(subset) != sorted(set(subset)):
-                raise GameFormatError(
-                    f"subset for player {i + 1} must be sorted and duplicate-free"
-                )
-            if subset[0] < 0 or subset[-1] >= game.shape[i]:
-                raise GameFormatError(
-                    f"subset for player {i + 1} is out of range"
-                )
-
-    def labels(self, game: Game) -> tuple[tuple[str, ...], ...]:
-        return tuple(
-            tuple(game.strategies[i][k] for k in subset)
-            for i, subset in enumerate(self.indices)
+def _kept_indices(game: Game, label_subsets) -> list[list[int]]:
+    """Per player, the ascending indices of the labels kept.  Each
+    player's labels may come in any order and with repeats; anything
+    else, index tuples included, is a ``GameFormatError``.  A string is
+    not read as a subset of its characters."""
+    try:
+        subsets = list(label_subsets)
+        idx = [
+            sorted({pos[lab] for lab in s}) for pos, s in zip(game.positions, subsets)
+        ]
+    except (TypeError, KeyError):  # not nested, unhashable or absent label
+        idx = None
+    if (
+        idx is None
+        or len(subsets) != game.player_count
+        or not all(idx)
+        or any(isinstance(s, str) for s in subsets)
+    ):
+        raise GameFormatError(
+            f"expected one non-empty list of the game's labels per player, "
+            f"got {label_subsets!r}"
         )
-
-    def union(self, other: "SubsetSpec") -> "SubsetSpec":
-        if len(self.indices) != len(other.indices):
-            raise GameFormatError("subset specs cover different player counts")
-        return SubsetSpec(
-            tuple(
-                tuple(sorted(set(a) | set(b)))
-                for a, b in zip(self.indices, other.indices)
-            )
-        )
+    return idx
 
 
 def restrict(parent: Game, subsets) -> Game:
-    """The reduction of ``parent`` to the given strategy subsets.
+    """The reduction of ``parent`` to the given per-player label subsets.
 
-    Strategy lists keep their original order; rank tables are the
+    Strategy lists keep the parent's order; rank tables are the
     parent's tables on the surviving profiles, dense-normalized per
     player.  Restricting to the full subsets returns a game equal to
     the parent.
     """
-    spec = SubsetSpec.coerce(parent, subsets)
-    ranks = _slice_ranks(parent, spec.indices, range(parent.player_count))
-    return Game(parent.player_count, spec.labels(parent), ranks)
+    idx = _kept_indices(parent, subsets)
+    strategies = tuple(
+        tuple(labels[k] for k in ks) for labels, ks in zip(parent.strategies, idx)
+    )
+    ranks = _slice_ranks(parent, idx, range(parent.player_count))
+    return Game(parent.player_count, strategies, ranks)
 
 
 def _slice_ranks(
@@ -444,8 +409,7 @@ def is_cut(parent: Game, subsets, m: int) -> bool:
     """Some player keeps exactly ``m`` strategies, and every other player
     keeps their full set or at most ``m``: with ``m = 1`` a dummy player,
     with ``m = 2`` a quasi-dummy player."""
-    spec = SubsetSpec.coerce(parent, subsets)
-    sizes = [len(s) for s in spec.indices]
+    sizes = [len(s) for s in _kept_indices(parent, subsets)]
     return m in sizes and all(
         size == k or size <= m for size, k in zip(sizes, parent.shape)
     )
@@ -496,16 +460,15 @@ def is_strict_reduction(candidate: Game, parent: Game) -> bool:
 
 
 def merge(parent: Game, a, b) -> Game:
-    """Restrict the parent to the player-wise union of two subsets.
+    """Restrict the parent to the player-wise union of two label subsets.
 
     This is the smallest profile space containing both reductions'
     profiles; profiles outside either input can appear, which is why
     the operation needs the parent.  Commutative and idempotent, and
-    merging anything with the full spec returns the parent.
+    merging anything with the full subsets returns the parent.
     """
-    sa = SubsetSpec.coerce(parent, a)
-    sb = SubsetSpec.coerce(parent, b)
-    return restrict(parent, sa.union(sb))
+    union = zip(parent.strategies, _kept_indices(parent, a), _kept_indices(parent, b))
+    return restrict(parent, [[labels[k] for k in x + y] for labels, x, y in union])
 
 
 def reduce_players(game: Game, keep: Iterable[int], fixed: Profile) -> Game:
@@ -532,10 +495,7 @@ def reduce_players(game: Game, keep: Iterable[int], fixed: Profile) -> Game:
         raise GameFormatError("keep contains an invalid player index")
     if not isinstance(fixed, Profile):
         raise GameFormatError(f"fixed must be a Profile, got {fixed!r}")
-    if len(fixed.indices) != n or any(
-        not (0 <= k < game.shape[i]) for i, k in enumerate(fixed.indices)
-    ):
-        raise GameFormatError("fixed profile does not fit the game")
+    fixed.linear_index(game.shape)  # raises unless fixed fits the game
     axes = [
         range(k) if i in keep else (fixed.indices[i],)
         for i, k in enumerate(game.shape)
@@ -569,8 +529,9 @@ def enumerate_reductions(
     game: Game,
     flavor_filter: str = "all",
     budget: int | None = None,
-) -> Iterator[SubsetSpec]:
-    """Stream the game's subset specs that pass ``flavor_filter``.
+) -> Iterator[tuple[tuple[str, ...], ...]]:
+    """Stream the game's reductions that pass ``flavor_filter``, each
+    named by its per-player label subsets in the game's order.
 
     Each spec is drawn from a product of per-player candidate lists, in
     player-wise subset bitmask ascending order with player 1 most
@@ -605,7 +566,10 @@ def enumerate_reductions(
     else:
         raise ValueError(f"unknown flavor filter: {flavor_filter!r}")
     cap = None if budget is None else budget + 1
-    lists = [list(itertools.islice(c, cap)) for c in lists]
+    lists = [
+        [tuple(labels[k] for k in subset) for subset in itertools.islice(c, cap)]
+        for labels, c in zip(game.strategies, lists)
+    ]
     total = math.prod(map(len, lists))
     if budget is not None and total > budget:
         raise BudgetExceededError(
@@ -614,5 +578,4 @@ def enumerate_reductions(
     keep_full = flavor_filter == "all" or (
         flavor_filter == "dummy-or-quasi" and min(game.shape) <= 2
     )
-    specs = itertools.islice(itertools.product(*lists), total - (not keep_full))
-    return (SubsetSpec(combo) for combo in specs)
+    return itertools.islice(itertools.product(*lists), total - (not keep_full))

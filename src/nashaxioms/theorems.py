@@ -24,7 +24,6 @@ from .concepts import (
 from .games import (
     Game,
     Profile,
-    SubsetSpec,
     enumerate_reductions,
     is_cut,
     is_reduction,
@@ -92,15 +91,11 @@ class ConstructionReport:
 
 def _coerce_profile(game: Game, profile) -> Profile:
     if isinstance(profile, Profile):
-        p = profile
-    else:
-        p = game.profile_from_labels(tuple(profile))
-        if p is None:
-            raise ValueError(f"profile {profile!r} does not fit the game")
-    if len(p.indices) != game.player_count or any(
-        not (0 <= k < game.shape[i]) for i, k in enumerate(p.indices)
-    ):
-        raise ValueError("profile does not fit the game")
+        profile.linear_index(game.shape)  # raises unless the profile fits
+        return profile
+    p = game.profile_from_labels(tuple(profile))
+    if p is None:
+        raise ValueError(f"profile {profile!r} does not fit the game")
     return p
 
 
@@ -134,8 +129,9 @@ def lemma1a_witness(concept: str, game: Game, profile) -> ConstructionReport:
             break
     assert j is not None  # guaranteed by the non-equilibrium precondition
 
-    spec_single = SubsetSpec(tuple((k,) for k in s.replace(j, t).indices))
-    spec_pair = spec_single.union(SubsetSpec(tuple((k,) for k in s.indices)))
+    deviated = game.labels_of(s.replace(j, t))
+    spec_single = [(lab,) for lab in deviated]
+    spec_pair = list(zip(game.labels_of(s), deviated))
     g_pair = restrict(game, spec_pair)
     g_single = restrict(game, spec_single)
 
@@ -198,24 +194,19 @@ def lemma1b_construct(game: Game, profile) -> ConstructionReport:
     if s not in nash(game):
         raise ValueError("profile is not a Nash equilibrium of the game")
 
-    report = ConstructionReport(game.canonical_id, game.labels_of(s))
+    labels = game.labels_of(s)
+    report = ConstructionReport(game.canonical_id, labels)
 
-    free_specs: list[SubsetSpec] = []
+    free_specs = []
     for k in range(n):
-        spec = SubsetSpec.coerce(
-            game,
-            tuple(
-                tuple(range(game.shape[i])) if i == k else (s.indices[i],)
-                for i in range(n)
-            ),
-        )
+        spec = [game.strategies[i] if i == k else (labels[i],) for i in range(n)]
         free_specs.append(spec)
         g_k = restrict(game, spec)
         role = f"G^{k + 1}"
         report.constructed.append((role, g_k))
         report.check(f"{role} is a reduction of G", is_reduction(g_k, game))
         report.check(f"{role} has a dummy player", is_cut(game, spec, 1))
-        mapped = g_k.profile_from_labels(game.labels_of(s))
+        mapped = g_k.profile_from_labels(labels)
         report.check(f"s survives in {role}", mapped is not None)
         report.check(
             f"s is jointly optimal in {role}",
@@ -224,7 +215,7 @@ def lemma1b_construct(game: Game, profile) -> ConstructionReport:
 
     prev_spec = free_specs[0]
     for ell in range(1, n):
-        union_spec = prev_spec.union(free_specs[ell])
+        union_spec = [a + b for a, b in zip(prev_spec, free_specs[ell])]
         h_ell = restrict(game, union_spec)
         role = f"H^{ell}"
         report.constructed.append((role, h_ell))
@@ -234,14 +225,14 @@ def lemma1b_construct(game: Game, profile) -> ConstructionReport:
         )
         report.check(
             f"s survives in {role}",
-            h_ell.profile_from_labels(game.labels_of(s)) is not None,
+            h_ell.profile_from_labels(labels) is not None,
         )
         if ell <= n - 2:
             report.check(
                 f"{role} is a reduction of G with a dummy player",
                 is_reduction(h_ell, game) and is_cut(game, union_spec, 1),
             )
-        prev_spec = union_spec
+        prev_spec = h_ell.strategies
     report.check(f"H^{n - 1} equals G", h_ell == game)
     return report
 
@@ -281,12 +272,11 @@ def _audit_closed(
     a spec's labels is that spec's restriction, so labels suffice."""
     for game in cls:
         present = {g.strategies for g in cls.reductions(game)}
-        for spec in enumerate_reductions(game, flavor_filter):
-            if spec.labels(game) not in present:
+        for labels in enumerate_reductions(game, flavor_filter):
+            if labels not in present:
                 raise ValueError(
                     f"class is not {closed}: game {game.canonical_id[:12]} "
-                    f"is missing the {reduction} with subsets "
-                    f"{spec.labels(game)}"
+                    f"is missing the {reduction} with subsets {labels}"
                 )
 
 
@@ -429,15 +419,15 @@ def _replay_single_removal(concept: str, game: Game, s: Profile) -> Construction
     """One-player gadget: removing a selected non-maximal strategy is a
     strict reduction, and the concept's solution set changes across it."""
     report = ConstructionReport(game.canonical_id, game.labels_of(s))
-    removed = s.indices[0]
-    keep = tuple(k for k in range(game.shape[0]) if k != removed)
+    removed = game.strategies[0][s.indices[0]]
+    keep = tuple(lab for lab in game.strategies[0] if lab != removed)
     report.check("a strategy remains after the removal", bool(keep))
     if not keep:
         return report
     reduced = restrict(game, (keep,))
     report.constructed.append(("G'", reduced))
     report.check(
-        f"removing {game.strategies[0][removed]!r} is a strict reduction",
+        f"removing {removed!r} is a strict reduction",
         is_strict_reduction(reduced, game),
     )
     phi_parent = game.label_set(eval_concept(concept, game))
@@ -445,6 +435,6 @@ def _replay_single_removal(concept: str, game: Game, s: Profile) -> Construction
     report.check(
         "the solution set changes across the strict reduction",
         phi_parent != phi_reduced,
-        detail=f"removed strategy {game.strategies[0][removed]!r} was selected",
+        detail=f"removed strategy {removed!r} was selected",
     )
     return report

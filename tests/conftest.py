@@ -99,8 +99,9 @@ def random_square_game(rng: random.Random, k: int):
 
 
 def random_subsets(rng: random.Random, game):
+    """Random non-empty per-player label subsets, in the game's order."""
     out = []
-    for size in game.shape:
-        count = rng.randint(1, size)
-        out.append(tuple(sorted(rng.sample(range(size), count))))
+    for labels in game.strategies:
+        kept = set(rng.sample(range(len(labels)), rng.randint(1, len(labels))))
+        out.append(tuple(lab for k, lab in enumerate(labels) if k in kept))
     return tuple(out)

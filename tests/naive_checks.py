@@ -348,10 +348,11 @@ def naive_ne_indifference_closure(game: Game):
 
 
 def naive_reductions(game: Game, mode: str):
-    """The subset specs (index tuples per player) that pass ``mode``, one
-    of ``all``, ``dummy-or-quasi`` and ``strict``, found by walking every
-    product of non-empty subsets, player 1 most significant, each
-    player's subsets in ascending bitmask order."""
+    """The reductions that pass ``mode``, one of ``all``,
+    ``dummy-or-quasi`` and ``strict``, each as per-player label tuples in
+    the game's order, found by walking every product of non-empty index
+    subsets, player 1 most significant, each player's subsets in
+    ascending bitmask order."""
     n = game.player_count
     per_player = [
         [tuple(j for j in range(k) if mask >> j & 1) for mask in range(1, 1 << k)]
@@ -393,7 +394,12 @@ def naive_reductions(game: Game, mode: str):
         else:
             keep = True
         if keep:
-            out.append(spec)
+            out.append(
+                tuple(
+                    tuple(game.strategies[i][k] for k in subset)
+                    for i, subset in enumerate(spec)
+                )
+            )
     return out
 
 
@@ -411,12 +417,8 @@ def naive_audit_message(games, mode: str):
     games = list(games)
     ids = {g.canonical_id for g in games}
     for game in games:
-        for spec in naive_reductions(game, flavor_filter):
-            if restrict(game, spec).canonical_id not in ids:
-                labels = tuple(
-                    tuple(game.strategies[i][k] for k in subset)
-                    for i, subset in enumerate(spec)
-                )
+        for labels in naive_reductions(game, flavor_filter):
+            if restrict(game, labels).canonical_id not in ids:
                 return (
                     f"class is not {closed}: game {game.canonical_id[:12]} "
                     f"is missing the {reduction} with subsets {labels}"
@@ -434,7 +436,7 @@ def naive_closure(seeds, mode: str):
     """The d- or strict closure (``mode`` is ``d`` or ``strict``) as
     ``(canonical id, provenance payload)`` pairs in insertion order: a
     breadth-first search over frontiers sorted by canonical id that
-    restricts each member to every ``naive_reductions`` spec and keeps
+    restricts each member to every ``naive_reductions`` entry and keeps
     the games whose canonical id is new."""
     flavor_filter, kind = _CLOSURES[mode]
     members = {}
@@ -446,17 +448,14 @@ def naive_closure(seeds, mode: str):
     while frontier:
         next_frontier = []
         for parent in sorted(frontier, key=lambda g: g.canonical_id):
-            for spec in naive_reductions(parent, flavor_filter):
-                child = restrict(parent, spec)
+            for labels in naive_reductions(parent, flavor_filter):
+                child = restrict(parent, labels)
                 if child.canonical_id in members:
                     continue
                 members[child.canonical_id] = {
                     "kind": kind,
                     "parent": parent.canonical_id,
-                    "subsets": [
-                        [parent.strategies[i][k] for k in subset]
-                        for i, subset in enumerate(spec)
-                    ],
+                    "subsets": [list(s) for s in labels],
                 }
                 next_frontier.append(child)
         frontier = next_frontier

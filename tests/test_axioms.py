@@ -393,13 +393,11 @@ def player_reduction_class():
                     fixed=root.labels_of(s),
                 ),
             )
-            for spec in enumerate_reductions(game):
+            for labels in enumerate_reductions(game):
                 cls.add(
-                    restrict(game, spec),
+                    restrict(game, labels),
                     Provenance(
-                        "reduction-of",
-                        parent=game.canonical_id,
-                        subsets=spec.labels(game),
+                        "reduction-of", parent=game.canonical_id, subsets=labels
                     ),
                 )
     assert len(cls) == 36 and _fits_without_reducing(cls)
@@ -459,7 +457,7 @@ def lying_class():
     pinned = seed.profile_from_labels(("p0s0", "p1s0"))
     records = [
         (
-            restrict(seed, ((0, 1), (0, 1))),
+            restrict(seed, (("p0s0", "p0s1"), ("p1s0", "p1s1"))),
             {"kind": "reduction-of", "subsets": (("p0s0", "p0s1"), ("p1s0", "p1s1"))},
         ),
         (
@@ -617,7 +615,7 @@ def test_solution_labels_are_worked_out_once_and_follow_add(ex2, monkeypatch):
     assert [check_axiom(a, "ne_indifference_closure", cls) for a in scans] == first
     assert made == {ex2.canonical_id: 1}
     # the reduction that loses the solution (D, L) of ex2
-    member = restrict(ex2, ((0, 1), (0,)))
+    member = restrict(ex2, (("U", "D"), ("L",)))
     cls.add(member, Provenance("reduction-of", ex2.canonical_id, member.strategies))
     verdict = check_axiom("iis", "ne_indifference_closure", cls)
     assert verdict.violated and verdict.witness["reduction"] == member.canonical_id

@@ -266,7 +266,7 @@ def test_add_checks_that_a_record_fits_its_game(ex2, kind, changes, why):
     if kind == "player-reduction-of":
         game = reduce_players(ex2, (0,), ex2.profile_from_labels(("U", "L")))
     else:
-        game = restrict(ex2, ((0,), (0,)))
+        game = restrict(ex2, (("U",), ("L",)))
     good = Provenance(kind, parent=ex2.canonical_id, **_GOOD_RECORDS.get(kind, {}))
     with pytest.raises(ValueError, match=why):
         cls.add(game, replace(good, **changes))

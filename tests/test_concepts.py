@@ -4,7 +4,6 @@ import pytest
 
 from nashaxioms import (
     ConceptDomainError,
-    SubsetSpec,
     build_game,
     eval_concept,
     is_reduction,
@@ -67,7 +66,7 @@ def test_strong_nash_on_one_player_equals_nash(chain):
 
 
 def test_strong_nash_single_column(ex2):
-    sub = restrict(ex2, SubsetSpec.from_labels(ex2, [["U", "D"], ["R"]]))
+    sub = restrict(ex2, [["U", "D"], ["R"]])
     assert labels(sub, strong_nash(sub)) == {("D", "R")}
 
 
@@ -85,7 +84,7 @@ def test_jointly_optimal_empty_when_rows_flip(ex2):
 
 
 def test_jointly_optimal_single_profile_game(pd):
-    single = restrict(pd, SubsetSpec.from_labels(pd, [["D"], ["C"]]))
+    single = restrict(pd, [["D"], ["C"]])
     assert jointly_optimal(single) == frozenset(single.profiles())
 
 
@@ -117,7 +116,7 @@ def test_ex4_concepts(ex2, chain):
 
 
 def test_ex5_concept_carveout(ex5):
-    pinned = restrict(ex5, SubsetSpec.from_labels(ex5, [["U", "C"], ["R"]]))
+    pinned = restrict(ex5, [["U", "C"], ["R"]])
     assert eval_concept("ex5_phi", pinned) == frozenset()
     assert labels(ex5, eval_concept("ex5_phi", ex5)) == {("U", "L"), ("D", "L")}
 

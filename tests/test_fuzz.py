@@ -148,23 +148,20 @@ def games(draw):
     return build_game(len(shape), labels, ranks=tables)
 
 
-def subsets(draw, shape):
-    """Per player, a non-empty set of strategy indices, sorted."""
+def subsets(draw, strategies):
+    """Per player, a non-empty subset of the labels, in any order."""
     return tuple(
-        tuple(sorted(draw(st.sets(st.integers(0, size - 1), min_size=1))))
-        for size in shape
+        tuple(draw(st.lists(st.sampled_from(labels), min_size=1, unique=True)))
+        for labels in strategies
     )
 
 
 @FUZZ
 @given(games(), st.data())
 def test_restriction_composes(game, data):
-    """Restricting a restriction restricts the game to the composed
-    subsets: the fact that lets a closure name each member by its seed
-    and its labels."""
-    outer = subsets(data.draw, game.shape)
-    inner = subsets(data.draw, tuple(map(len, outer)))
-    composed = tuple(
-        tuple(kept[k] for k in chosen) for kept, chosen in zip(outer, inner)
-    )
-    assert restrict(restrict(game, outer), inner) == restrict(game, composed)
+    """``restrict(restrict(g, A), B) == restrict(g, B)`` for per-player
+    label subsets B of A: the fact that lets a closure name each member
+    by its seed and its labels."""
+    outer = subsets(data.draw, game.strategies)
+    inner = subsets(data.draw, outer)
+    assert restrict(restrict(game, outer), inner) == restrict(game, inner)

@@ -10,7 +10,6 @@ from nashaxioms import (
     Game,
     GameFormatError,
     Profile,
-    SubsetSpec,
     build_game,
     enumerate_reductions,
     is_cut,
@@ -148,7 +147,7 @@ def test_profile_rejects_non_int_indices(indices):
 
 
 def test_restrict_column_prefers_safe_row(ex2):
-    sub = restrict(ex2, SubsetSpec.from_labels(ex2, [["U", "D"], ["R"]]))
+    sub = restrict(ex2, [["U", "D"], ["R"]])
     assert sub.strategies == (("U", "D"), ("R",))
     d_r = sub.profile_from_labels(("D", "R"))
     u_r = sub.profile_from_labels(("U", "R"))
@@ -156,11 +155,11 @@ def test_restrict_column_prefers_safe_row(ex2):
 
 
 def test_restrict_full_is_identity(ex2):
-    assert restrict(ex2, SubsetSpec.full(ex2)) == ex2
+    assert restrict(ex2, ex2.strategies) == ex2
 
 
 def test_restrict_top_rows_nash(ex5):
-    sub = restrict(ex5, SubsetSpec.from_labels(ex5, [["U", "C"], ["L", "R"]]))
+    sub = restrict(ex5, [["U", "C"], ["L", "R"]])
     got = {sub.labels_of(p) for p in nash_bruteforce(sub)}
     assert got == {("U", "L"), ("C", "R")}
     assert nash(sub) == nash_bruteforce(sub)
@@ -168,7 +167,7 @@ def test_restrict_top_rows_nash(ex5):
 
 def test_restrict_empty_subset_rejected(ex2):
     with pytest.raises(GameFormatError):
-        restrict(ex2, ((0,), ()))
+        restrict(ex2, (("U",), ()))
 
 
 @pytest.mark.parametrize(
@@ -183,10 +182,8 @@ def test_restrict_empty_subset_rejected(ex2):
     ],
 )
 def test_restrict_rejects_non_int_indices(ex2, subsets):
-    with pytest.raises(GameFormatError, match="strategy indices must be integers"):
+    with pytest.raises(GameFormatError, match="list of the game's labels per player"):
         restrict(ex2, subsets)
-    with pytest.raises(GameFormatError, match="strategy indices must be integers"):
-        SubsetSpec(subsets)
 
 
 @pytest.mark.parametrize(
@@ -196,12 +193,17 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         lambda g: restrict(g, 5),
         lambda g: reduce_players(g, 0, Profile((0, 0))),
         lambda g: reduce_players(g, (0,), (0, 0)),
-        lambda g: SubsetSpec.from_labels(g, [["U"], [["L"]]]),
-        lambda g: SubsetSpec.from_labels(g, 5),
-        lambda g: SubsetSpec.from_labels(g, [["U"], ["L"], ["L"]]),
+        lambda g: restrict(g, [["U"], [["L"]]]),
+        lambda g: is_cut(g, 5, 1),
+        lambda g: restrict(g, [["U"], ["L"], ["L"]]),
         # a string is not a subset of its characters
-        lambda g: SubsetSpec.from_labels(g, ["UD", ["L"]]),
-        lambda g: SubsetSpec.from_labels(g, [["Q"], ["L"]]),
+        lambda g: restrict(g, ["UD", ["L"]]),
+        lambda g: merge(g, [["Q"], ["L"]], g.strategies),
+        # strategies are named by their labels, not their indices
+        lambda g: restrict(g, ((0, 1), (0,))),
+        lambda g: is_cut(g, ((0, 1), (0,)), 1),
+        lambda g: merge(g, g.strategies, ((0,), (0,))),
+        lambda g: restrict(g, [["U"]]),
         # nor a list of strategy labels
         lambda g: build_game(1, ["UD"], ranks=[[0, 1]]),
         lambda g: Game(1, ("UD",), ((0, 1),)),
@@ -209,6 +211,13 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         lambda g: g.profile_at(-1),
         lambda g: g.columns(5),
         lambda g: g.columns(0, True),
+        lambda g: g.rank(0, Profile((0, 2))),
+        lambda g: Profile((0, 3)).linear_index((2, 2)),
+        lambda g: Profile((0,)).linear_index((2, 2)),
+        lambda g: g.rank(-1, Profile((0, 1))),
+        lambda g: g.rank(True, Profile((0, 1))),
+        lambda g: g.subgrid([[5], [0]]),
+        lambda g: g.subgrid([[0], [-1]]),
     ],
     ids=[
         "restrict-flat-list",
@@ -220,12 +229,23 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         "from-labels-extra-player",
         "from-labels-string-subset",
         "from-labels-unknown-label",
+        "restrict-index-subsets",
+        "is-cut-index-subsets",
+        "merge-index-subsets",
+        "restrict-missing-player",
         "build-game-string-strategies",
         "game-string-strategies",
         "profile-at-past-the-end",
         "profile-at-negative",
         "columns-player-out-of-range",
         "columns-bool-player",
+        "rank-profile-outside-shape",
+        "linear-index-outside-shape",
+        "linear-index-wrong-length",
+        "rank-negative-player",
+        "rank-bool-player",
+        "subgrid-axis-past-the-end",
+        "subgrid-negative-axis",
     ],
 )
 def test_malformed_arguments_raise_game_format_error(ex2, call):
@@ -235,7 +255,21 @@ def test_malformed_arguments_raise_game_format_error(ex2, call):
 
 def test_from_labels_reads_generators(ex2):
     subsets = ((lab for lab in labels) for labels in (["D", "U"], ["R"]))
-    assert SubsetSpec.from_labels(ex2, subsets).indices == ((0, 1), (1,))
+    assert restrict(ex2, subsets).strategies == (("U", "D"), ("R",))
+
+
+def test_shuffled_or_repeated_labels_keep_the_parents_order():
+    rng = random.Random(808)
+    for _ in range(200):
+        g = random_game(rng)
+        kept = random_subsets(rng, g)
+        messy = [rng.sample(s * 2, rng.randint(len(s), 2 * len(s))) for s in kept]
+        messy = [m + [lab for lab in s if lab not in m] for m, s in zip(messy, kept)]
+        sub = restrict(g, messy)
+        assert sub.strategies == kept
+        assert sub == restrict(g, kept)
+        assert is_cut(g, messy, 1) == is_cut(g, kept, 1)
+        assert merge(g, messy, messy) == sub
 
 
 def test_positions_agree_with_strategy_order():
@@ -260,7 +294,7 @@ def test_profile_from_labels_gives_none_when_labels_do_not_fit(ex2, labels):
 
 
 def test_restrict_output_is_reduction(ex2):
-    sub = restrict(ex2, SubsetSpec.from_labels(ex2, [["D"], ["L", "R"]]))
+    sub = restrict(ex2, [["D"], ["L", "R"]])
     assert is_reduction(sub, ex2)
 
 
@@ -334,9 +368,9 @@ def test_rank_order_preservation_on_many_random_pairs():
     rng = random.Random(7)
     for _ in range(1000):
         g = random_game(rng)
-        spec = SubsetSpec.coerce(g, random_subsets(rng, g))
-        sub = restrict(g, spec)
-        mapping = spec.indices
+        subsets = random_subsets(rng, g)
+        sub = restrict(g, subsets)
+        mapping = [[pos[lab] for lab in s] for pos, s in zip(g.positions, subsets)]
         for s in sub.profiles():
             for t in sub.profiles():
                 ps = Profile(tuple(mapping[i][k] for i, k in enumerate(s.indices)))
@@ -360,30 +394,30 @@ def cuts(game, subsets):
 
 def test_flavor_singleton_column_of_2x2_is_both(ex2):
     # dummy via the singleton column, quasi via the retained pair
-    assert cuts(ex2, ((0, 1), (1,))) == {1, 2}
+    assert cuts(ex2, (("U", "D"), ("R",))) == {1, 2}
 
 
 def test_flavor_singleton_column_of_3x2_is_dummy_only(ex5):
-    assert cuts(ex5, ((0, 1, 2), (0,))) == {1}
+    assert cuts(ex5, (("U", "C", "D"), ("L",))) == {1}
 
 
 def test_flavor_full_two_by_two_is_quasi(ex2):
-    assert cuts(ex2, ((0, 1), (0, 1))) == {2}
+    assert cuts(ex2, ex2.strategies) == {2}
 
 
 def test_flavor_single_profile_of_wide_game_is_dummy(ex5):
-    assert cuts(ex5, ((0,), (0,))) == {1}
+    assert cuts(ex5, (("U",), ("L",))) == {1}
 
 
 def test_flavor_both_at_once(ex5, cube):
     # one player cut to a pair, the other to a singleton of a 2-set
-    assert cuts(ex5, ((0, 1), (0,))) == {2}
-    assert cuts(cube, ((0,), (0, 1), (0, 1))) == {1, 2}
+    assert cuts(ex5, (("U", "C"), ("L",))) == {2}
+    assert cuts(cube, (("a",), ("a", "b"), ("a", "b"))) == {1, 2}
 
 
 def test_flavor_full_3x2_is_quasi(ex5):
     # the width-2 player makes even the full spec quasi-dummy
-    assert cuts(ex5, ((0, 1, 2), (0, 1))) == {2}
+    assert cuts(ex5, ex5.strategies) == {2}
 
 
 def test_flavor_plain_exists():
@@ -392,8 +426,8 @@ def test_flavor_plain_exists():
         [["a", "b", "c"], ["x", "y", "z"]],
         ranks=[[0] * 9, [0] * 9],
     )
-    assert cuts(wide, ((0, 1, 2), (0, 1, 2))) == set()
-    assert cuts(wide, ((0, 1, 2), (0, 2))) == {2}
+    assert cuts(wide, wide.strategies) == set()
+    assert cuts(wide, (("a", "b", "c"), ("x", "z"))) == {2}
 
 
 # ----------------------------------------------------------------------
@@ -435,8 +469,8 @@ def test_strictly_dominates_agrees_with_naive():
 
 
 def test_strict_reduction_gadget(pd):
-    pair = restrict(pd, SubsetSpec.from_labels(pd, [["C", "D"], ["C"]]))
-    single = restrict(pd, SubsetSpec.from_labels(pd, [["D"], ["C"]]))
+    pair = restrict(pd, [["C", "D"], ["C"]])
+    single = restrict(pd, [["D"], ["C"]])
     assert is_strict_reduction(single, pair)
 
 
@@ -445,7 +479,7 @@ def test_no_removal_is_not_strict(ex2):
 
 
 def test_weakly_dominated_removal_is_not_strict(ex2):
-    top = restrict(ex2, SubsetSpec.from_labels(ex2, [["U"], ["L", "R"]]))
+    top = restrict(ex2, [["U"], ["L", "R"]])
     assert not is_strict_reduction(top, ex2)
 
 
@@ -464,13 +498,13 @@ def test_strict_reduction_certificates_reverify():
     found = 0
     for _ in range(500):
         g = random_game(rng)
-        spec = SubsetSpec.coerce(g, random_subsets(rng, g))
-        sub = restrict(g, spec)
+        subsets = random_subsets(rng, g)
+        sub = restrict(g, subsets)
         if not is_strict_reduction(sub, g):
             continue
         found += 1
         for i in range(g.player_count):
-            kept = set(spec.indices[i])
+            kept = {g.positions[i][lab] for lab in subsets[i]}
             for k in range(g.shape[i]):
                 if k in kept:
                     continue
@@ -491,37 +525,37 @@ def test_strict_reduction_certificates_reverify():
 
 
 def test_merge_recovers_parent(ex2):
-    a = SubsetSpec.from_labels(ex2, [["U", "D"], ["R"]])
-    b = SubsetSpec.from_labels(ex2, [["D"], ["L", "R"]])
+    a = [["U", "D"], ["R"]]
+    b = [["D"], ["L", "R"]]
     assert merge(ex2, a, b) == ex2
 
 
 def test_merge_idempotent(ex5):
-    a = SubsetSpec.from_labels(ex5, [["U", "C"], ["R"]])
+    a = [["U", "C"], ["R"]]
     assert merge(ex5, a, a) == restrict(ex5, a)
 
 
 def test_merge_needs_parent_profiles(ex5):
     merged = merge(
         ex5,
-        SubsetSpec.from_labels(ex5, [["U"], ["L"]]),
-        SubsetSpec.from_labels(ex5, [["C"], ["R"]]),
+        [["U"], ["L"]],
+        [["C"], ["R"]],
     )
     assert merged.num_profiles == 4
-    assert merged == restrict(ex5, SubsetSpec.from_labels(ex5, [["U", "C"], ["L", "R"]]))
+    assert merged == restrict(ex5, [["U", "C"], ["L", "R"]])
 
 
 def test_merge_random_covers_recover_parent():
     rng = random.Random(5150)
     for _ in range(300):
         g = random_game(rng)
-        a = list(random_subsets(rng, g))
+        a = random_subsets(rng, g)
         b = []
-        for i, size in enumerate(g.shape):
-            missing = sorted(set(range(size)) - set(a[i]))
-            extra = rng.sample(range(size), rng.randint(0, size))
-            b.append(tuple(sorted(set(missing) | set(extra))) or (0,))
-        assert merge(g, tuple(a), tuple(b)) == g
+        for labels, kept in zip(g.strategies, a):
+            missing = [lab for lab in labels if lab not in kept]
+            extra = rng.sample(labels, rng.randint(0, len(labels)))
+            b.append(missing + extra or [labels[0]])
+        assert merge(g, a, b) == g
 
 
 # ----------------------------------------------------------------------
@@ -604,10 +638,10 @@ def test_enumeration_counts(ex2, chain):
 
 def test_enumeration_order_is_bitmask_ascending(ex2):
     specs = list(enumerate_reductions(ex2, "all"))
-    assert specs[0].indices == ((0,), (0,))
-    assert specs[1].indices == ((0,), (1,))
-    assert specs[2].indices == ((0,), (0, 1))
-    assert specs[-1].indices == ((0, 1), (0, 1))
+    assert specs[0] == (("U",), ("L",))
+    assert specs[1] == (("U",), ("R",))
+    assert specs[2] == (("U",), ("L", "R"))
+    assert specs[-1] == (("U", "D"), ("L", "R"))
 
 
 def test_enumeration_budget(ex2):
@@ -617,8 +651,8 @@ def test_enumeration_budget(ex2):
 
 
 def test_enumeration_streams_restart(ex2):
-    first = [s.indices for s in enumerate_reductions(ex2, "all")]
-    second = [s.indices for s in enumerate_reductions(ex2, "all")]
+    first = list(enumerate_reductions(ex2, "all"))
+    second = list(enumerate_reductions(ex2, "all"))
     assert first == second
 
 
@@ -630,8 +664,10 @@ def test_enumeration_matches_naive_walk(mode):
     games = [build() for build in FIXTURES.values()]
     games += [random_game(rng, 3, 4, levels=3) for _ in range(200)]
     for g in games:
-        specs = [s.indices for s in enumerate_reductions(g, mode)]
-        assert specs == naive_reductions(g, mode), (g, mode)
+        assert list(enumerate_reductions(g, mode)) == naive_reductions(g, mode), (
+            g,
+            mode,
+        )
 
 
 def test_dummy_or_quasi_budget_counts_considered_specs():
@@ -651,10 +687,10 @@ def test_strict_filter_matches_predicate():
     rng = random.Random(31337)
     for _ in range(60):
         g = random_game(rng)
-        strict_specs = {s.indices for s in enumerate_reductions(g, "strict")}
-        for spec in enumerate_reductions(g, "all"):
-            expected = is_strict_reduction(restrict(g, spec), g)
-            assert (spec.indices in strict_specs) == expected
+        strict_specs = set(enumerate_reductions(g, "strict"))
+        for labels in enumerate_reductions(g, "all"):
+            expected = is_strict_reduction(restrict(g, labels), g)
+            assert (labels in strict_specs) == expected
 
 
 def test_strict_filter_agrees_with_naive_on_games_with_ties():
@@ -666,9 +702,9 @@ def test_strict_filter_agrees_with_naive_on_games_with_ties():
     seen = Counter()
     for k in range(300):
         g = random_game(rng, *((3, 2), (2, 3))[k % 2], levels=3)
-        strict = {s.indices for s in enumerate_reductions(g, "strict")}
-        for spec in enumerate_reductions(g, "all"):
-            expected = naive_is_strict_reduction(restrict(g, spec), g)
-            assert (spec.indices in strict) == expected, (g, spec)
+        strict = set(enumerate_reductions(g, "strict"))
+        for labels in enumerate_reductions(g, "all"):
+            expected = naive_is_strict_reduction(restrict(g, labels), g)
+            assert (labels in strict) == expected, (g, labels)
             seen[expected] += 1
     assert seen[True] > 100 and seen[False] > 100
