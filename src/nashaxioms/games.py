@@ -194,10 +194,18 @@ class Game:
         (each axis ascending), in linear-index order.  Besides
         ``Profile.linear_index``/``from_linear``, the only code that
         knows the flat-table layout."""
+        axes = [list(axis) for axis in axes]
+        if len(axes) != self.player_count or not all(
+            0 <= i < size for size, axis in zip(self.shape, axes) for i in axis
+        ):
+            raise GameFormatError(f"axes {axes} do not fit the shape {self.shape}")
+        return self._cells(axes)
+
+    def _cells(self, axes: Sequence[Sequence[int]]) -> list[int]:
+        """``subgrid`` without its check, for the axes this module builds
+        from the game's own shape and labels."""
         out = [0]
-        for size, axis in zip(self.shape, axes, strict=True):
-            if axis and (min(axis) < 0 or max(axis) >= size):
-                raise GameFormatError(f"axis {list(axis)} is outside range({size})")
+        for size, axis in zip(self.shape, axes):
             out = [k * size + i for k in out for i in axis]
         return out
 
@@ -211,7 +219,7 @@ class Game:
             [range(k)] if i in players else [(v,) for v in range(k)]
             for i, k in enumerate(self.shape)
         ]
-        return [self.subgrid(axes) for axes in itertools.product(*choices)]
+        return [self._cells(axes) for axes in itertools.product(*choices)]
 
     def _check_players(self, players: Sequence[int]) -> None:
         if not all(type(i) is int and 0 <= i < self.player_count for i in players):
@@ -375,7 +383,7 @@ def _slice_ranks(
     game: Game, axes: Sequence[Sequence[int]], players: Iterable[int]
 ) -> tuple[tuple[int, ...], ...]:
     """The players' rank tables on a sub-grid, dense-normalized."""
-    cells = game.subgrid(axes)
+    cells = game._cells(axes)
     return tuple(
         _normalize_ranks([game.ranks[i][k] for k in cells], reverse=False)
         for i in players

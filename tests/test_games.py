@@ -218,6 +218,7 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         lambda g: g.rank(True, Profile((0, 1))),
         lambda g: g.subgrid([[5], [0]]),
         lambda g: g.subgrid([[0], [-1]]),
+        lambda g: g.subgrid([[0]]),
     ],
     ids=[
         "restrict-flat-list",
@@ -246,6 +247,7 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         "rank-bool-player",
         "subgrid-axis-past-the-end",
         "subgrid-negative-axis",
+        "subgrid-too-few-axes",
     ],
 )
 def test_malformed_arguments_raise_game_format_error(ex2, call):
