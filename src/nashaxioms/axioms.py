@@ -183,22 +183,33 @@ def _jo(
                 }
 
 
-def _player_reduced(
-    cls: GameClass, present: set, game: Game, s: Profile
-) -> Iterator[tuple[tuple[int, ...], Game | None]]:
-    """``(keep, member or None)`` per non-empty proper player subgroup,
-    in ascending bitmask order: the member of the class that is ``game``
-    reduced to the players in ``keep`` with the others fixed at ``s``.
-    That game has the kept players' strategies, so it is built only when
-    they are in ``present``, the set of the members' ``strategies``, and
-    then once per pinned slice (``cls.derive``), whichever scan asks."""
+def _subgroups(cls: GameClass, game: Game) -> list[tuple[tuple[int, ...], bool]]:
+    """``(keep, available)`` per non-empty proper player subgroup of
+    ``game``, in ascending bitmask order.  A game reduced to the players
+    in ``keep`` has their strategies, so it can be a member only when
+    some member has those strategies: only then is it ``available``."""
+    present = cls.derive(("strategies",), lambda: {g.strategies for g in cls})
     n = game.player_count
+    out = []
     for mask in range(1, (1 << n) - 1):
         keep = tuple(i for i in range(n) if mask >> i & 1)
-        if tuple(game.strategies[i] for i in keep) not in present:
+        out.append((keep, tuple(game.strategies[i] for i in keep) in present))
+    return out
+
+
+def _player_reduced(
+    cls: GameClass, game: Game, subgroups: list, s: Profile
+) -> Iterator[tuple[tuple[int, ...], Game | None]]:
+    """``(keep, member or None)`` per entry of ``_subgroups(cls, game)``:
+    the member of the class that is ``game`` reduced to the players in
+    ``keep`` with the others fixed at ``s``.  It is looked for only when
+    available, and then built once per pinned slice (``cls.derive``),
+    whichever scan asks."""
+    for keep, available in subgroups:
+        if not available:
             yield keep, None
         else:
-            pinned = tuple(k for i, k in enumerate(s.indices) if not mask >> i & 1)
+            pinned = tuple(k for i, k in enumerate(s.indices) if i not in keep)
             yield keep, cls.derive(
                 ("player-reduced", game.canonical_id, keep, pinned),
                 lambda: cls.get(reduce_players(game, keep, s).canonical_id),
@@ -209,12 +220,12 @@ def _cons(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
     """Restrictions of solutions solve the player-reduced games."""
-    present = {g.strategies for g in cls}
     for game in parents:
         if game.player_count < 2:
             continue
+        subgroups = _subgroups(cls, game)
         for s in sorted(_phi(concept, game)):
-            for keep, member in _player_reduced(cls, present, game, s):
+            for keep, member in _player_reduced(cls, game, subgroups, s):
                 if member is None:
                     tally["skipped"] += 1
                     continue
@@ -239,17 +250,20 @@ def _cocons(
 ) -> Iterator[dict]:
     """A profile whose restrictions solve every available player-reduced
     game solves the game."""
-    present = {g.strategies for g in cls}
     for game in parents:
         if game.player_count < 2:
             continue
         phi_game = _phi(concept, game)
+        subgroups = _subgroups(cls, game)
+        if not any(available for _, available in subgroups):
+            tally["vacuous"] += game.num_profiles - len(phi_game)
+            continue
         for s in game.profiles():
             if s in phi_game:
                 continue
             available = [
                 (keep, member)
-                for keep, member in _player_reduced(cls, present, game, s)
+                for keep, member in _player_reduced(cls, game, subgroups, s)
                 if member is not None
             ]
             if not available:

@@ -364,6 +364,8 @@ class GameClass:
         except GameFormatError as exc:
             raise malformed(exc) from None
         out = cls(params=manifest.get("params", {}))
+        # the members' paths as ``path / fname`` would name them
+        folder = "" if str(path) == "." else str(path)
         for k, entry in enumerate(manifest["games"]):
             try:
                 cid, fname = entry["id"], entry["file"]
@@ -377,7 +379,7 @@ class GameClass:
                 raise malformed(f"game entry {k}: {exc}") from None
             if not isinstance(fname, str) or os.path.basename(fname) != fname:
                 raise malformed(f"game entry {k}: {fname!r} is not a plain file name")
-            game = load_game(path / fname)
+            game = load_game(os.path.join(folder, fname))
             if game.canonical_id != cid:
                 raise malformed(f"game file {fname} does not match its id")
             try:

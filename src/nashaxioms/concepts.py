@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .closures import clear_reductions
-from .games import Game, Profile
+from .games import Game, Profile, _columns
 
 
 class ConceptDomainError(ValueError):
@@ -26,7 +26,7 @@ def nash(game: Game) -> frozenset[Profile]:
     best_responses = [0] * game.num_profiles
     for player, table in enumerate(game.ranks):
         for col in game.columns(player):
-            low = min(table[k] for k in col)
+            low = min(map(table.__getitem__, col))
             for k in col:
                 if table[k] == low:
                     best_responses[k] += 1
@@ -77,7 +77,7 @@ def jointly_optimal(game: Game) -> frozenset[Profile]:
     for player, table in enumerate(game.ranks):
         options = set(range(game.shape[player]))
         for col in game.columns(player):
-            low = min(table[k] for k in col)
+            low = min(map(table.__getitem__, col))
             options &= {a for a, k in enumerate(col) if table[k] == low}
             if not options:
                 return frozenset()
@@ -187,7 +187,9 @@ def eval_concept(concept: str, game: Game) -> frozenset[Profile]:
 
 
 def clear_cache() -> None:
-    """Forget every memoized result: concept values, and the reduction
-    relations that game classes have worked out."""
+    """Forget every memoized result: concept values, the per-shape
+    column table behind ``Game.columns``, and the reduction relations
+    that game classes have worked out."""
     _cache.clear()
+    _columns.cache_clear()
     clear_reductions()

@@ -65,11 +65,12 @@ def parse_game(text: str) -> Game:
 
 
 def load_game(path: str | Path) -> Game:
-    path = Path(path)
+    """Read and parse a game file; an error names the path."""
     try:
-        return parse_game(path.read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            return parse_game(f.read())
     except (GameFormatError, OSError, UnicodeDecodeError) as exc:
-        raise GameFormatError(f"{path}: {exc}") from None
+        raise GameFormatError(f"{Path(path)}: {exc}") from None
 
 
 def game_payload(game: Game) -> dict:

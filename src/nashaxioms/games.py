@@ -8,8 +8,9 @@ are exactly 0..k), which turns preference-order equality into plain
 tuple equality and gives every game a canonical content hash.
 
 All operations here are pure functions over immutable games: they can
-be called concurrently from any number of threads and always return
-fresh objects.
+be called concurrently from any number of threads and return fresh
+objects, or, for ``Game.columns``, tuples shared by every game of a
+shape.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -80,6 +81,14 @@ class Profile:
         return cls(tuple(out))
 
     def replace(self, player: int, value: int) -> "Profile":
+        """The profile with ``player``'s index set to ``value``.  The
+        player must be one of the profile's; whether the value fits a
+        shape is checked where the profile meets a game."""
+        if type(player) is not int or not 0 <= player < len(self.indices):
+            raise GameFormatError(
+                f"player index must be an integer in range({len(self.indices)}), "
+                f"got {player!r}"
+            )
         idx = list(self.indices)
         idx[player] = value
         return Profile(tuple(idx))
@@ -92,7 +101,7 @@ def _normalize_ranks(values: Sequence, reverse: bool) -> tuple[int, ...]:
     """Remap values to dense ranks 0..k: ascending values keep their
     order, and ``reverse`` maps higher values (payoffs) to lower ranks."""
     order = {v: r for r, v in enumerate(sorted(set(values), reverse=reverse))}
-    return tuple(order[v] for v in values)
+    return tuple(map(order.__getitem__, values))
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,7 @@ class Game:
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", _strategy_lists(self.strategies))
-        object.__setattr__(self, "ranks", tuple(tuple(r) for r in self.ranks))
+        object.__setattr__(self, "ranks", tuple(map(tuple, self.ranks)))
         _check_player_count(self.player_count)
         if self.player_count < 1:
             raise GameFormatError("a game needs at least one player")
@@ -142,12 +151,13 @@ class Game:
                     f"rank table for player {i + 1} covers {len(table)} profiles, "
                     f"expected {total}"
                 )
-            if not all(type(r) is int and r >= 0 for r in table):
+            # the types first: ``set`` would fail on an unhashable value
+            used = set(table) if set(map(type, table)) == {int} else None
+            if used is None or min(used) < 0:
                 raise GameFormatError(
                     f"rank table for player {i + 1} must hold non-negative integers"
                 )
-            used = set(table)
-            if used != set(range(len(used))):
+            if max(used) != len(used) - 1:
                 raise GameFormatError(
                     f"rank table for player {i + 1} is not dense-normalized"
                 )
@@ -199,27 +209,16 @@ class Game:
             0 <= i < size for size, axis in zip(self.shape, axes) for i in axis
         ):
             raise GameFormatError(f"axes {axes} do not fit the shape {self.shape}")
-        return self._cells(axes)
+        return _cells(self.shape, axes)
 
-    def _cells(self, axes: Sequence[Sequence[int]]) -> list[int]:
-        """``subgrid`` without its check, for the axes this module builds
-        from the game's own shape and labels."""
-        out = [0]
-        for size, axis in zip(self.shape, axes):
-            out = [k * size + i for k in out for i in axis]
-        return out
-
-    def columns(self, *players: int) -> list[list[int]]:
+    def columns(self, *players: int) -> tuple[tuple[int, ...], ...]:
         """One sub-grid per assignment of the other players, in
         linear-index order, over which ``players`` range freely: a
         player's columns (entry ``a`` is strategy ``a``), or a
-        coalition's joint deviations."""
+        coalition's joint deviations.  Worked out once per shape and
+        players (``_columns``)."""
         self._check_players(players)
-        choices = [
-            [range(k)] if i in players else [(v,) for v in range(k)]
-            for i, k in enumerate(self.shape)
-        ]
-        return [self._cells(axes) for axes in itertools.product(*choices)]
+        return _columns(self.shape, players)
 
     def _check_players(self, players: Sequence[int]) -> None:
         if not all(type(i) is int and 0 <= i < self.player_count for i in players):
@@ -229,9 +228,15 @@ class Game:
             )
 
     def labels_of(self, profile: Profile) -> tuple[str, ...]:
-        return tuple(
-            self.strategies[i][k] for i, k in enumerate(profile.indices)
-        )
+        """The profile's strategy labels, or ``GameFormatError`` when the
+        profile does not fit the game."""
+        indices = profile.indices
+        if len(indices) == self.player_count and min(indices) >= 0:
+            try:
+                return tuple(map(tuple.__getitem__, self.strategies, indices))
+            except IndexError:
+                pass
+        raise GameFormatError(f"profile {indices} does not fit the shape {self.shape}")
 
     def label_set(self, profiles: Iterable[Profile]) -> frozenset:
         """The profiles' label tuples, comparable across games."""
@@ -254,6 +259,26 @@ class Game:
     def __repr__(self):
         dims = "x".join(str(k) for k in self.shape)
         return f"Game({self.player_count}p, {dims}, {self.canonical_id[:8]})"
+
+
+def _cells(shape: Sequence[int], axes: Sequence[Sequence[int]]) -> list[int]:
+    """``Game.subgrid`` without its check, for the axes this module
+    builds from a game's own shape and labels."""
+    out = [0]
+    for size, axis in zip(shape, axes):
+        out = [k * size + i for k in out for i in axis]
+    return out
+
+
+@cache
+def _columns(shape: tuple[int, ...], players: tuple[int, ...]):
+    """``Game.columns`` for every game of this shape.  The only table
+    kept across calls; ``concepts.clear_cache`` empties it."""
+    choices = [
+        [range(k)] if i in players else [(v,) for v in range(k)]
+        for i, k in enumerate(shape)
+    ]
+    return tuple(tuple(_cells(shape, axes)) for axes in itertools.product(*choices))
 
 
 def build_game(
@@ -287,11 +312,13 @@ def build_game(
         )
     flat_tables = [_flat_table(t, total) for t in tables]
     values = [v for t in flat_tables for v in t]
-    if ranks is not None and not all(type(v) is int and v >= 0 for v in values):
-        raise GameFormatError("ranks must be non-negative integers")
-    # bool subclasses int; ``abs(v) < inf`` fails NaN and infinities but,
-    # unlike ``isfinite``, passes ints too large for a float.
-    if not all(
+    # Ranks take one test on the set of value types, which bool fails.
+    # For payoffs, bool subclasses int, and ``abs(v) < inf`` fails NaN and
+    # infinities but, unlike ``isfinite``, passes ints too large for a float.
+    if ranks is not None:
+        if not set(map(type, values)) <= {int} or min(values, default=0) < 0:
+            raise GameFormatError("ranks must be non-negative integers")
+    elif not all(
         isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < math.inf
         for v in values
     ):
@@ -331,7 +358,7 @@ def _flat_table(table, total: int) -> list:
         items = list(table)
     except TypeError:
         raise GameFormatError("table is not a sequence") from None
-    if any(isinstance(v, (list, tuple)) for v in items):
+    if any(issubclass(t, (list, tuple)) for t in set(map(type, items))):
         raise GameFormatError("tables must be flat lists")
     if len(items) != total:
         raise GameFormatError(f"flat table has {len(items)} entries, expected {total}")
@@ -383,7 +410,7 @@ def _slice_ranks(
     game: Game, axes: Sequence[Sequence[int]], players: Iterable[int]
 ) -> tuple[tuple[int, ...], ...]:
     """The players' rank tables on a sub-grid, dense-normalized."""
-    cells = game._cells(axes)
+    cells = _cells(game.shape, axes)
     return tuple(
         _normalize_ranks([game.ranks[i][k] for k in cells], reverse=False)
         for i in players

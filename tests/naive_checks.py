@@ -8,6 +8,7 @@ slices by hand.  These functions exist only to cross-check verdicts.
 """
 
 import itertools
+import math
 
 from nashaxioms import build_game
 from nashaxioms.concepts import eval_concept
@@ -267,11 +268,12 @@ def naive_mc(concept: str, games) -> str:
     return "pass"
 
 
-def naive_coverage(axiom: str, concept: str, games) -> tuple[str, dict]:
+def naive_coverage(axiom: str, concept: str, games) -> tuple[str, dict, dict | None]:
     """The cons or cocons result with its coverage counts, tallied in
     scan order (games in class order, profiles ascending, player
-    subgroups in ascending bitmask order) up to the first violation.
-    Every player-reduced game is rebuilt by hand and looked up by id."""
+    subgroups in ascending bitmask order) up to the first violation, and
+    that violation's witness without its clause (None on a pass).  Every
+    player-reduced game is rebuilt by hand and looked up by id."""
     games = list(games)
     by_id = {g.canonical_id: g for g in games}
     counts = {"checked": 0, "skipped" if axiom == "cons" else "vacuous": 0}
@@ -294,19 +296,34 @@ def naive_coverage(axiom: str, concept: str, games) -> tuple[str, dict]:
                         counts["skipped"] += 1
                     continue
                 part = Profile(tuple(s.indices[i] for i in keep))
-                hits.append(part in eval_concept(concept, member))
+                hits.append((keep, member, part in eval_concept(concept, member)))
                 if axiom == "cons":
                     counts["checked"] += 1
-                    if not hits[-1]:
-                        return "violated", counts
+                    if not hits[-1][2]:
+                        return "violated", counts, {
+                            "game": game.canonical_id,
+                            "player_reduced": member.canonical_id,
+                            "profile": list(game.labels_of(s)),
+                            "players_kept": keep,
+                            "restricted_profile": [
+                                game.strategies[i][s.indices[i]] for i in keep
+                            ],
+                        }
             if axiom == "cocons":
                 if not hits:
                     counts["vacuous"] += 1
                     continue
                 counts["checked"] += 1
-                if all(hits):
-                    return "violated", counts
-    return "pass", counts
+                if all(solves for _, _, solves in hits):
+                    return "violated", counts, {
+                        "game": game.canonical_id,
+                        "profile": list(game.labels_of(s)),
+                        "subgroups": [
+                            {"players_kept": keep, "game": member.canonical_id}
+                            for keep, member, _ in hits
+                        ],
+                    }
+    return "pass", counts, None
 
 
 def _naive_blocked(game: Game, s: Profile) -> bool:
@@ -460,3 +477,126 @@ def naive_closure(seeds, mode: str):
                 next_frontier.append(child)
         frontier = next_frontier
     return list(members.items())
+
+
+def _naive_finite_number(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return v == v and -math.inf < v < math.inf
+
+
+def _naive_labels_error(players: int, strategies):
+    """What ``Game`` says about the player count and the label lists,
+    once their number matches the player count, or None."""
+    if players < 1:
+        return "a game needs at least one player"
+    for i, labels in enumerate(strategies):
+        if len(labels) == 0:
+            return f"player {i + 1} has an empty strategy list"
+        for label in labels:
+            if not isinstance(label, str):
+                return f"player {i + 1} has non-string labels"
+        for a in range(len(labels)):
+            for b in range(a):
+                if labels[a] == labels[b]:
+                    return f"player {i + 1} has duplicate strategy labels"
+    return None
+
+
+def naive_build_error(players, strategies, payoffs=None, ranks=None):
+    """The ``GameFormatError`` message of ``build_game`` for these
+    arguments, or None when it builds a game, checked value by value in
+    the order the arguments are read.  Domain: ``strategies`` is a list
+    of label lists, and the tables are a list of lists."""
+    if (payoffs is None) == (ranks is None):
+        return "give exactly one of payoffs or ranks"
+    if type(players) is not int:
+        return f"player count must be an integer, got {players!r}"
+    if len(strategies) != players:
+        return f"expected {players} strategy lists, got {len(strategies)}"
+    total = 1
+    for labels in strategies:
+        total *= len(labels)
+    tables = payoffs if ranks is None else ranks
+    if len(tables) != players:
+        return f"expected {players} tables, got {len(tables)}"
+    for table in tables:
+        for v in table:
+            if isinstance(v, (list, tuple)):
+                return "tables must be flat lists"
+        if len(table) != total:
+            return f"flat table has {len(table)} entries, expected {total}"
+    for table in tables:
+        for v in table:
+            if ranks is not None and (type(v) is not int or v < 0):
+                return "ranks must be non-negative integers"
+            if not _naive_finite_number(v):
+                return "payoffs must be finite numbers"
+    return _naive_labels_error(players, strategies)
+
+
+def naive_game_error(players, strategies, ranks):
+    """The ``GameFormatError`` message of ``Game(players, strategies,
+    ranks)``, or None when the game is built, on the domain of
+    ``naive_build_error``."""
+    if type(players) is not int:
+        return f"player count must be an integer, got {players!r}"
+    if players < 1:
+        return "a game needs at least one player"
+    if len(strategies) != players:
+        return f"expected {players} strategy lists, got {len(strategies)}"
+    error = _naive_labels_error(players, strategies)
+    if error is not None:
+        return error
+    if len(ranks) != players:
+        return f"expected {players} rank tables, got {len(ranks)}"
+    total = 1
+    for labels in strategies:
+        total *= len(labels)
+    for i, table in enumerate(ranks):
+        if len(table) != total:
+            return (
+                f"rank table for player {i + 1} covers {len(table)} profiles, "
+                f"expected {total}"
+            )
+        for v in table:
+            if type(v) is not int or v < 0:
+                return f"rank table for player {i + 1} must hold non-negative integers"
+        used = []
+        for v in table:
+            if v not in used:
+                used.append(v)
+        for v in used:
+            if v >= len(used):
+                return f"rank table for player {i + 1} is not dense-normalized"
+    return None
+
+
+def naive_dense(values, higher_first: bool):
+    """Each value's dense rank: the number of distinct values better than
+    it, where better is higher with ``higher_first`` and lower without."""
+    out = []
+    for v in values:
+        better = []
+        for u in values:
+            if (u > v if higher_first else u < v) and u not in better:
+                better.append(u)
+        out.append(len(better))
+    return out
+
+
+def naive_columns(game: Game, players):
+    """``Game.columns`` from its definition: per assignment of the other
+    players, in ascending order, the linear indices of the profiles that
+    agree with it, in linear-index order."""
+    shape = [len(labels) for labels in game.strategies]
+    profiles = list(itertools.product(*(range(k) for k in shape)))
+    others = [i for i in range(len(shape)) if i not in players]
+    out = []
+    for fixed in itertools.product(*(range(shape[i]) for i in others)):
+        out.append([
+            k
+            for k, s in enumerate(profiles)
+            if all(s[i] == v for i, v in zip(others, fixed))
+        ])
+    return out

@@ -404,6 +404,15 @@ def player_reduction_class():
     return cls
 
 
+def _coverage(verdict):
+    """A verdict's result, coverage and witness without its clause, in
+    the form ``naive_coverage`` gives them."""
+    witness = verdict.witness
+    if witness is not None:
+        witness = {k: v for k, v in witness.items() if k != "clause"}
+    return verdict.result, verdict.coverage, witness
+
+
 @pytest.mark.parametrize("closure", ["two_root_dclosure", "player_reduction_class"])
 @pytest.mark.parametrize("concept", ["nash", "strong_nash", "ne_indifference_closure"])
 @pytest.mark.parametrize("axiom", ["iis", "mc", "isds", "ciis", "cons", "cocons"])
@@ -413,7 +422,7 @@ def test_reduction_scans_agree_with_naive_on_several_roots(
     cls = request.getfixturevalue(closure)
     got = check_axiom(axiom, concept, cls)
     if axiom in ("cons", "cocons"):
-        assert (got.result, got.coverage) == naive_coverage(axiom, concept, cls)
+        assert _coverage(got) == naive_coverage(axiom, concept, cls)
     else:
         assert got.result == naive_check(axiom, concept, list(cls))
 
@@ -443,6 +452,50 @@ def player_reduced_3x3x2():
     of each member, the shape of the benchmark's player-reduced class."""
     cls = _random_reduction_closure((3, 3, 2), seed=3)
     return _add_player_reductions(cls, list(cls))
+
+
+@pytest.fixture(scope="module")
+def closure_5x5():
+    """A random 5x5 game's reduction closure: two-player games only, so
+    no player subgroup of any member is available."""
+    cls = _random_reduction_closure((5, 5), seed=6)
+    assert len(cls) == 961
+    return cls
+
+
+@pytest.fixture(scope="module")
+def partly_player_reduced():
+    """A random 3x3x2 game's reduction closure plus the player reductions
+    of its seed alone: a member with a player who keeps all strategies
+    has an available subgroup, and the others have none."""
+    cls = _random_reduction_closure((3, 3, 2), seed=7)
+    _add_player_reductions(cls, [next(iter(cls))])
+    present = {g.strategies for g in cls}
+    available = [
+        any(
+            tuple(g.strategies[i] for i in keep) in present
+            for size in (1, 2)
+            for keep in itertools.combinations(range(3), size)
+        )
+        for g in cls
+        if g.player_count == 3
+    ]
+    assert any(available) and not all(available)
+    return cls
+
+
+@pytest.mark.parametrize(
+    "closure", ["closure_5x5", "player_reduced_3x3x2", "partly_player_reduced"]
+)
+@pytest.mark.parametrize("concept", ["nash", "strong_nash", "ne_indifference_closure"])
+@pytest.mark.parametrize("axiom", ["cons", "cocons"])
+def test_player_reduction_coverage_agrees_with_naive(axiom, concept, closure, request):
+    """Result, counts and witness of cons and cocons, where no member,
+    every member or only some members have an available subgroup."""
+    cls = request.getfixturevalue(closure)
+    assert _coverage(check_axiom(axiom, concept, cls)) == naive_coverage(
+        axiom, concept, cls
+    )
 
 
 @pytest.fixture(scope="module")
@@ -575,7 +628,7 @@ def test_add_and_clear_cache_drop_the_pinned_slice_memo(monkeypatch):
     grown = check_axiom("cons", "nash", cls)
     assert sum(built.values()) == 3 * cold
     assert grown.coverage["checked"] > short.coverage["checked"]
-    assert (grown.result, grown.coverage) == naive_coverage("cons", "nash", full)
+    assert _coverage(grown) == naive_coverage("cons", "nash", full)
 
 
 def test_scans_see_members_added_after_a_scan(ex2):

@@ -154,6 +154,38 @@ def test_malformed_member_file_is_named(capsys, tmp_path, ex2_dclosed):
     assert member.name in err
 
 
+#: The error line of ``check --class DIR`` when the first member file is
+#: missing or undecodable, with ``{file}`` the file's path as the error
+#: names it; recorded before ``read_dir`` stopped joining ``Path`` objects.
+MEMBER_ERRORS = {
+    "missing": "error: {file}: [Errno 2] No such file or directory: '{file}'\n",
+    "undecodable": "error: {file}: 'utf-8' codec can't decode byte 0xff in "
+    "position 0: invalid start byte\n",
+}
+
+
+@pytest.mark.parametrize("spec", ["./cls", "cls/", "absolute", "."])
+@pytest.mark.parametrize("case", sorted(MEMBER_ERRORS))
+def test_member_load_error_text_is_pinned(
+    capsys, tmp_path, monkeypatch, ex2_dclosed, case, spec
+):
+    out_dir = ex2_dclosed.write_dir(tmp_path / "cls")
+    member = sorted(out_dir.glob("*.game"))[0]
+    if case == "missing":
+        member.unlink()
+    else:
+        member.write_bytes(b"\xff{}")
+    monkeypatch.chdir(out_dir if spec == "." else tmp_path)
+    named = {"absolute": f"{out_dir}/", ".": ""}.get(spec, "cls/") + member.name
+    if spec == "absolute":
+        spec = str(out_dir)
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "jo", "--concept", "nash", "--class", spec
+    )
+    assert (code, out) == (2, "")
+    assert err == MEMBER_ERRORS[case].format(file=named)
+
+
 def _edit_entry(edit, k=0):
     def rewrite(manifest):
         edit(manifest["games"][k])

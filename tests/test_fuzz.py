@@ -9,6 +9,7 @@ derandomized, so a failure here reproduces on every run.
 
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,8 @@ from nashaxioms import (
 )
 from nashaxioms.fixtures import prisoners_dilemma, safe_coordination
 from nashaxioms.gamefiles import game_payload
+
+from naive_checks import naive_build_error, naive_dense, naive_game_error
 
 FUZZ = settings(
     derandomize=True,
@@ -165,3 +168,77 @@ def test_restriction_composes(game, data):
     outer = subsets(data.draw, game.strategies)
     inner = subsets(data.draw, outer)
     assert restrict(restrict(game, outer), inner) == restrict(game, inner)
+
+
+class Rank(int):
+    """An int subclass: a number, but not an int to a rank check."""
+
+
+#: Table values of every kind the checks tell apart.
+ODD_VALUES = [
+    -1, True, False, 1.0, 2.5, math.nan, math.inf, -math.inf, 10**400,
+    "1", None, [0], (1,), Rank(1),
+]
+
+
+@st.composite
+def table_arguments(draw):
+    """A player count, label lists and one table per player, each of
+    which is off by a little now and then: a player count that does not
+    match, an empty or repeated label list, a table of the wrong length,
+    or values of mixed kinds."""
+
+    def now_and_then():
+        return draw(st.integers(0, 9)) == 0
+
+    def off_by_one():
+        return draw(st.sampled_from([1, -1])) if now_and_then() else 0
+
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    if now_and_then():
+        shape = []
+    elif now_and_then():
+        shape[-1] = 0
+    players = len(shape) + off_by_one()
+    strategies = [[f"p{i}s{k}" for k in range(size)] for i, size in enumerate(shape)]
+    if shape[0:1] >= [2] and now_and_then():
+        strategies[0][1] = strategies[0][0]
+    total = math.prod(shape)
+    tables = []
+    for _ in range(max(players + off_by_one(), 0)):
+        size = max(total + off_by_one(), 0)
+        # a narrow range of ints makes dense tables common
+        values = st.integers(0, draw(st.integers(0, 5)))
+        if draw(st.booleans()):
+            values = values | st.sampled_from(ODD_VALUES)
+        tables.append(draw(st.lists(values, min_size=size, max_size=size)))
+    return players, strategies, tables
+
+
+@settings(FUZZ, max_examples=400)
+@given(table_arguments())
+def test_table_checks_agree_with_naive(arguments):
+    """``build_game`` and ``Game`` accept exactly the tables that a check
+    value by value accepts, build the game it ranks by hand, and reject
+    the others with the message that check names."""
+    players, strategies, tables = arguments
+    for field in ("payoffs", "ranks"):
+        want = naive_build_error(players, strategies, **{field: tables})
+        try:
+            game = build_game(players, strategies, **{field: tables})
+        except GameFormatError as exc:
+            assert str(exc) == want
+            continue
+        assert want is None
+        dense = [naive_dense(t, higher_first=field == "payoffs") for t in tables]
+        expected = Game(players, strategies, dense)
+        assert game == expected and game.canonical_id == expected.canonical_id
+    want = naive_game_error(players, strategies, tables)
+    try:
+        game = Game(players, strategies, tables)
+    except GameFormatError as exc:
+        assert str(exc) == want
+        return
+    assert want is None
+    rebuilt = build_game(players, strategies, ranks=tables)
+    assert game == rebuilt and game.canonical_id == rebuilt.canonical_id

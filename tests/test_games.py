@@ -19,9 +19,9 @@ from nashaxioms import (
     reduce_players,
     restrict,
 )
-from nashaxioms.concepts import nash
+from nashaxioms.concepts import clear_cache, nash
 from nashaxioms.fixtures import FIXTURES
-from nashaxioms.games import strict_dominators
+from nashaxioms.games import _columns, strict_dominators
 from nashaxioms.oracles import nash_bruteforce
 
 from conftest import random_game, random_square_game, random_subsets
@@ -29,6 +29,7 @@ from naive_checks import (
     _naive_dominates,
     _naive_reduce_players,
     naive_is_reduction,
+    naive_columns,
     naive_is_strict_reduction,
     naive_reductions,
 )
@@ -219,6 +220,11 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         lambda g: g.subgrid([[5], [0]]),
         lambda g: g.subgrid([[0], [-1]]),
         lambda g: g.subgrid([[0]]),
+        lambda g: g.labels_of(Profile((0, -1))),
+        lambda g: g.labels_of(Profile((0, 2))),
+        lambda g: g.labels_of(Profile((0,))),
+        lambda g: Profile((0, 1)).replace(2, 0),
+        lambda g: Profile((0, 1)).replace(-1, 0),
     ],
     ids=[
         "restrict-flat-list",
@@ -248,11 +254,30 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         "subgrid-axis-past-the-end",
         "subgrid-negative-axis",
         "subgrid-too-few-axes",
+        "labels-of-negative-index",
+        "labels-of-past-the-end",
+        "labels-of-wrong-length",
+        "replace-player-out-of-range",
+        "replace-negative-player",
     ],
 )
 def test_malformed_arguments_raise_game_format_error(ex2, call):
     with pytest.raises(GameFormatError):
         call(ex2)
+
+
+def test_columns_agree_with_naive_and_are_tuples():
+    rng = random.Random(15)
+    for _ in range(200):
+        g = random_game(rng, max_players=3, max_strategies=4, levels=2)
+        for size in range(1, g.player_count + 1):
+            for players in itertools.combinations(range(g.player_count), size):
+                got = g.columns(*players)
+                assert [list(col) for col in got] == naive_columns(g, players)
+                assert type(got) is tuple and all(type(c) is tuple for c in got)
+    assert _columns.cache_info().currsize > 0
+    clear_cache()
+    assert _columns.cache_info().currsize == 0
 
 
 def test_from_labels_reads_generators(ex2):
