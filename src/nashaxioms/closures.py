@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from . import fixtures
+from .fixtures import fixture_game
 from .games import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -43,6 +43,14 @@ PROVENANCE_KINDS = tuple(_KIND_FIELDS)
 
 def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _fields_of(kind) -> tuple[str, ...]:
+    """The fields a record of this kind holds besides ``kind``, or
+    ``GameFormatError`` for an unknown kind."""
+    if kind not in PROVENANCE_KINDS:
+        raise GameFormatError(f"unknown provenance kind: {kind!r}")
+    return _KIND_FIELDS[kind]
 
 
 #: Per optional provenance field: its type test and its description.
@@ -76,6 +84,19 @@ class Provenance:
     keep: tuple[int, ...] | None = None
     fixed: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        """``GameFormatError`` unless the kind is known and the record
+        holds the fields of its kind and no others.  Whether a parent
+        fits is for ``GameClass.add``, which also refuses a seed's."""
+        fields = _fields_of(self.kind)
+        for key in _PAYLOAD_TYPES:
+            needed = key in fields
+            if (getattr(self, key) is None) == needed and (needed or key != "parent"):
+                verb = "needs" if needed else "has no"
+                raise GameFormatError(
+                    f"provenance of kind {self.kind!r} {verb} {key!r}"
+                )
+
     def to_payload(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.parent is not None:
@@ -93,16 +114,11 @@ class Provenance:
         """Read a manifest record: exactly the fields of its kind, each of
         its type, or ``GameFormatError`` instead of a reshaped record."""
         kind = data["kind"]
-        if kind not in PROVENANCE_KINDS:
-            raise GameFormatError(f"unknown provenance kind: {kind!r}")
+        fields = _fields_of(kind)
         for key, (fits, what) in _PAYLOAD_TYPES.items():
             if key in data and not fits(data[key]):
                 raise GameFormatError(f"provenance {key!r} must be {what}")
-        fields = ("kind", *_KIND_FIELDS[kind])
-        check_fields(data, fields, f"provenance of kind {kind!r}")
-        for key in fields:
-            if key not in data:
-                raise GameFormatError(f"provenance of kind {kind!r} needs {key!r}")
+        check_fields(data, ("kind", *fields), f"provenance of kind {kind!r}")
         return cls(
             kind=kind,
             parent=data.get("parent"),
@@ -150,21 +166,17 @@ class GameClass:
         return True
 
     def _check_record(self, game: Game, provenance: Provenance) -> None:
-        """``ValueError`` unless the record holds exactly the fields of its
-        kind, names an earlier member as parent, and fits ``game`` in shape:
-        a reduction's ``subsets`` are its strategies; a player reduction
+        """``ValueError`` unless the record names no parent for a seed and
+        an earlier member otherwise, and fits ``game`` in shape: a
+        reduction's ``subsets`` are its strategies; a player reduction
         keeps a proper, sorted set of the parent's players, whose strategies
         are the game's, and ``fixed`` names a profile of the parent.  These
-        are O(players) tests; whether the ranks replay is not checked."""
+        are O(players) tests; whether the ranks replay is not checked.  The
+        record's fields were checked when it was made."""
         kind = provenance.kind
-        if kind not in PROVENANCE_KINDS:
-            raise ValueError(f"unknown provenance kind: {kind!r}")
-        for key in _PAYLOAD_TYPES:
-            needed = key in _KIND_FIELDS[kind]
-            if (getattr(provenance, key) is None) == needed:
-                verb = "needs" if needed else "has no"
-                raise ValueError(f"provenance of kind {kind!r} {verb} {key!r}")
         if kind == "seed":
+            if provenance.parent is not None:
+                raise ValueError("provenance of kind 'seed' has no 'parent'")
             return
         parent = self._games.get(provenance.parent)
         if parent is None:
@@ -497,11 +509,11 @@ def _player_reduced_members(cls: GameClass, seed: Game) -> None:
 def build_named_class(name: str) -> GameClass:
     """Construct one of the bundled benchmark classes by name."""
     if name == "pd_dclosed":
-        return d_closure([fixtures.prisoners_dilemma()])
+        return d_closure([fixture_game("pd")])
     if name == "ex2_dclosed":
-        return d_closure([fixtures.safe_coordination()])
+        return d_closure([fixture_game("ex2")])
     if name in ("ex3_cons", "ex4"):
-        seed = fixtures.safe_coordination()
+        seed = fixture_game("ex2")
         if name == "ex4":
             cls = reduction_closure(seed)
         else:
@@ -511,7 +523,7 @@ def build_named_class(name: str) -> GameClass:
         _player_reduced_members(cls, seed)
         return cls
     if name == "ex5":
-        return reduction_closure(fixtures.duplicate_row_game())
+        return reduction_closure(fixture_game("ex5"))
     raise ValueError(
         f"unknown class name {name!r}; known names: {', '.join(NAMED_CLASSES)}"
     )

@@ -48,7 +48,12 @@ class Profile:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        indices = tuple(self.indices)
+        try:
+            indices = tuple(self.indices)
+        except TypeError:  # not iterable
+            raise GameFormatError(
+                f"profile indices must be a sequence of integers, got {self.indices!r}"
+            ) from None
         if not all(type(i) is int for i in indices):
             raise GameFormatError(f"profile indices must be integers, got {indices!r}")
         object.__setattr__(self, "indices", indices)
@@ -114,8 +119,10 @@ class Game:
         ranks: per player, a flat rank table in linear-index order
             (player 1 most significant).  Lower rank is preferred.
 
-    Equality is structural equality of the canonical form, so two
-    games compare equal exactly when their canonical ids coincide.
+    ``shape`` (the number of strategies per player) and
+    ``num_profiles`` are set once, with the fields.  Equality is
+    structural equality of the canonical form, so two games compare
+    equal exactly when their canonical ids coincide.
     """
 
     player_count: int
@@ -123,29 +130,21 @@ class Game:
     ranks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "strategies", _strategy_lists(self.strategies))
-        object.__setattr__(self, "ranks", tuple(map(tuple, self.ranks)))
+        strategies = _strategy_lists(self.strategies)
+        try:
+            ranks = tuple(map(tuple, self.ranks))
+        except TypeError:  # not an iterable of iterables
+            raise GameFormatError(
+                f"rank tables must be one sequence per player, got {self.ranks!r}"
+            ) from None
         _check_player_count(self.player_count)
-        if self.player_count < 1:
-            raise GameFormatError("a game needs at least one player")
-        if len(self.strategies) != self.player_count:
+        _check_labels(self.player_count, strategies)
+        if len(ranks) != self.player_count:
             raise GameFormatError(
-                f"expected {self.player_count} strategy lists, "
-                f"got {len(self.strategies)}"
+                f"expected {self.player_count} rank tables, got {len(ranks)}"
             )
-        for i, labels in enumerate(self.strategies):
-            if not labels:
-                raise GameFormatError(f"player {i + 1} has an empty strategy list")
-            if not all(isinstance(lab, str) for lab in labels):
-                raise GameFormatError(f"player {i + 1} has non-string labels")
-            if len(set(labels)) != len(labels):
-                raise GameFormatError(f"player {i + 1} has duplicate strategy labels")
-        if len(self.ranks) != self.player_count:
-            raise GameFormatError(
-                f"expected {self.player_count} rank tables, got {len(self.ranks)}"
-            )
-        total = self.num_profiles
-        for i, table in enumerate(self.ranks):
+        total = math.prod(map(len, strategies))
+        for i, table in enumerate(ranks):
             if len(table) != total:
                 raise GameFormatError(
                     f"rank table for player {i + 1} covers {len(table)} profiles, "
@@ -161,14 +160,7 @@ class Game:
                 raise GameFormatError(
                     f"rank table for player {i + 1} is not dense-normalized"
                 )
-
-    @cached_property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.strategies)
-
-    @property
-    def num_profiles(self) -> int:
-        return math.prod(self.shape)
+        _assemble(self.player_count, strategies, ranks, self)
 
     @cached_property
     def canonical_id(self) -> str:
@@ -261,6 +253,24 @@ class Game:
         return f"Game({self.player_count}p, {dims}, {self.canonical_id[:8]})"
 
 
+def _assemble(player_count: int, strategies, ranks, game: Game | None = None) -> Game:
+    """A game from checked parts, without checking them again: label
+    tuples, and dense rank tuples that fit them.  ``build_game`` passes
+    the tables it checked and ranked, ``restrict`` and ``reduce_players``
+    slices of a checked game, and ``Game`` itself once its checks pass.
+    Sets ``shape`` and ``num_profiles`` beside the fields."""
+    game = object.__new__(Game) if game is None else game
+    shape = tuple(map(len, strategies))
+    vars(game).update(
+        player_count=player_count,
+        strategies=strategies,
+        ranks=ranks,
+        shape=shape,
+        num_profiles=math.prod(shape),
+    )
+    return game
+
+
 def _cells(shape: Sequence[int], axes: Sequence[Sequence[int]]) -> list[int]:
     """``Game.subgrid`` without its check, for the axes this module
     builds from a game's own shape and labels."""
@@ -306,10 +316,14 @@ def build_game(
         )
     total = math.prod(map(len, strategies))
     tables = payoffs if payoffs is not None else ranks
-    if len(tables) != player_count:
+    try:
+        count = len(tables)
+    except TypeError:  # not a sequence
         raise GameFormatError(
-            f"expected {player_count} tables, got {len(tables)}"
-        )
+            f"tables must be one sequence per player, got {tables!r}"
+        ) from None
+    if count != player_count:
+        raise GameFormatError(f"expected {player_count} tables, got {count}")
     flat_tables = [_flat_table(t, total) for t in tables]
     values = [v for t in flat_tables for v in t]
     # Ranks take one test on the set of value types, which bool fails.
@@ -323,10 +337,11 @@ def build_game(
         for v in values
     ):
         raise GameFormatError("payoffs must be finite numbers")
+    _check_labels(player_count, strategies)
     rank_tables = tuple(
         _normalize_ranks(t, reverse=payoffs is not None) for t in flat_tables
     )
-    return Game(player_count, strategies, rank_tables)
+    return _assemble(player_count, strategies, rank_tables)
 
 
 def _check_player_count(player_count) -> None:
@@ -336,6 +351,25 @@ def _check_player_count(player_count) -> None:
         raise GameFormatError(
             f"player count must be an integer, got {player_count!r}"
         )
+
+
+def _check_labels(player_count: int, strategies: tuple[tuple, ...]) -> None:
+    """The label checks ``Game`` and ``build_game`` share, in this order:
+    at least one player, one label list each, and per player a non-empty
+    list of distinct strings."""
+    if player_count < 1:
+        raise GameFormatError("a game needs at least one player")
+    if len(strategies) != player_count:
+        raise GameFormatError(
+            f"expected {player_count} strategy lists, got {len(strategies)}"
+        )
+    for i, labels in enumerate(strategies):
+        if not labels:
+            raise GameFormatError(f"player {i + 1} has an empty strategy list")
+        if not all(isinstance(lab, str) for lab in labels):
+            raise GameFormatError(f"player {i + 1} has non-string labels")
+        if len(set(labels)) != len(labels):
+            raise GameFormatError(f"player {i + 1} has duplicate strategy labels")
 
 
 def _strategy_lists(strategies) -> tuple[tuple, ...]:
@@ -403,7 +437,7 @@ def restrict(parent: Game, subsets) -> Game:
         tuple(labels[k] for k in ks) for labels, ks in zip(parent.strategies, idx)
     )
     ranks = _slice_ranks(parent, idx, range(parent.player_count))
-    return Game(parent.player_count, strategies, ranks)
+    return _assemble(parent.player_count, strategies, ranks)
 
 
 def _slice_ranks(
@@ -536,7 +570,7 @@ def reduce_players(game: Game, keep: Iterable[int], fixed: Profile) -> Game:
         for i, k in enumerate(game.shape)
     ]
     strategies = tuple(game.strategies[i] for i in keep)
-    return Game(len(keep), strategies, _slice_ranks(game, axes, keep))
+    return _assemble(len(keep), strategies, _slice_ranks(game, axes, keep))
 
 
 def _supersets(k: int, must: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import fixtures
 from .axioms import AxiomVerdict, check_axiom, replay_witness
 from .closures import GameClass, build_named_class, d_closure, strict_closure
 from .concepts import CONCEPT_IDS, ConceptDomainError, eval_concept, nash
+from .fixtures import fixture_game
 from .oracles import nash_bruteforce
 from .theorems import lemma1a_witness, lemma1b_construct, verify_one_player_lemma, verify_theorem1
 
@@ -49,11 +49,9 @@ def run_suite() -> list[Expectation]:
     # ------------------------------------------------------------------
     # bundled games and classes
     # ------------------------------------------------------------------
-    ex2 = fixtures.safe_coordination()
-    ex5 = fixtures.duplicate_row_game()
-    pd = fixtures.prisoners_dilemma()
-    cube = fixtures.three_player_cube()
-    chain = fixtures.one_player_chain()
+    ex2, ex5, pd, cube, chain = map(
+        fixture_game, ("ex2", "ex5", "pd", "cube222", "chain4")
+    )
 
     classes: dict[str, GameClass] = {
         "pd_dclosed": build_named_class("pd_dclosed"),

@@ -3,32 +3,32 @@ import random
 import pytest
 
 from nashaxioms import build_game, build_named_class, d_closure, strict_closure
-from nashaxioms import fixtures
+from nashaxioms.fixtures import fixture_game
 
 
 @pytest.fixture(scope="session")
 def ex2():
-    return fixtures.safe_coordination()
+    return fixture_game("ex2")
 
 
 @pytest.fixture(scope="session")
 def ex5():
-    return fixtures.duplicate_row_game()
+    return fixture_game("ex5")
 
 
 @pytest.fixture(scope="session")
 def pd():
-    return fixtures.prisoners_dilemma()
+    return fixture_game("pd")
 
 
 @pytest.fixture(scope="session")
 def cube():
-    return fixtures.three_player_cube()
+    return fixture_game("cube222")
 
 
 @pytest.fixture(scope="session")
 def chain():
-    return fixtures.one_player_chain()
+    return fixture_game("chain4")
 
 
 @pytest.fixture(scope="session")

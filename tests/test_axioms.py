@@ -484,6 +484,20 @@ def partly_player_reduced():
     return cls
 
 
+@pytest.mark.parametrize("closure", ["closure_5x5", "player_reduced_3x3x2"])
+def test_games_built_from_checked_parts_equal_checked_games(closure, request):
+    """``restrict`` and ``reduce_players`` build their games without
+    ``Game``'s checks; each one must be the game those checks build from
+    the same fields, with the same attributes set at construction."""
+    lazy = ("canonical_id", "positions")
+    cls = request.getfixturevalue(closure)
+    for g in cls:
+        checked = Game(g.player_count, g.strategies, g.ranks)
+        assert {k: v for k, v in vars(g).items() if k not in lazy} == vars(checked)
+        assert checked == g and checked.canonical_id == g.canonical_id
+        assert (checked.shape, checked.num_profiles) == (g.shape, g.num_profiles)
+
+
 @pytest.mark.parametrize(
     "closure", ["closure_5x5", "player_reduced_3x3x2", "partly_player_reduced"]
 )

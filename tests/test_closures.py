@@ -21,7 +21,7 @@ from nashaxioms import (
 )
 import nashaxioms.closures as closures
 from nashaxioms.closures import Provenance
-from nashaxioms.fixtures import FIXTURES
+from nashaxioms.fixtures import FIXTURES, fixture_game
 
 from conftest import random_square_game, random_subsets
 from naive_checks import naive_closure
@@ -161,7 +161,7 @@ def _as_pairs(cls):
 def test_closures_match_the_naive_search(mode, build):
     """Members, insertion order and provenance agree with a search that
     restricts every spec of every member."""
-    bundled = [make() for make in FIXTURES.values()]
+    bundled = [fixture_game(name) for name in FIXTURES]
     seed_lists = [[g] for g in bundled] + [bundled]
     rng = random.Random(13)
     seed_lists += [_closure_seeds(rng, k) for k in range(210)]

@@ -23,7 +23,7 @@ from nashaxioms import (
     parse_game,
     restrict,
 )
-from nashaxioms.fixtures import prisoners_dilemma, safe_coordination
+from nashaxioms.fixtures import fixture_game
 from nashaxioms.gamefiles import game_payload
 
 from naive_checks import naive_build_error, naive_dense, naive_game_error
@@ -53,7 +53,7 @@ DOCUMENTS = [
         "strategies": [["U", "D"], ["L", "R"]],
         "payoffs": [[2, 0, 1, 1], [2, 0, 1, 1]],
     },
-    game_payload(prisoners_dilemma()),
+    game_payload(fixture_game("pd")),
 ]
 
 
@@ -116,7 +116,7 @@ def test_parse_game_on_mutated_documents(doc):
 def class_dir(tmp_path_factory):
     """A small class on disk, and its manifest as written."""
     path = tmp_path_factory.mktemp("fuzzclass")
-    d_closure([safe_coordination()]).write_dir(path)
+    d_closure([fixture_game("ex2")]).write_dir(path)
     return path, json.loads((path / "manifest.json").read_text(encoding="utf-8"))
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from nashaxioms import GameFormatError, build_game, dump_game, load_game, parse_game
-from nashaxioms.fixtures import FIXTURES, fixture_game, fixture_path
+from nashaxioms.fixtures import FIXTURES, fixture_game
 
 
 def test_parse_payoffs_and_ranks_agree():
@@ -42,10 +42,21 @@ def test_parse_field_errors():
         )
 
 
-def test_bundled_files_match_builders():
-    for name in FIXTURES:
-        from_file = load_game(fixture_path(name))
-        assert from_file == fixture_game(name), name
+#: The canonical id of each bundled game, as its builder function gave it
+#: before the ``data/*.game`` files became the only definition.
+BUNDLED_IDS = {
+    "pd": "f38f1fbbf30e3964ecb7b6d1399a4cc26e2b1be2930206148428b5a72c086461",
+    "ex2": "bad6d6582037eada4ce85104eddd1bb0e70b0b73e749247e83cff9330f04e067",
+    "ex5": "dd1f4b4de1d5b2140d980c52c6e59db4f5ac909b119eec233a2028f1d886b4ae",
+    "cube222": "16da673ae28364f84cedf36cfef78b525e812946a7204f58fab8a44eb3db932b",
+    "chain4": "2793a116d94dfc6d14f3f4c2cf15d9e7290ff68baba4de5fae0d53c4116177e9",
+}
+
+
+def test_bundled_games_keep_their_canonical_ids():
+    assert FIXTURES == tuple(BUNDLED_IDS)
+    for name, cid in BUNDLED_IDS.items():
+        assert fixture_game(name).canonical_id == cid, name
 
 
 def test_linear_order_is_player_one_most_significant():

@@ -20,7 +20,7 @@ from nashaxioms import (
     restrict,
 )
 from nashaxioms.concepts import clear_cache, nash
-from nashaxioms.fixtures import FIXTURES
+from nashaxioms.fixtures import FIXTURES, fixture_game
 from nashaxioms.games import _columns, strict_dominators
 from nashaxioms.oracles import nash_bruteforce
 
@@ -225,6 +225,13 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         lambda g: g.labels_of(Profile((0,))),
         lambda g: Profile((0, 1)).replace(2, 0),
         lambda g: Profile((0, 1)).replace(-1, 0),
+        # not a sequence where one belongs
+        lambda g: Game(1, [["a"]], 5),
+        lambda g: Game(1, [["a"]], [5]),
+        lambda g: Game(1, [["a"]], None),
+        lambda g: build_game(1, [["a"]], payoffs=5),
+        lambda g: Profile(5),
+        lambda g: Profile(None),
     ],
     ids=[
         "restrict-flat-list",
@@ -259,6 +266,12 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         "labels-of-wrong-length",
         "replace-player-out-of-range",
         "replace-negative-player",
+        "game-int-ranks",
+        "game-int-table",
+        "game-none-ranks",
+        "build-game-int-payoffs",
+        "profile-int",
+        "profile-none",
     ],
 )
 def test_malformed_arguments_raise_game_format_error(ex2, call):
@@ -688,7 +701,7 @@ def test_enumeration_matches_naive_walk(mode):
     # Every bundled game, then random games of 1-3 players with 1-4
     # strategies each; three rank levels make ties common.
     rng = random.Random(1212)
-    games = [build() for build in FIXTURES.values()]
+    games = [fixture_game(name) for name in FIXTURES]
     games += [random_game(rng, 3, 4, levels=3) for _ in range(200)]
     for g in games:
         assert list(enumerate_reductions(g, mode)) == naive_reductions(g, mode), (
