@@ -20,7 +20,13 @@ from typing import Iterable, Iterator
 
 from .closures import GameClass
 from .concepts import ConceptDomainError, eval_concept, jointly_optimal
-from .games import Game, Profile, reduce_players, removes_only_dominated, strict_dominators
+from .games import (
+    Game,
+    Profile,
+    _pinned_slice,
+    removes_only_dominated,
+    strict_dominators,
+)
 
 
 @dataclass
@@ -203,17 +209,13 @@ def _player_reduced(
     """``(keep, member or None)`` per entry of ``_subgroups(cls, game)``:
     the member of the class that is ``game`` reduced to the players in
     ``keep`` with the others fixed at ``s``.  It is looked for only when
-    available, and then built once per pinned slice (``cls.derive``),
-    whichever scan asks."""
+    available, by the content of the pinned slice (``cls.with_content``),
+    so no game is built."""
     for keep, available in subgroups:
         if not available:
             yield keep, None
         else:
-            pinned = tuple(k for i, k in enumerate(s.indices) if i not in keep)
-            yield keep, cls.derive(
-                ("player-reduced", game.canonical_id, keep, pinned),
-                lambda: cls.get(reduce_players(game, keep, s).canonical_id),
-            )
+            yield keep, cls.with_content(*_pinned_slice(game, keep, s))
 
 
 def _cons(

@@ -87,11 +87,11 @@ class Provenance:
     def __post_init__(self):
         """``GameFormatError`` unless the kind is known and the record
         holds the fields of its kind and no others.  Whether a parent
-        fits is for ``GameClass.add``, which also refuses a seed's."""
+        fits is for ``GameClass.add``."""
         fields = _fields_of(self.kind)
         for key in _PAYLOAD_TYPES:
             needed = key in fields
-            if (getattr(self, key) is None) == needed and (needed or key != "parent"):
+            if (getattr(self, key) is None) == needed:
                 verb = "needs" if needed else "has no"
                 raise GameFormatError(
                     f"provenance of kind {self.kind!r} {verb} {key!r}"
@@ -131,9 +131,10 @@ class Provenance:
 
 
 #: Per class: the facts ``GameClass.derive`` worked out from its members
-#: (member roots, the reduction relation per parent, the member per pinned
-#: slice, each member's solution labels per concept); kept here so that
-#: ``clear_reductions`` reaches every class.
+#: (member roots, the members per label and per player count, the
+#: reduction relation per parent, the member per content, each member's
+#: solution labels per concept); kept here so that ``clear_reductions``
+#: reaches every class.
 _reductions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -166,17 +167,16 @@ class GameClass:
         return True
 
     def _check_record(self, game: Game, provenance: Provenance) -> None:
-        """``ValueError`` unless the record names no parent for a seed and
-        an earlier member otherwise, and fits ``game`` in shape: a
+        """``ValueError`` unless a record other than a seed's names an
+        earlier member as its parent and fits ``game`` in shape: a
         reduction's ``subsets`` are its strategies; a player reduction
         keeps a proper, sorted set of the parent's players, whose strategies
         are the game's, and ``fixed`` names a profile of the parent.  These
         are O(players) tests; whether the ranks replay is not checked.  The
-        record's fields were checked when it was made."""
+        record's fields, a seed's lack of a parent among them, were checked
+        when it was made."""
         kind = provenance.kind
         if kind == "seed":
-            if provenance.parent is not None:
-                raise ValueError("provenance of kind 'seed' has no 'parent'")
             return
         parent = self._games.get(provenance.parent)
         if parent is None:
@@ -202,6 +202,16 @@ class GameClass:
 
     def get(self, canonical_id: str) -> Game | None:
         return self._games.get(canonical_id)
+
+    def with_content(self, strategies, ranks) -> Game | None:
+        """The member with these label tuples and dense rank tables, or
+        None.  Content equality is canonical-id equality, so this finds a
+        game without building it or hashing an id; the table is worked out
+        once (``derive``)."""
+        members = self.derive(
+            ("content",), lambda: {(g.strategies, g.ranks): g for g in self}
+        )
+        return members.get((strategies, ranks))
 
     def label_mask(self, strategies: Iterable[Iterable[str]]) -> int:
         """Per-player labels (``zip(labels)`` for a profile's) as one int:
@@ -262,30 +272,67 @@ class GameClass:
             roots[cid] = numbers.setdefault(key, len(numbers))
         return roots
 
+    def _index(self) -> tuple[list[Game], dict[int, int], dict[int, int]]:
+        """The members in insertion order, and as bitsets over that order
+        (bit j: the j-th member) the members that have each label bit and
+        the members of each player count."""
+        by_label: dict[int, int] = {}
+        by_count: dict[int, int] = {}
+        for j, (cid, game) in enumerate(self._games.items()):
+            member = 1 << j
+            n = game.player_count
+            by_count[n] = by_count.get(n, 0) | member
+            mask = self._masks[cid]
+            while mask:
+                bit = mask & -mask
+                by_label[bit] = by_label.get(bit, 0) | member
+                mask ^= bit
+        return list(self._games.values()), by_label, by_count
+
     def reductions(self, parent: Game) -> tuple[Game, ...]:
         """The members that are reductions of ``parent``, in insertion order;
         ``parent`` itself is one when it is a member.  Worked out once per
         parent (``derive``).  A reduction keeps a subset of the parent's
-        labels, so only members whose ``label_mask`` lies inside the
-        parent's are candidates.  A candidate with the parent's root
-        (``_roots``) restricts the same game to fewer labels, so it is a
-        reduction; ``is_reduction`` decides the others, and every candidate
-        of a parent that is not a member."""
+        labels, so the candidates are the members of the parent's player
+        count less those with a label bit outside the parent's mask, read
+        from per-label member bitsets (``_index``).  A candidate with the
+        parent's root (``_roots``) restricts the same game to fewer labels,
+        so it is a reduction.  Every parent of one root that holds a
+        candidate's labels restricts that root to the same game there, so
+        ``is_reduction`` decides a candidate of another root once per
+        (parent root, candidate), and every candidate of a parent that is
+        not a member."""
         return self.derive(
             ("reductions", parent.canonical_id), lambda: self._reductions_of(parent)
         )
 
     def _reductions_of(self, parent: Game) -> tuple[Game, ...]:
         roots = self.derive(("roots",), self._roots)
+        members, by_label, by_count = self.derive(("index",), self._index)
+        across = self.derive(("cross-root",), dict)
         root = roots.get(parent.canonical_id)
         outer = self.mask_of(parent)
-        return tuple(
-            g
-            for cid, g in self._games.items()
-            if not self._masks[cid] & ~outer
-            and g.player_count == parent.player_count
-            and (roots[cid] == root or is_reduction(g, parent))
-        )
+        candidates = by_count.get(parent.player_count, 0)
+        for bit, having in by_label.items():
+            if not bit & outer:
+                candidates &= ~having
+        out = []
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            j = low.bit_length() - 1
+            g = members[j]
+            if roots[g.canonical_id] == root:
+                found = True
+            elif root is None:
+                found = is_reduction(g, parent)
+            else:
+                found = across.get((root, j))
+                if found is None:
+                    found = across[root, j] = is_reduction(g, parent)
+            if found:
+                out.append(g)
+        return tuple(out)
 
     def ids(self) -> list[str]:
         return list(self._games)

@@ -104,8 +104,13 @@ class Profile:
 
 def _normalize_ranks(values: Sequence, reverse: bool) -> tuple[int, ...]:
     """Remap values to dense ranks 0..k: ascending values keep their
-    order, and ``reverse`` maps higher values (payoffs) to lower ranks."""
-    order = {v: r for r, v in enumerate(sorted(set(values), reverse=reverse))}
+    order, and ``reverse`` maps higher values (payoffs) to lower ranks.
+    Ascending values must be non-negative integers; when they already
+    are exactly 0..k, they are returned as they are."""
+    used = set(values)
+    if not reverse and max(used) == len(used) - 1:
+        return tuple(values)
+    order = {v: r for r, v in enumerate(sorted(used, reverse=reverse))}
     return tuple(map(order.__getitem__, values))
 
 
@@ -565,12 +570,28 @@ def reduce_players(game: Game, keep: Iterable[int], fixed: Profile) -> Game:
     if not isinstance(fixed, Profile):
         raise GameFormatError(f"fixed must be a Profile, got {fixed!r}")
     fixed.linear_index(game.shape)  # raises unless fixed fits the game
-    axes = [
-        range(k) if i in keep else (fixed.indices[i],)
-        for i, k in enumerate(game.shape)
-    ]
+    return _assemble(len(keep), *_pinned_slice(game, keep, fixed))
+
+
+def _pinned_slice(
+    game: Game, keep: tuple[int, ...], fixed: Profile
+) -> tuple[tuple[tuple[str, ...], ...], tuple[tuple[int, ...], ...]]:
+    """``reduce_players`` without its checks: the kept players' labels and
+    their dense rank tables on the column of ``_columns(shape, keep)``
+    where the other players play their components of ``fixed``.  ``keep``
+    is a sorted tuple of players, a proper subset, and ``fixed`` fits the
+    game."""
+    k = 0
+    for i, size in enumerate(game.shape):
+        if i not in keep:
+            k = k * size + fixed.indices[i]
+    cells = _columns(game.shape, keep)[k]
     strategies = tuple(game.strategies[i] for i in keep)
-    return _assemble(len(keep), strategies, _slice_ranks(game, axes, keep))
+    ranks = tuple(
+        _normalize_ranks([game.ranks[i][c] for c in cells], reverse=False)
+        for i in keep
+    )
+    return strategies, ranks
 
 
 def _supersets(k: int, must: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -484,6 +484,47 @@ def partly_player_reduced():
     return cls
 
 
+@pytest.fixture(scope="module")
+def seeded_player_reduction():
+    """A random 3x3x2 game's reduction closure plus every player reduction
+    of each member, where the first player reduction of the seed entered
+    as a seed of its own."""
+    cls = _random_reduction_closure((3, 3, 2), seed=8)
+    seed = next(iter(cls))
+    cls.add(reduce_players(seed, (0,), next(seed.profiles())), Provenance("seed"))
+    _add_player_reductions(cls, list(cls))
+    assert [p.kind for p in cls.provenance.values()].count("seed") == 2
+    return cls
+
+
+def _seed_of(cls, cid):
+    """The seed a member's provenance chain starts from."""
+    while cls.provenance[cid].kind != "seed":
+        cid = cls.provenance[cid].parent
+    return cid
+
+
+@pytest.fixture(scope="module")
+def three_root_dclosure():
+    """The d-closure of three random 4x4 games with the same labels: its
+    members restrict three roots, and small members of one root often
+    equal restrictions of another."""
+    rng = random.Random(2)
+    cls = d_closure([_random_game(rng, (4, 4)) for _ in range(3)])
+    assert len(cls) >= 300
+    # ``reductions`` decides a candidate of another root once per parent
+    # root, so the class must hold such candidates of both answers
+    across = Counter(
+        naive_is_reduction(g, parent)
+        for parent in cls
+        for g in cls
+        if _seed_of(cls, g.canonical_id) != _seed_of(cls, parent.canonical_id)
+        and all(set(a) <= set(b) for a, b in zip(g.strategies, parent.strategies))
+    )
+    assert across[True] > 0 and across[False] > 0
+    return cls
+
+
 @pytest.mark.parametrize("closure", ["closure_5x5", "player_reduced_3x3x2"])
 def test_games_built_from_checked_parts_equal_checked_games(closure, request):
     """``restrict`` and ``reduce_players`` build their games without
@@ -499,13 +540,20 @@ def test_games_built_from_checked_parts_equal_checked_games(closure, request):
 
 
 @pytest.mark.parametrize(
-    "closure", ["closure_5x5", "player_reduced_3x3x2", "partly_player_reduced"]
+    "closure",
+    [
+        "closure_5x5",
+        "player_reduced_3x3x2",
+        "partly_player_reduced",
+        "seeded_player_reduction",
+    ],
 )
 @pytest.mark.parametrize("concept", ["nash", "strong_nash", "ne_indifference_closure"])
 @pytest.mark.parametrize("axiom", ["cons", "cocons"])
 def test_player_reduction_coverage_agrees_with_naive(axiom, concept, closure, request):
     """Result, counts and witness of cons and cocons, where no member,
-    every member or only some members have an available subgroup."""
+    every member or only some members have an available subgroup, and
+    where a player-reduced member entered as a seed."""
     cls = request.getfixturevalue(closure)
     assert _coverage(check_axiom(axiom, concept, cls)) == naive_coverage(
         axiom, concept, cls
@@ -557,6 +605,7 @@ def lying_class():
         "player_reduction_class",
         "player_reduced_3x3x2",
         "lying_class",
+        "three_root_dclosure",
     ],
 )
 def test_reductions_agree_with_naive_on_every_pair(closure, request):
@@ -570,79 +619,58 @@ def test_reductions_agree_with_naive_on_every_pair(closure, request):
 
 
 @pytest.mark.parametrize("axiom", ["cons", "cocons"])
-def test_player_reductions_are_built_only_when_they_can_be_members(
-    axiom, two_root_dclosure, player_reduction_class, monkeypatch
+def test_player_reduction_scans_build_no_game(
+    axiom, two_root_dclosure, player_reduced_3x3x2, monkeypatch
 ):
-    import nashaxioms.axioms as axioms
+    """``cons`` and ``cocons`` find a player-reduced member by the content
+    of its pinned slice, so neither scan constructs a game."""
+    import nashaxioms.games as games
     from nashaxioms.concepts import clear_cache
 
     built = []
-    real = axioms.reduce_players
+    real = games._assemble
     monkeypatch.setattr(
-        axioms, "reduce_players", lambda *args: built.append(1) or real(*args)
+        games, "_assemble", lambda *args: built.append(1) or real(*args)
     )
+    clear_cache()
     # two-player games only: no one-player reduction is a member
     assert check_axiom(axiom, "nash", two_root_dclosure).coverage["checked"] == 0
+    verdict = check_axiom(axiom, "nash", player_reduced_3x3x2)
+    assert verdict.passed and verdict.coverage["checked"] > 0
     assert not built
-    # earlier tests' scans of the module's class left its slices memoized
-    clear_cache()
-    assert check_axiom(axiom, "nash", player_reduction_class).coverage["checked"] > 0
-    assert built
 
 
-def _count_slices(monkeypatch):
-    """Patch the scans' ``reduce_players`` to count builds per pinned
-    slice: (game, kept players, strategies of the others)."""
-    import nashaxioms.axioms as axioms
-
-    built = Counter()
-    real = axioms.reduce_players
-
-    def counted(game, keep, s):
-        pinned = tuple(k for i, k in enumerate(s.indices) if i not in keep)
-        built[game.canonical_id, keep, pinned] += 1
-        return real(game, keep, s)
-
-    monkeypatch.setattr(axioms, "reduce_players", counted)
-    return built
-
-
-def test_cons_and_cocons_build_each_pinned_slice_at_most_once(
-    player_reduced_3x3x2, monkeypatch
-):
-    from nashaxioms.concepts import clear_cache
-
-    clear_cache()
-    built = _count_slices(monkeypatch)
-    for axiom in ("cons", "cocons"):
-        assert check_axiom(axiom, "nash", player_reduced_3x3x2).passed
-    assert built and max(built.values()) == 1
-
-
-def test_add_and_clear_cache_drop_the_pinned_slice_memo(monkeypatch):
-    from nashaxioms.concepts import clear_cache
-
+@pytest.mark.parametrize("axiom", ["cons", "cocons"])
+def test_scans_find_a_player_reduced_member_added_after_a_scan(axiom):
     full = _random_reduction_closure((3, 2), seed=5)
     _add_player_reductions(full, list(full))
-    # all members but the last, a player reduction that cons looks up
+    # all members but the last, a player reduction that the scans look up
     cls = GameClass()
     for cid in full.ids()[:-1]:
         cls.add(full.get(cid), full.provenance[cid])
-    built = _count_slices(monkeypatch)
-    short = check_axiom("cons", "nash", cls)
-    cold = sum(built.values())
-    assert cold > 0
-    assert check_axiom("cons", "nash", cls) == short
-    assert sum(built.values()) == cold
-    clear_cache()
-    assert check_axiom("cons", "nash", cls) == short
-    assert sum(built.values()) == 2 * cold
+    short = check_axiom(axiom, "nash", cls)
+    assert check_axiom(axiom, "nash", cls) == short
     last = full.ids()[-1]
     cls.add(full.get(last), full.provenance[last])
-    grown = check_axiom("cons", "nash", cls)
-    assert sum(built.values()) == 3 * cold
+    grown = check_axiom(axiom, "nash", cls)
     assert grown.coverage["checked"] > short.coverage["checked"]
-    assert _coverage(grown) == naive_coverage("cons", "nash", full)
+    assert _coverage(grown) == naive_coverage(axiom, "nash", full)
+
+
+def test_pinned_slices_agree_with_naive(player_reduced_3x3x2):
+    from nashaxioms.games import _pinned_slice
+    from naive_checks import _naive_reduce_players
+
+    slices = 0
+    for g in player_reduced_3x3x2:
+        n = g.player_count
+        for mask in range(1, (1 << n) - 1):
+            keep = tuple(i for i in range(n) if mask >> i & 1)
+            for s in g.profiles():
+                want = _naive_reduce_players(g, keep, s)
+                assert _pinned_slice(g, keep, s) == (want.strategies, want.ranks)
+                slices += 1
+    assert slices > 1000
 
 
 def test_scans_see_members_added_after_a_scan(ex2):
