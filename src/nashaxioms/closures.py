@@ -22,6 +22,7 @@ from .games import (
     BudgetExceededError,
     Game,
     GameFormatError,
+    _pinned_slice,
     enumerate_reductions,
     is_reduction,
     reduce_players,
@@ -75,7 +76,8 @@ class Provenance:
     For reduction kinds, ``subsets`` holds the per-player label subsets
     applied to the parent.  For player reductions, ``keep`` holds the
     retained player indices and ``fixed`` the pinned profile labels.
-    Replaying the record against the parent regenerates the member.
+    Replaying the record against the parent regenerates the member;
+    ``GameClass.replay_provenance`` checks that by content.
     """
 
     kind: str
@@ -246,27 +248,39 @@ class GameClass:
             memo[key] = compute()
         return memo[key]
 
+    def _replays(self, cid: str) -> bool:
+        """Whether a member's record regenerates it, read by content with no
+        game built: a seed's always does, a reduction's when
+        ``is_reduction(member, parent)``, a player reduction's when the
+        parent's ``_pinned_slice`` has the member's labels and rank tables."""
+        prov = self.provenance[cid]
+        if prov.kind == "seed":
+            return True
+        member, parent = self._games[cid], self._games[prov.parent]
+        if prov.kind != "player-reduction-of":
+            return is_reduction(member, parent)
+        keep, fixed = tuple(prov.keep), parent.profile_from_labels(prov.fixed)
+        content = (member.strategies, member.ranks)
+        return _pinned_slice(parent, keep, fixed) == content
+
     def _roots(self) -> dict[str, int]:
         """Per member, the number of its root, a game it restricts.  A seed
-        is its own root.  A reduction shares its parent's root when
-        ``is_reduction`` confirms it, and a player reduction that
-        ``reduce_players`` rebuilds from its record has the root (parent's
-        root, kept players, pinned labels of the others).  A member whose
-        record does not replay is its own root."""
+        is its own root, and so is a member whose record does not replay
+        (``_replays``).  A reduction that replays shares its parent's root,
+        and a player reduction that replays has the root (parent's root,
+        kept players, pinned labels of the others)."""
         numbers: dict = {}
         roots: dict[str, int] = {}
-        for cid, game in self._games.items():
+        for cid in self._games:
             prov = self.provenance[cid]
-            parent = self._games.get(prov.parent)
-            key = cid
-            if prov.kind == "player-reduction-of":
-                fixed = parent.profile_from_labels(prov.fixed)
-                if reduce_players(parent, prov.keep, fixed) == game:
-                    pinned = tuple(
-                        lab for i, lab in enumerate(prov.fixed) if i not in prov.keep
-                    )
-                    key = (roots[prov.parent], tuple(prov.keep), pinned)
-            elif parent is not None and is_reduction(game, parent):
+            if prov.kind == "seed" or not self._replays(cid):
+                key = cid
+            elif prov.kind == "player-reduction-of":
+                pinned = tuple(
+                    lab for i, lab in enumerate(prov.fixed) if i not in prov.keep
+                )
+                key = (roots[prov.parent], tuple(prov.keep), pinned)
+            else:
                 roots[cid] = roots[prov.parent]
                 continue
             roots[cid] = numbers.setdefault(key, len(numbers))
@@ -300,8 +314,8 @@ class GameClass:
         so it is a reduction.  Every parent of one root that holds a
         candidate's labels restricts that root to the same game there, so
         ``is_reduction`` decides a candidate of another root once per
-        (parent root, candidate), and every candidate of a parent that is
-        not a member."""
+        (parent root, candidate).  A parent that is not a member is its own
+        root, named by its canonical id."""
         return self.derive(
             ("reductions", parent.canonical_id), lambda: self._reductions_of(parent)
         )
@@ -310,7 +324,7 @@ class GameClass:
         roots = self.derive(("roots",), self._roots)
         members, by_label, by_count = self.derive(("index",), self._index)
         across = self.derive(("cross-root",), dict)
-        root = roots.get(parent.canonical_id)
+        root = roots.get(parent.canonical_id, parent.canonical_id)
         outer = self.mask_of(parent)
         candidates = by_count.get(parent.player_count, 0)
         for bit, having in by_label.items():
@@ -324,8 +338,6 @@ class GameClass:
             g = members[j]
             if roots[g.canonical_id] == root:
                 found = True
-            elif root is None:
-                found = is_reduction(g, parent)
             else:
                 found = across.get((root, j))
                 if found is None:
@@ -353,25 +365,15 @@ class GameClass:
         return hashlib.sha256(joined.encode("ascii")).hexdigest()
 
     def replay_provenance(self, canonical_id: str) -> Game:
-        """Regenerate a member from its provenance record."""
-        prov = self.provenance[canonical_id]
-        member = self._games[canonical_id]
-        if prov.kind == "seed":
-            return member
-        parent = self._games[prov.parent]
-        if prov.kind == "player-reduction-of":
-            fixed = parent.profile_from_labels(prov.fixed)
-            if fixed is None:
-                raise ValueError("provenance fixed profile is invalid")
-            rebuilt = reduce_players(parent, prov.keep, fixed)
-        else:
-            rebuilt = restrict(parent, prov.subsets)
-        if rebuilt.canonical_id != canonical_id:
+        """The member itself, once its provenance record is confirmed to
+        regenerate it from its parent (``_replays``); ``ValueError`` when
+        the record gives a different game."""
+        if not self._replays(canonical_id):
             raise ValueError(
                 f"provenance replay for {canonical_id[:12]} produced a "
                 f"different game"
             )
-        return rebuilt
+        return self._games[canonical_id]
 
     # ------------------------------------------------------------------
     # directory serialization: one game file per member plus a manifest

@@ -441,15 +441,15 @@ def restrict(parent: Game, subsets) -> Game:
     strategies = tuple(
         tuple(labels[k] for k in ks) for labels, ks in zip(parent.strategies, idx)
     )
-    ranks = _slice_ranks(parent, idx, range(parent.player_count))
+    cells = _cells(parent.shape, idx)
+    ranks = _slice_ranks(parent, cells, range(parent.player_count))
     return _assemble(parent.player_count, strategies, ranks)
 
 
 def _slice_ranks(
-    game: Game, axes: Sequence[Sequence[int]], players: Iterable[int]
+    game: Game, cells: Sequence[int], players: Iterable[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """The players' rank tables on a sub-grid, dense-normalized."""
-    cells = _cells(game.shape, axes)
+    """The players' rank tables on these cells, dense-normalized."""
     return tuple(
         _normalize_ranks([game.ranks[i][k] for k in cells], reverse=False)
         for i in players
@@ -476,7 +476,8 @@ def is_reduction(candidate: Game, parent: Game) -> bool:
         if any(b <= a for a, b in zip(ids, ids[1:])):
             return False
         idx.append(ids)
-    return _slice_ranks(parent, idx, range(parent.player_count)) == candidate.ranks
+    cells = _cells(parent.shape, idx)
+    return _slice_ranks(parent, cells, range(parent.player_count)) == candidate.ranks
 
 
 def is_cut(parent: Game, subsets, m: int) -> bool:
@@ -585,13 +586,8 @@ def _pinned_slice(
     for i, size in enumerate(game.shape):
         if i not in keep:
             k = k * size + fixed.indices[i]
-    cells = _columns(game.shape, keep)[k]
     strategies = tuple(game.strategies[i] for i in keep)
-    ranks = tuple(
-        _normalize_ranks([game.ranks[i][c] for c in cells], reverse=False)
-        for i in keep
-    )
-    return strategies, ranks
+    return strategies, _slice_ranks(game, _columns(game.shape, keep)[k], keep)
 
 
 def _supersets(k: int, must: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -563,9 +563,10 @@ def test_player_reduction_coverage_agrees_with_naive(axiom, concept, closure, re
 @pytest.fixture(scope="module")
 def lying_class():
     """A random 3x2 game's reduction closure and its player reductions,
-    plus two members whose records pass ``add``'s checks but whose ranks
-    do not replay: a reduction of the seed to two rows, and player 1's
-    game with player 2 pinned at its first strategy."""
+    plus three members whose records pass ``add``'s checks but do not
+    replay: a reduction of the seed to two rows and player 1's game with
+    player 2 pinned at its first strategy, both with other ranks, and a
+    reduction to a label the seed does not have."""
     cls = _random_reduction_closure((3, 2), seed=4)
     seed = next(iter(cls))
     _add_player_reductions(cls, [seed])
@@ -595,6 +596,11 @@ def lying_class():
         assert cls.add(liar, Provenance(parent=seed.canonical_id, **record))
         with pytest.raises(ValueError, match="different game"):
             cls.replay_provenance(liar.canonical_id)
+    stray = Game(2, (("p0s0", "stray"), ("p1s0",)), ((0, 1), (0, 0)))
+    assert cls.add(
+        stray,
+        Provenance("reduction-of", parent=seed.canonical_id, subsets=stray.strategies),
+    )
     return cls
 
 
@@ -618,12 +624,13 @@ def test_reductions_agree_with_naive_on_every_pair(closure, request):
         assert cls.reductions(parent) == want, parent
 
 
-@pytest.mark.parametrize("axiom", ["cons", "cocons"])
+@pytest.mark.parametrize("axiom", AXIOM_IDS)
 def test_player_reduction_scans_build_no_game(
     axiom, two_root_dclosure, player_reduced_3x3x2, monkeypatch
 ):
     """``cons`` and ``cocons`` find a player-reduced member by the content
-    of its pinned slice, so neither scan constructs a game."""
+    of its pinned slice, and the reduction relation replays each member's
+    record by content, so no scan constructs a game."""
     import nashaxioms.games as games
     from nashaxioms.concepts import clear_cache
 
@@ -633,11 +640,67 @@ def test_player_reduction_scans_build_no_game(
         games, "_assemble", lambda *args: built.append(1) or real(*args)
     )
     clear_cache()
-    # two-player games only: no one-player reduction is a member
-    assert check_axiom(axiom, "nash", two_root_dclosure).coverage["checked"] == 0
+    if axiom in ("cons", "cocons"):
+        # two-player games only: no one-player reduction is a member
+        verdict = check_axiom(axiom, "nash", two_root_dclosure)
+        assert verdict.coverage["checked"] == 0
     verdict = check_axiom(axiom, "nash", player_reduced_3x3x2)
-    assert verdict.passed and verdict.coverage["checked"] > 0
+    assert verdict.passed
+    assert verdict.coverage is None or verdict.coverage["checked"] > 0
     assert not built
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 3)])
+def test_reductions_of_non_member_parents_agree_with_naive(shape):
+    """A parent that is not a member is its own root: every member of two
+    seeds' reduction closures outside the seeds' d-closure, queried as a
+    parent.  Each answer for a candidate of the other seed holds for that
+    parent alone."""
+    rng = random.Random(4)
+    seeds = [_random_game(rng, shape) for _ in range(2)]
+    cls = d_closure(seeds)
+    outside = [h for seed in seeds for h in reduction_closure(seed) if h not in cls]
+    assert len(outside) > 200
+    for parent in outside:
+        want = tuple(g for g in cls if naive_is_reduction(g, parent))
+        assert cls.reductions(parent) == want, parent
+
+
+@pytest.mark.parametrize(
+    "closure",
+    [
+        "lying_class",
+        "player_reduced_3x3x2",
+        "seeded_player_reduction",
+        "three_root_dclosure",
+    ],
+)
+def test_replay_provenance_agrees_with_naive(closure, request):
+    """``replay_provenance`` returns the member itself exactly when a
+    naive replay of its record regenerates it, and raises otherwise."""
+    from naive_checks import _naive_reduce_players
+
+    cls = request.getfixturevalue(closure)
+    liars = 0
+    for cid in cls.ids():
+        member, prov = cls.get(cid), cls.provenance[cid]
+        parent = cls.get(prov.parent)
+        if prov.kind == "seed":
+            honest = True
+        elif prov.kind == "player-reduction-of":
+            fixed = parent.profile_from_labels(prov.fixed)
+            honest = _naive_reduce_players(parent, prov.keep, fixed) == member
+        else:
+            honest = naive_is_reduction(member, parent)
+        if honest:
+            assert cls.replay_provenance(cid) is member
+        else:
+            liars += 1
+            with pytest.raises(
+                ValueError, match=f"replay for {cid[:12]} produced a different game"
+            ):
+                cls.replay_provenance(cid)
+    assert liars == (3 if closure == "lying_class" else 0)
 
 
 @pytest.mark.parametrize("axiom", ["cons", "cocons"])
