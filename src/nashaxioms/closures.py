@@ -133,16 +133,24 @@ class Provenance:
 
 
 #: Per class: the facts ``GameClass.derive`` worked out from its members
-#: (member roots, the members per label and per player count, the
-#: reduction relation per parent, the member per content, each member's
-#: solution labels per concept); kept here so that ``clear_reductions``
-#: reaches every class.
+#: (the members per label and per player count, the reductions of each
+#: member's top, the reduction relation per parent, the member per
+#: content, each member's solution labels per concept); kept here so that
+#: ``clear_reductions`` reaches every class.
 _reductions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def clear_reductions() -> None:
     """Forget the derived facts of every class."""
     _reductions.clear()
+
+
+def _positions(bits: int) -> Iterator[int]:
+    """The positions of the set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield low.bit_length() - 1
 
 
 class GameClass:
@@ -248,44 +256,6 @@ class GameClass:
             memo[key] = compute()
         return memo[key]
 
-    def _replays(self, cid: str) -> bool:
-        """Whether a member's record regenerates it, read by content with no
-        game built: a seed's always does, a reduction's when
-        ``is_reduction(member, parent)``, a player reduction's when the
-        parent's ``_pinned_slice`` has the member's labels and rank tables."""
-        prov = self.provenance[cid]
-        if prov.kind == "seed":
-            return True
-        member, parent = self._games[cid], self._games[prov.parent]
-        if prov.kind != "player-reduction-of":
-            return is_reduction(member, parent)
-        keep, fixed = tuple(prov.keep), parent.profile_from_labels(prov.fixed)
-        content = (member.strategies, member.ranks)
-        return _pinned_slice(parent, keep, fixed) == content
-
-    def _roots(self) -> dict[str, int]:
-        """Per member, the number of its root, a game it restricts.  A seed
-        is its own root, and so is a member whose record does not replay
-        (``_replays``).  A reduction that replays shares its parent's root,
-        and a player reduction that replays has the root (parent's root,
-        kept players, pinned labels of the others)."""
-        numbers: dict = {}
-        roots: dict[str, int] = {}
-        for cid in self._games:
-            prov = self.provenance[cid]
-            if prov.kind == "seed" or not self._replays(cid):
-                key = cid
-            elif prov.kind == "player-reduction-of":
-                pinned = tuple(
-                    lab for i, lab in enumerate(prov.fixed) if i not in prov.keep
-                )
-                key = (roots[prov.parent], tuple(prov.keep), pinned)
-            else:
-                roots[cid] = roots[prov.parent]
-                continue
-            roots[cid] = numbers.setdefault(key, len(numbers))
-        return roots
-
     def _index(self) -> tuple[list[Game], dict[int, int], dict[int, int]]:
         """The members in insertion order, and as bitsets over that order
         (bit j: the j-th member) the members that have each label bit and
@@ -296,55 +266,67 @@ class GameClass:
             member = 1 << j
             n = game.player_count
             by_count[n] = by_count.get(n, 0) | member
-            mask = self._masks[cid]
-            while mask:
-                bit = mask & -mask
-                by_label[bit] = by_label.get(bit, 0) | member
-                mask ^= bit
+            for b in _positions(self._masks[cid]):
+                by_label[1 << b] = by_label.get(1 << b, 0) | member
         return list(self._games.values()), by_label, by_count
 
-    def reductions(self, parent: Game) -> tuple[Game, ...]:
-        """The members that are reductions of ``parent``, in insertion order;
-        ``parent`` itself is one when it is a member.  Worked out once per
-        parent (``derive``).  A reduction keeps a subset of the parent's
-        labels, so the candidates are the members of the parent's player
-        count less those with a label bit outside the parent's mask, read
-        from per-label member bitsets (``_index``).  A candidate with the
-        parent's root (``_roots``) restricts the same game to fewer labels,
-        so it is a reduction.  Every parent of one root that holds a
-        candidate's labels restricts that root to the same game there, so
-        ``is_reduction`` decides a candidate of another root once per
-        (parent root, candidate).  A parent that is not a member is its own
-        root, named by its canonical id."""
-        return self.derive(
-            ("reductions", parent.canonical_id), lambda: self._reductions_of(parent)
-        )
-
-    def _reductions_of(self, parent: Game) -> tuple[Game, ...]:
-        roots = self.derive(("roots",), self._roots)
-        members, by_label, by_count = self.derive(("index",), self._index)
-        across = self.derive(("cross-root",), dict)
-        root = roots.get(parent.canonical_id, parent.canonical_id)
+    def _candidates(self, parent: Game) -> int:
+        """The members that may be reductions of ``parent``, as a bitset
+        over insertion order: a reduction keeps a subset of the parent's
+        labels, so they are the members of the parent's player count less
+        those with a label bit outside the parent's mask (``_index``)."""
+        _, by_label, by_count = self.derive(("index",), self._index)
         outer = self.mask_of(parent)
         candidates = by_count.get(parent.player_count, 0)
         for bit, having in by_label.items():
             if not bit & outer:
                 candidates &= ~having
-        out = []
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            j = low.bit_length() - 1
-            g = members[j]
-            if roots[g.canonical_id] == root:
-                found = True
-            else:
-                found = across.get((root, j))
-                if found is None:
-                    found = across[root, j] = is_reduction(g, parent)
-            if found:
-                out.append(g)
-        return tuple(out)
+        return candidates
+
+    def _checked(self, parent: Game) -> int:
+        """The candidates that ``is_reduction`` confirms are reductions of
+        ``parent``, as a bitset over insertion order."""
+        members = self.derive(("index",), self._index)[0]
+        found = self._candidates(parent)
+        for j in _positions(found):
+            if not is_reduction(members[j], parent):
+                found ^= 1 << j
+        return found
+
+    def _tops(self) -> dict[str, int]:
+        """Per member, the reductions of its top as a bitset over insertion
+        order.  Members are visited largest first (``num_profiles``); one
+        that is not a reduction of an earlier top becomes a top, whose
+        reductions ``_checked`` finds, and every other member takes the
+        first top it is a reduction of.  The tops are the members that
+        restrict no larger member, so they and the ``is_reduction`` calls
+        depend on the members' content alone."""
+        members = self.derive(("index",), self._index)[0]
+        within: dict[str, int] = {}
+        for top in sorted(members, key=lambda g: -g.num_profiles):
+            if top.canonical_id not in within:
+                found = self._checked(top)
+                for j in _positions(found):
+                    within.setdefault(members[j].canonical_id, found)
+        return within
+
+    def reductions(self, parent: Game) -> tuple[Game, ...]:
+        """The members that are reductions of ``parent``, in insertion order;
+        ``parent`` itself is one when it is a member.  Worked out once per
+        parent (``derive``).  Restriction composes: a member restricts its
+        top (``_tops``), so its reductions are its candidates
+        (``_candidates``) among the top's reductions, with no
+        ``is_reduction`` call.  A parent that is not a member is checked
+        one candidate at a time."""
+        return self.derive(
+            ("reductions", parent.canonical_id), lambda: self._reductions_of(parent)
+        )
+
+    def _reductions_of(self, parent: Game) -> tuple[Game, ...]:
+        members = self.derive(("index",), self._index)[0]
+        within = self.derive(("tops",), self._tops).get(parent.canonical_id)
+        found = self._candidates(parent) & within if within else self._checked(parent)
+        return tuple(members[j] for j in _positions(found))
 
     def ids(self) -> list[str]:
         return list(self._games)
@@ -365,15 +347,28 @@ class GameClass:
         return hashlib.sha256(joined.encode("ascii")).hexdigest()
 
     def replay_provenance(self, canonical_id: str) -> Game:
-        """The member itself, once its provenance record is confirmed to
-        regenerate it from its parent (``_replays``); ``ValueError`` when
-        the record gives a different game."""
-        if not self._replays(canonical_id):
+        """The member itself, once its provenance record is confirmed by
+        content, with no game built, to regenerate it from its parent: a
+        seed's always does, a reduction's when ``is_reduction(member,
+        parent)``, a player reduction's when the parent's ``_pinned_slice``
+        has the member's labels and rank tables.  ``ValueError`` when the
+        record gives a different game or the id names no member."""
+        member = self._games.get(canonical_id)
+        if member is None:
+            raise ValueError(f"{canonical_id!r} is not a member of the class")
+        prov = self.provenance[canonical_id]
+        parent = self._games.get(prov.parent)  # None for a seed
+        if prov.kind == "player-reduction-of":
+            fixed = parent.profile_from_labels(prov.fixed)
+            content = (member.strategies, member.ranks)
+            replays = _pinned_slice(parent, tuple(prov.keep), fixed) == content
+        else:
+            replays = prov.kind == "seed" or is_reduction(member, parent)
+        if not replays:
             raise ValueError(
-                f"provenance replay for {canonical_id[:12]} produced a "
-                f"different game"
+                f"provenance replay for {canonical_id[:12]} produced a different game"
             )
-        return self._games[canonical_id]
+        return member
 
     # ------------------------------------------------------------------
     # directory serialization: one game file per member plus a manifest
@@ -424,6 +419,8 @@ class GameClass:
             check_fields(manifest, ("params", "games"), "the manifest")
         except GameFormatError as exc:
             raise malformed(exc) from None
+        if not manifest["games"]:
+            raise malformed("the class has no games")
         out = cls(params=manifest.get("params", {}))
         # the members' paths as ``path / fname`` would name them
         folder = "" if str(path) == "." else str(path)

@@ -93,7 +93,10 @@ def _coerce_profile(game: Game, profile) -> Profile:
     if isinstance(profile, Profile):
         profile.linear_index(game.shape)  # raises unless the profile fits
         return profile
-    p = game.profile_from_labels(tuple(profile))
+    try:
+        p = game.profile_from_labels(tuple(profile))
+    except TypeError:  # not a sequence of labels, such as an int
+        p = None
     if p is None:
         raise ValueError(f"profile {profile!r} does not fit the game")
     return p

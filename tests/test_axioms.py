@@ -512,8 +512,8 @@ def three_root_dclosure():
     rng = random.Random(2)
     cls = d_closure([_random_game(rng, (4, 4)) for _ in range(3)])
     assert len(cls) >= 300
-    # ``reductions`` decides a candidate of another root once per parent
-    # root, so the class must hold such candidates of both answers
+    # a top's ``is_reduction`` calls take in candidates that restrict
+    # another seed, so the class must hold such candidates of both answers
     across = Counter(
         naive_is_reduction(g, parent)
         for parent in cls
@@ -629,8 +629,8 @@ def test_player_reduction_scans_build_no_game(
     axiom, two_root_dclosure, player_reduced_3x3x2, monkeypatch
 ):
     """``cons`` and ``cocons`` find a player-reduced member by the content
-    of its pinned slice, and the reduction relation replays each member's
-    record by content, so no scan constructs a game."""
+    of its pinned slice, and the reduction relation compares the rank
+    tables of members, so no scan constructs a game."""
     import nashaxioms.games as games
     from nashaxioms.concepts import clear_cache
 
@@ -652,10 +652,9 @@ def test_player_reduction_scans_build_no_game(
 
 @pytest.mark.parametrize("shape", [(4, 4), (5, 3)])
 def test_reductions_of_non_member_parents_agree_with_naive(shape):
-    """A parent that is not a member is its own root: every member of two
-    seeds' reduction closures outside the seeds' d-closure, queried as a
-    parent.  Each answer for a candidate of the other seed holds for that
-    parent alone."""
+    """A parent that is not a member has no top, so each candidate is
+    checked for it alone: every member of two seeds' reduction closures
+    outside the seeds' d-closure, queried as a parent."""
     rng = random.Random(4)
     seeds = [_random_game(rng, shape) for _ in range(2)]
     cls = d_closure(seeds)
@@ -824,7 +823,12 @@ def _as_set(witnesses):
 @pytest.mark.parametrize(
     "closure", ["closure_4x3", "two_root_dclosure", "player_reduction_class"]
 )
-def test_insertion_order_does_not_change_reductions_or_witnesses(closure, request):
+def test_insertion_order_does_not_change_reductions_or_witnesses(
+    closure, request, monkeypatch
+):
+    import nashaxioms.closures as closures
+    from nashaxioms.concepts import clear_cache
+
     cls = request.getfixturevalue(closure)
     members = list(cls)[::-1]
     reordered = GameClass()
@@ -837,6 +841,20 @@ def test_insertion_order_does_not_change_reductions_or_witnesses(closure, reques
         cls.label_mask(g.strategies) != reordered.label_mask(g.strategies)
         for g in members
     )
+    calls = []
+    real = closures.is_reduction
+    monkeypatch.setattr(
+        closures, "is_reduction", lambda g, h: calls.append(1) or real(g, h)
+    )
+    cold = []
+    for each in (cls, reordered):
+        clear_cache()
+        calls.clear()
+        for parent in members:
+            each.reductions(parent)
+        cold.append(len(calls))
+    # the relation costs the same whatever records the members carry
+    assert cold[0] == cold[1]
     for parent in members:
         assert set(cls.reductions(parent)) == set(reordered.reductions(parent))
     witnesses = 0

@@ -202,6 +202,7 @@ def _edit_entry(edit, k=0):
         pytest.param(lambda m: "[]", id="list"),
         pytest.param(lambda m: "[" * 200_000, id="deeply-nested"),
         pytest.param(lambda m: json.dumps({"params": {}}), id="no-games"),
+        pytest.param(lambda m: json.dumps({**m, "games": []}), id="no-members"),
         *(
             pytest.param(
                 _edit_entry(lambda e, key=key: e.pop(key)),

@@ -113,6 +113,8 @@ def test_provenance_replays(ex2_dclosed, ex3_cons, chain_strict):
         for cid in cls.ids():
             replayed = cls.replay_provenance(cid)
             assert replayed.canonical_id == cid
+        with pytest.raises(ValueError, match="'nope' is not a member"):
+            cls.replay_provenance("nope")
 
 
 def test_provenance_kinds(ex3_cons, ex4_class):

@@ -55,6 +55,18 @@ def test_gadget_rejects_unselected_profiles(pd):
         lemma1a_witness("empty", pd, ("C", "C"))
 
 
+@pytest.mark.parametrize(
+    "construct",
+    [
+        pytest.param(lambda g, s: lemma1a_witness("all_profiles", g, s), id="1a"),
+        pytest.param(lemma1b_construct, id="1b"),
+    ],
+)
+def test_constructions_reject_a_profile_that_is_not_a_label_sequence(construct, ex2):
+    with pytest.raises(ValueError, match="profile 5 does not fit the game"):
+        construct(ex2, 5)
+
+
 def test_gadget_total_over_example_classes(pd_dclosed, ex2_dclosed):
     cases = 0
     for concept, cls, expected in (
