@@ -996,3 +996,29 @@ def test_verdicts_match_golden(request):
         for name in GOLDEN_CLASSES
     }
     assert verdict_lines(classes) == GOLDEN_VERDICTS.read_text(encoding="utf-8")
+
+
+# ----------------------------------------------------------------------
+# every verdict on classes of the benchmark's size, witnesses included
+# ----------------------------------------------------------------------
+
+GOLDEN_SCAN_WITNESSES = Path(__file__).parent / "golden" / "scan_witnesses.jsonl"
+
+
+@pytest.fixture(scope="module")
+def closure_4x4():
+    cls = _random_reduction_closure((4, 4), seed=0)
+    assert len(cls) == 225
+    return cls
+
+
+def test_witnesses_at_benchmark_size_match_golden(closure_4x4, player_reduced_3x3x2):
+    """The first witness and the coverage of every axiom and concept on a
+    225-game 4x4 reduction closure and a 3x3x2 reduction closure with its
+    player reductions, the two kinds of class the ``scan`` benchmark
+    checks for Nash alone."""
+    classes = {
+        "closure_4x4": closure_4x4,
+        "player_reduced_3x3x2": player_reduced_3x3x2,
+    }
+    assert verdict_lines(classes) == GOLDEN_SCAN_WITNESSES.read_text(encoding="utf-8")
