@@ -18,15 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .closures import GameClass
+from .closures import GameClass, _positions
 from .concepts import ConceptDomainError, eval_concept, jointly_optimal
-from .games import (
-    Game,
-    Profile,
-    _pinned_slice,
-    removes_only_dominated,
-    strict_dominators,
-)
+from .games import Game, Profile, _pinned_slice, _undominated, strict_dominators
 
 
 @dataclass
@@ -84,13 +78,16 @@ def _solutions(concept: str, cls: GameClass, game: Game) -> frozenset:
 
 def _reduced(concept: str, cls: GameClass, parent: Game) -> list[tuple]:
     """Per member of ``cls.reductions(parent)``, in order: the member,
-    its mask (``cls.mask_of``) and its solutions' label set.  A parent
-    profile lies in a member when the profile's mask lies inside the
-    member's."""
-    return [
-        (g, cls.mask_of(g), _solutions(concept, cls, g))
-        for g in cls.reductions(parent)
-    ]
+    its mask (``cls.mask_of``) and its solutions' label set, worked out
+    once per parent and concept (``cls.derive``).  A parent profile lies
+    in a member when the profile's mask lies inside the member's."""
+    return cls.derive(
+        ("reduced", concept, parent.canonical_id),
+        lambda: [
+            (g, cls.mask_of(g), _solutions(concept, cls, g))
+            for g in cls.reductions(parent)
+        ],
+    )
 
 
 def _iis(
@@ -124,13 +121,25 @@ def _mc(
         phi_parent = _solutions(concept, cls, parent)
         full = cls.mask_of(parent)
         reduced = _reduced(concept, cls, parent)
+        # per solution of a reduction, the positions of the reductions it
+        # solves as a bitset, so a pair is visited only if it shares one
+        solvers: dict[tuple, int] = {}
+        for j, (_, _, phi) in enumerate(reduced):
+            for labels in phi:
+                solvers[labels] = solvers.get(labels, 0) | 1 << j
         for ga, mask_a, phi_a in reduced:
             # only profiles that do not solve the parent can be witnesses
             extra = phi_a - phi_parent
             if not extra:
                 continue
-            for gb, mask_b, phi_b in reduced:
-                if mask_a | mask_b != full:
+            # b merges with a when it keeps every label that a lacks
+            need = full & ~mask_a
+            shared = 0
+            for labels in extra:
+                shared |= solvers[labels]
+            for j in _positions(shared):
+                gb, mask_b, phi_b = reduced[j]
+                if need & mask_b != need:
                     continue
                 for labels in sorted(extra & phi_b):
                     yield {
@@ -147,12 +156,20 @@ def _isds(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
     """Strictly dominated removals leave the solution set unchanged."""
+    # A reduction removes only strictly dominated strategies when it
+    # keeps every undominated one (``_undominated``) and is not the
+    # parent.  Concepts are evaluated on those reductions alone, since a
+    # concept may be undefined on the others.
     for parent in parents:
-        dominators = strict_dominators(parent)
+        full = cls.mask_of(parent)
+        need = cls.label_mask(map(_undominated, strict_dominators(parent)))
+        if need == full:
+            continue
+        reductions = cls.reductions(parent)
         strict = [
             g
-            for g in cls.reductions(parent)
-            if removes_only_dominated(dominators, g.strategies)
+            for g, mask in zip(reductions, map(cls.mask_of, reductions))
+            if mask & need == need and mask != full
         ]
         if not strict:
             continue
@@ -189,18 +206,26 @@ def _jo(
                 }
 
 
-def _subgroups(cls: GameClass, game: Game) -> list[tuple[tuple[int, ...], bool]]:
-    """``(keep, available)`` per non-empty proper player subgroup of
-    ``game``, in ascending bitmask order.  A game reduced to the players
-    in ``keep`` has their strategies, so it can be a member only when
-    some member has those strategies: only then is it ``available``."""
-    present = cls.derive(("strategies",), lambda: {g.strategies for g in cls})
-    n = game.player_count
-    out = []
-    for mask in range(1, (1 << n) - 1):
-        keep = tuple(i for i in range(n) if mask >> i & 1)
-        out.append((keep, tuple(game.strategies[i] for i in keep) in present))
-    return out
+def _subgroups(cls: GameClass, game: Game) -> list[tuple[tuple[int, ...], dict | None]]:
+    """``(keep, pinned)`` per non-empty proper player subgroup of
+    ``game``, in ascending bitmask order, worked out once per game
+    (``cls.derive``).  A game reduced to the players in ``keep`` has
+    their strategies, so it can be a member only when some member has
+    those strategies; otherwise ``pinned`` is None, and else it is the
+    memo ``_player_reduced`` fills, one member or None per pinned
+    column."""
+
+    def compute():
+        present = cls.derive(("strategies",), lambda: {g.strategies for g in cls})
+        n = game.player_count
+        out = []
+        for mask in range(1, (1 << n) - 1):
+            keep = tuple(i for i in range(n) if mask >> i & 1)
+            available = tuple(game.strategies[i] for i in keep) in present
+            out.append((keep, {} if available else None))
+        return out
+
+    return cls.derive(("subgroups", game.canonical_id), compute)
 
 
 def _player_reduced(
@@ -210,12 +235,16 @@ def _player_reduced(
     the member of the class that is ``game`` reduced to the players in
     ``keep`` with the others fixed at ``s``.  It is looked for only when
     available, by the content of the pinned slice (``cls.with_content``),
-    so no game is built."""
-    for keep, available in subgroups:
-        if not available:
+    so no game is built, and once per pinned column: the others'
+    components of ``s``."""
+    for keep, pinned in subgroups:
+        if pinned is None:
             yield keep, None
-        else:
-            yield keep, cls.with_content(*_pinned_slice(game, keep, s))
+            continue
+        column = tuple(x for i, x in enumerate(s.indices) if i not in keep)
+        if column not in pinned:
+            pinned[column] = cls.with_content(*_pinned_slice(game, keep, s))
+        yield keep, pinned[column]
 
 
 def _cons(
@@ -225,8 +254,12 @@ def _cons(
     for game in parents:
         if game.player_count < 2:
             continue
+        phi_game = sorted(_phi(concept, game))
         subgroups = _subgroups(cls, game)
-        for s in sorted(_phi(concept, game)):
+        if all(pinned is None for _, pinned in subgroups):
+            tally["skipped"] += len(phi_game) * len(subgroups)
+            continue
+        for s in phi_game:
             for keep, member in _player_reduced(cls, game, subgroups, s):
                 if member is None:
                     tally["skipped"] += 1
@@ -257,35 +290,37 @@ def _cocons(
             continue
         phi_game = _phi(concept, game)
         subgroups = _subgroups(cls, game)
-        if not any(available for _, available in subgroups):
+        if all(pinned is None for _, pinned in subgroups):
             tally["vacuous"] += game.num_profiles - len(phi_game)
             continue
         for s in game.profiles():
             if s in phi_game:
                 continue
-            available = [
-                (keep, member)
-                for keep, member in _player_reduced(cls, game, subgroups, s)
-                if member is not None
-            ]
-            if not available:
-                tally["vacuous"] += 1
-                continue
-            tally["checked"] += 1
-            if all(
-                Profile(tuple(s.indices[i] for i in keep))
-                in _phi(concept, member)
-                for keep, member in available
-            ):
+            # the profile is checked once some player-reduced member is
+            # present; the first whose restricted profile is not a
+            # solution settles it
+            present = False
+            for keep, member in _player_reduced(cls, game, subgroups, s):
+                if member is None:
+                    continue
+                present = True
+                if Profile(tuple(s.indices[i] for i in keep)) not in _phi(
+                    concept, member
+                ):
+                    tally["checked"] += 1
+                    break
+            else:
+                if not present:
+                    tally["vacuous"] += 1
+                    continue
+                tally["checked"] += 1
                 yield {
                     "game": game.canonical_id,
                     "profile": list(game.labels_of(s)),
                     "subgroups": [
-                        {
-                            "players_kept": list(keep),
-                            "game": member.canonical_id,
-                        }
-                        for keep, member in available
+                        {"players_kept": list(keep), "game": member.canonical_id}
+                        for keep, member in _player_reduced(cls, game, subgroups, s)
+                        if member is not None
                     ],
                     "clause": "profile solves every available "
                     "player-reduced game yet not the game itself",
@@ -304,24 +339,30 @@ def _ciis(
         if game.num_profiles < 3:
             continue
         phi_game = _phi(concept, game)
-        proper = [r for r in _reduced(concept, cls, game) if r[0] != game]
+        full = cls.mask_of(game)
+        proper = [r for r in _reduced(concept, cls, game) if r[1] != full]
         for s in game.profiles():
             if s in phi_game:
                 continue
             labels = game.labels_of(s)
             inside = cls.label_mask(zip(labels))
-            containing = [
-                (g, phi_g) for g, mask, phi_g in proper if not inside & ~mask
-            ]
-            if not containing:
+            containing = (r for r in proper if r[1] & inside == inside)
+            first = next(containing, None)
+            if first is None:
                 tally["vacuous"] += 1
                 continue
             tally["checked"] += 1
-            if all(labels in phi_g for _, phi_g in containing):
+            # the first containing reduction the profile does not solve
+            # settles it; the full list is rebuilt only for a witness
+            if labels in first[2] and all(labels in r[2] for r in containing):
                 yield {
                     "game": game.canonical_id,
                     "profile": list(labels),
-                    "reductions": [g.canonical_id for g, _ in containing],
+                    "reductions": [
+                        g.canonical_id
+                        for g, mask, _ in proper
+                        if mask & inside == inside
+                    ],
                     "clause": "profile solves every proper reduction "
                     "containing it yet not the game itself",
                 }

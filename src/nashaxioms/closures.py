@@ -132,17 +132,15 @@ class Provenance:
         )
 
 
-#: Per class: the facts ``GameClass.derive`` worked out from its members
-#: (the members per label and per player count, the reductions of each
-#: member's top, the reduction relation per parent, the member per
-#: content, each member's solution labels per concept); kept here so that
-#: ``clear_reductions`` reaches every class.
-_reductions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: Every class, so that ``clear_reductions`` reaches the facts each one's
+#: ``GameClass.derive`` worked out.
+_classes: weakref.WeakSet = weakref.WeakSet()
 
 
 def clear_reductions() -> None:
     """Forget the derived facts of every class."""
-    _reductions.clear()
+    for cls in _classes:
+        cls._derived.clear()
 
 
 def _positions(bits: int) -> Iterator[int]:
@@ -163,6 +161,12 @@ class GameClass:
         # ``label_mask``'s bit per (player index, label), and each member's mask
         self._bits: dict[tuple[int, str], int] = {}
         self._masks: dict[str, int] = {}
+        # ``derive``'s memo: the members per label and per player count, the
+        # reductions of each member's top, the reduction relation per
+        # parent, the member per content, and the scans' per-parent,
+        # per-game and per-concept facts (``axioms``)
+        self._derived: dict[tuple, object] = {}
+        _classes.add(self)
 
     def add(self, game: Game, provenance: Provenance) -> bool:
         """Insert a game; returns False when it was already present."""
@@ -173,7 +177,7 @@ class GameClass:
         self._games[cid] = game
         self.provenance[cid] = provenance
         self._masks[cid] = self.label_mask(game.strategies)
-        _reductions.pop(self, None)
+        self._derived.clear()
         return True
 
     def _check_record(self, game: Game, provenance: Provenance) -> None:
@@ -249,9 +253,7 @@ class GameClass:
         """``compute()``, worked out once per ``key`` and kept until the
         next ``add`` or ``clear_reductions``: the class's memo of facts
         derived from its members."""
-        memo = _reductions.get(self)
-        if memo is None:
-            memo = _reductions[self] = {}
+        memo = self._derived
         if key not in memo:
             memo[key] = compute()
         return memo[key]
