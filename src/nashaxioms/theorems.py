@@ -93,10 +93,12 @@ def _coerce_profile(game: Game, profile) -> Profile:
     if isinstance(profile, Profile):
         profile.linear_index(game.shape)  # raises unless the profile fits
         return profile
-    try:
-        p = game.profile_from_labels(tuple(profile))
-    except TypeError:  # not a sequence of labels, such as an int
-        p = None
+    p = None
+    if not isinstance(profile, str):  # a string is not split into labels
+        try:
+            p = game.profile_from_labels(tuple(profile))
+        except TypeError:  # not a sequence of labels, such as an int
+            pass
     if p is None:
         raise ValueError(f"profile {profile!r} does not fit the game")
     return p

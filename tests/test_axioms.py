@@ -18,6 +18,7 @@ from nashaxioms import (
     check_axiom,
     d_closure,
     enumerate_reductions,
+    eval_concept,
     reduce_players,
     reduction_closure,
     replay_witness,
@@ -104,6 +105,15 @@ def test_isds_nash_passes(pd_dclosed):
 
 def test_isds_empty_passes(pd_dclosed):
     assert check_axiom("isds", "empty", pd_dclosed).passed
+
+
+def test_isds_evaluates_concepts_on_strict_reductions_only(ex3_cons):
+    # ex5_phi is undefined on the one-player members of ex3_cons, none of
+    # which is a strict reduction of a member
+    assert check_axiom("isds", "ex5_phi", ex3_cons).passed
+    with pytest.raises(ConceptDomainError):
+        for g in ex3_cons:
+            eval_concept("ex5_phi", g)
 
 
 # ----------------------------------------------------------------------
@@ -427,6 +437,10 @@ def test_reduction_scans_agree_with_naive_on_several_roots(
         assert got.result == naive_check(axiom, concept, list(cls))
 
 
+#: The player subgroups of a three-player game, in ascending bitmask order.
+_KEEP_3 = ((0,), (1,), (0, 1), (2,), (0, 2), (1, 2))
+
+
 def _add_player_reductions(cls, members):
     """Add every player reduction of each of ``members`` to ``cls``."""
     for member in members:
@@ -497,6 +511,47 @@ def seeded_player_reduction():
     return cls
 
 
+@pytest.fixture(scope="module")
+def sparsely_player_reduced():
+    """A random 3x3x2 game's reduction closure plus a seeded 30% of the
+    distinct games its members reduce to by pinning players: of the
+    player-reduced games a profile has available, all, some or none are
+    present, so cocons stops early on some profiles and finds nothing on
+    others."""
+    cls = _random_reduction_closure((3, 3, 2), seed=9)
+    rng = random.Random(9)
+    chosen = {}
+    for member in list(cls):
+        for keep in _KEEP_3:
+            for s in member.profiles():
+                game = reduce_players(member, keep, s)
+                if chosen.setdefault(game.canonical_id, rng.random() < 0.3):
+                    cls.add(
+                        game,
+                        Provenance(
+                            "player-reduction-of",
+                            parent=member.canonical_id,
+                            keep=keep,
+                            fixed=member.labels_of(s),
+                        ),
+                    )
+    strategies = {g.strategies for g in cls}
+    seen = set()
+    for g in cls:
+        if g.player_count < 3:
+            continue
+        for s in g.profiles():
+            found = [
+                reduce_players(g, keep, s) in cls
+                for keep in _KEEP_3
+                if tuple(g.strategies[i] for i in keep) in strategies
+            ]
+            if found:
+                seen.add((any(found), all(found)))
+    assert seen == {(False, False), (True, False), (True, True)}
+    return cls
+
+
 def _seed_of(cls, cid):
     """The seed a member's provenance chain starts from."""
     while cls.provenance[cid].kind != "seed":
@@ -545,6 +600,7 @@ def test_games_built_from_checked_parts_equal_checked_games(closure, request):
         "closure_5x5",
         "player_reduced_3x3x2",
         "partly_player_reduced",
+        "sparsely_player_reduced",
         "seeded_player_reduction",
     ],
 )
@@ -552,8 +608,10 @@ def test_games_built_from_checked_parts_equal_checked_games(closure, request):
 @pytest.mark.parametrize("axiom", ["cons", "cocons"])
 def test_player_reduction_coverage_agrees_with_naive(axiom, concept, closure, request):
     """Result, counts and witness of cons and cocons, where no member,
-    every member or only some members have an available subgroup, and
-    where a player-reduced member entered as a seed."""
+    every member or only some members have an available subgroup, where
+    only some player-reduced games are present (so cocons stops early on
+    some profiles and finds none on others), and where a player-reduced
+    member entered as a seed."""
     cls = request.getfixturevalue(closure)
     assert _coverage(check_axiom(axiom, concept, cls)) == naive_coverage(
         axiom, concept, cls

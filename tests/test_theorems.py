@@ -67,6 +67,20 @@ def test_constructions_reject_a_profile_that_is_not_a_label_sequence(construct, 
         construct(ex2, 5)
 
 
+@pytest.mark.parametrize(
+    "construct",
+    [
+        pytest.param(lambda g, s: lemma1a_witness("all_profiles", g, s), id="1a"),
+        pytest.param(lemma1b_construct, id="1b"),
+    ],
+)
+def test_constructions_reject_a_string_profile(construct, ex2):
+    # ex2's labels are single characters, so splitting "UL" would give
+    # the equilibrium ("U", "L")
+    with pytest.raises(ValueError, match="profile 'UL' does not fit the game"):
+        construct(ex2, "UL")
+
+
 def test_gadget_total_over_example_classes(pd_dclosed, ex2_dclosed):
     cases = 0
     for concept, cls, expected in (
