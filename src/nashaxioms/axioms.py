@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .closures import GameClass, _positions
@@ -296,24 +297,22 @@ def _cocons(
         for s in game.profiles():
             if s in phi_game:
                 continue
-            # the profile is checked once some player-reduced member is
-            # present; the first whose restricted profile is not a
-            # solution settles it
-            present = False
-            for keep, member in _player_reduced(cls, game, subgroups, s):
-                if member is None:
-                    continue
-                present = True
-                if Profile(tuple(s.indices[i] for i in keep)) not in _phi(
-                    concept, member
-                ):
-                    tally["checked"] += 1
-                    break
-            else:
-                if not present:
-                    tally["vacuous"] += 1
-                    continue
-                tally["checked"] += 1
+            present = (
+                (keep, member)
+                for keep, member in _player_reduced(cls, game, subgroups, s)
+                if member is not None
+            )
+            first = next(present, None)
+            if first is None:
+                tally["vacuous"] += 1
+                continue
+            tally["checked"] += 1
+            # the first present game whose restricted profile is not a
+            # solution settles it; the full list is rebuilt only for a witness
+            if all(
+                Profile(tuple(s.indices[i] for i in keep)) in _phi(concept, member)
+                for keep, member in chain((first,), present)
+            ):
                 yield {
                     "game": game.canonical_id,
                     "profile": list(game.labels_of(s)),
@@ -354,7 +353,7 @@ def _ciis(
             tally["checked"] += 1
             # the first containing reduction the profile does not solve
             # settles it; the full list is rebuilt only for a witness
-            if labels in first[2] and all(labels in r[2] for r in containing):
+            if all(labels in r[2] for r in chain((first,), containing)):
                 yield {
                     "game": game.canonical_id,
                     "profile": list(labels),
