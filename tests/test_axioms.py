@@ -1,4 +1,5 @@
 import itertools
+import hashlib
 import json
 import math
 import random
@@ -1080,3 +1081,47 @@ def test_witnesses_at_benchmark_size_match_golden(closure_4x4, player_reduced_3x
         "player_reduced_3x3x2": player_reduced_3x3x2,
     }
     assert verdict_lines(classes) == GOLDEN_SCAN_WITNESSES.read_text(encoding="utf-8")
+
+
+GOLDEN_SCAN_STREAMS = Path(__file__).parent / "golden" / "scan_streams.jsonl"
+
+
+def stream_lines(classes) -> str:
+    """One sorted-key JSON line per (class, axiom, concept): the number of
+    witnesses of the axiom's full scan and the sha256 of all of them in
+    scan order, its coverage tally, and the message of a domain error
+    that stopped it (None when none did)."""
+    lines = []
+    for name, cls in classes.items():
+        for axiom in AXIOM_IDS:
+            for concept in CONCEPT_IDS:
+                found, tally, error = [], Counter(), None
+                try:
+                    found.extend(_AXIOMS[axiom][0](concept, cls, cls, tally))
+                except ConceptDomainError as exc:
+                    error = f"ConceptDomainError: {exc}"
+                stream = json.dumps(found).encode("utf-8")
+                record = {
+                    "axiom": axiom,
+                    "concept": concept,
+                    "class": name,
+                    "count": len(found),
+                    "sha256": hashlib.sha256(stream).hexdigest(),
+                    "tally": dict(sorted(tally.items())),
+                    "error": error,
+                }
+                lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def test_witness_streams_at_benchmark_size_match_golden(
+    closure_4x4, player_reduced_3x3x2
+):
+    """Every witness of every full scan, in order, on the two classes of
+    ``test_witnesses_at_benchmark_size_match_golden``: what
+    ``replay_witness`` reads, where that golden file pins only the first."""
+    classes = {
+        "closure_4x4": closure_4x4,
+        "player_reduced_3x3x2": player_reduced_3x3x2,
+    }
+    assert stream_lines(classes) == GOLDEN_SCAN_STREAMS.read_text(encoding="utf-8")
