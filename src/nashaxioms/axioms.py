@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import or_
 from typing import Iterable, Iterator
 
 from .closures import GameClass, _positions
 from .concepts import ConceptDomainError, eval_concept, jointly_optimal
-from .games import Game, Profile, _pinned_slice, _undominated, strict_dominators
+from .games import Game, Profile, _pinned_slice, _undominated
 
 
 @dataclass
@@ -59,55 +61,80 @@ class AxiomVerdict:
         }
 
 
-def _phi(concept: str, game: Game) -> frozenset[Profile]:
-    try:
-        return eval_concept(concept, game)
-    except ConceptDomainError as exc:
-        raise ConceptDomainError(
-            f"{exc} [game {game.canonical_id[:12]}]"
-        ) from exc
+class _Table:
+    """One concept's solutions on a class: per game (by canonical id) the
+    label set of its solutions, and per label tuple the members it
+    solves as a bitset over insertion order, for the members ``fill``
+    has entered.  Filled one game at a time as the scans ask, so the
+    concept is evaluated on the same games in the same order as if each
+    scan called ``eval_concept`` itself."""
+
+    def __init__(self, concept: str, cls: GameClass):
+        self.concept = concept
+        self.members = cls.members()
+        self.labels: dict[str, frozenset] = {}
+        self.solvers: dict[tuple, int] = {}
+        self.filled = 0
+
+    def of(self, game: Game) -> frozenset:
+        """The label set of the game's solutions; an error names the game."""
+        cid = game.canonical_id
+        if cid not in self.labels:
+            try:
+                phi = eval_concept(self.concept, game)
+            except ConceptDomainError as exc:
+                raise ConceptDomainError(f"{exc} [game {cid[:12]}]") from exc
+            self.labels[cid] = game.label_set(phi)
+        return self.labels[cid]
+
+    def fill(self, bits: int) -> None:
+        """Enter the members of the bitset ``bits`` into ``solvers``, in order."""
+        solvers = self.solvers
+        for j in _positions(bits & ~self.filled):
+            for labels in self.of(self.members[j]):
+                solvers[labels] = solvers.get(labels, 0) | 1 << j
+            self.filled |= 1 << j
 
 
-def _solutions(concept: str, cls: GameClass, game: Game) -> frozenset:
-    """The label set of the game's solutions, worked out once per class
-    (``cls.derive``)."""
-    return cls.derive(
-        ("solutions", concept, game.canonical_id),
-        lambda: game.label_set(_phi(concept, game)),
-    )
+def _table(concept: str, cls: GameClass) -> _Table:
+    """The concept's ``_Table`` on the class, one per class (``cls.derive``)."""
+    return cls.derive(("table", concept), lambda: _Table(concept, cls))
 
 
-def _reduced(concept: str, cls: GameClass, parent: Game) -> list[tuple]:
-    """Per member of ``cls.reductions(parent)``, in order: the member,
-    its mask (``cls.mask_of``) and its solutions' label set, worked out
-    once per parent and concept (``cls.derive``).  A parent profile lies
-    in a member when the profile's mask lies inside the member's."""
-    return cls.derive(
-        ("reduced", concept, parent.canonical_id),
-        lambda: [
-            (g, cls.mask_of(g), _solutions(concept, cls, g))
-            for g in cls.reductions(parent)
-        ],
-    )
+def _cells(cls: GameClass, game: Game) -> list[tuple[Profile, tuple, int]]:
+    """Per profile of ``game``, in linear-index order: the profile, its
+    labels and their mask, worked out once per game (``cls.derive``).  A
+    member holds the profile when its mask holds the profile's."""
+    return cls.derive(("cells", game.canonical_id), lambda: [
+        (s, x, cls.label_mask(zip(x)))
+        for s in game.profiles()
+        for x in (game.labels_of(s),)
+    ])
 
 
 def _iis(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
     """Solutions survive into every reduction they belong to."""
+    table, members = _table(concept, cls), cls.members()
     for parent in parents:
-        solutions = [
-            (labels, cls.label_mask(zip(labels)))
-            for labels in map(parent.labels_of, sorted(_phi(concept, parent)))
-        ]
-        if not solutions:
+        phi = table.of(parent)
+        if not phi:
             continue
-        for cand, mask, phi_cand in _reduced(concept, cls, parent):
-            for labels, inside in solutions:
-                if not inside & ~mask and labels not in phi_cand:
+        within = cls.reduction_bits(parent)
+        table.fill(within)
+        # per solution, the reductions that hold it but do not solve it
+        lost = [
+            (labels, cls.having(inside, within) & ~table.solvers.get(labels, 0))
+            for _, labels, inside in _cells(cls, parent)
+            if labels in phi
+        ]
+        for j in _positions(reduce(or_, (bits for _, bits in lost))):
+            for labels, bits in lost:
+                if bits >> j & 1:
                     yield {
                         "game": parent.canonical_id,
-                        "reduction": cand.canonical_id,
+                        "reduction": members[j].canonical_id,
                         "profile": list(labels),
                         "clause": "solution of the game is lost in a "
                         "reduction containing it",
@@ -118,31 +145,26 @@ def _mc(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
     """Common solutions of two merging reductions solve the merge."""
+    table, members = _table(concept, cls), cls.members()
     for parent in parents:
-        phi_parent = _solutions(concept, cls, parent)
+        phi_parent = table.of(parent)
         full = cls.mask_of(parent)
-        reduced = _reduced(concept, cls, parent)
-        # per solution of a reduction, the positions of the reductions it
-        # solves as a bitset, so a pair is visited only if it shares one
-        solvers: dict[tuple, int] = {}
-        for j, (_, _, phi) in enumerate(reduced):
-            for labels in phi:
-                solvers[labels] = solvers.get(labels, 0) | 1 << j
-        for ga, mask_a, phi_a in reduced:
-            # only profiles that do not solve the parent can be witnesses
-            extra = phi_a - phi_parent
-            if not extra:
-                continue
+        within = cls.reduction_bits(parent)
+        table.fill(within)
+        # only profiles that do not solve the parent can be witnesses, so
+        # only the reductions that solve one of them are visited
+        solvers = table.solvers
+        solve_extra = reduce(or_, (
+            solvers.get(x, 0) for _, x, _ in _cells(cls, parent) if x not in phi_parent
+        ), 0)
+        for j in _positions(solve_extra & within):
+            ga = members[j]
+            extra = table.of(ga) - phi_parent
+            shared = reduce(or_, map(solvers.__getitem__, extra))
             # b merges with a when it keeps every label that a lacks
-            need = full & ~mask_a
-            shared = 0
-            for labels in extra:
-                shared |= solvers[labels]
-            for j in _positions(shared):
-                gb, mask_b, phi_b = reduced[j]
-                if need & mask_b != need:
-                    continue
-                for labels in sorted(extra & phi_b):
+            for k in _positions(cls.having(full & ~cls.mask_of(ga), shared & within)):
+                gb = members[k]
+                for labels in sorted(extra & table.of(gb)):
                     yield {
                         "game": parent.canonical_id,
                         "reduction_a": ga.canonical_id,
@@ -161,22 +183,23 @@ def _isds(
     # keeps every undominated one (``_undominated``) and is not the
     # parent.  Concepts are evaluated on those reductions alone, since a
     # concept may be undefined on the others.
+    table, members = _table(concept, cls), cls.members()
     for parent in parents:
         full = cls.mask_of(parent)
-        need = cls.label_mask(map(_undominated, strict_dominators(parent)))
+        need = cls.derive(
+            ("undominated", parent.canonical_id),
+            lambda: cls.label_mask(_undominated(parent)),
+        )
         if need == full:
             continue
-        reductions = cls.reductions(parent)
-        strict = [
-            g
-            for g, mask in zip(reductions, map(cls.mask_of, reductions))
-            if mask & need == need and mask != full
-        ]
+        within = cls.reduction_bits(parent)
+        strict = cls.having(need, within) & ~cls.having(full, within)
         if not strict:
             continue
-        phi_parent = _solutions(concept, cls, parent)
-        for cand in strict:
-            phi_cand = _solutions(concept, cls, cand)
+        phi_parent = table.of(parent)
+        for j in _positions(strict):
+            cand = members[j]
+            phi_cand = table.of(cand)
             if phi_parent != phi_cand:
                 yield {
                     "game": parent.canonical_id,
@@ -196,13 +219,14 @@ def _jo(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
     """Profiles of weakly dominant strategies must be solutions."""
+    table = _table(concept, cls)
     for game in parents:
-        phi_game = _phi(concept, game)
-        for s in sorted(jointly_optimal(game)):
-            if s not in phi_game:
+        phi_game = table.of(game)
+        for labels in map(game.labels_of, sorted(jointly_optimal(game))):
+            if labels not in phi_game:
                 yield {
                     "game": game.canonical_id,
-                    "profile": list(game.labels_of(s)),
+                    "profile": list(labels),
                     "clause": "jointly optimal profile is not a solution",
                 }
 
@@ -252,30 +276,31 @@ def _cons(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
     """Restrictions of solutions solve the player-reduced games."""
+    table = _table(concept, cls)
     for game in parents:
         if game.player_count < 2:
             continue
-        phi_game = sorted(_phi(concept, game))
+        phi_game = table.of(game)
         subgroups = _subgroups(cls, game)
         if all(pinned is None for _, pinned in subgroups):
             tally["skipped"] += len(phi_game) * len(subgroups)
             continue
-        for s in phi_game:
+        for s, labels, _ in _cells(cls, game):
+            if labels not in phi_game:
+                continue
             for keep, member in _player_reduced(cls, game, subgroups, s):
                 if member is None:
                     tally["skipped"] += 1
                     continue
                 tally["checked"] += 1
-                restricted = Profile(tuple(s.indices[i] for i in keep))
-                if restricted not in _phi(concept, member):
+                restricted = tuple(labels[i] for i in keep)
+                if restricted not in table.of(member):
                     yield {
                         "game": game.canonical_id,
                         "player_reduced": member.canonical_id,
-                        "profile": list(game.labels_of(s)),
+                        "profile": list(labels),
                         "players_kept": list(keep),
-                        "restricted_profile": list(
-                            member.labels_of(restricted)
-                        ),
+                        "restricted_profile": list(restricted),
                         "clause": "restriction of a solution is not a "
                         "solution of the player-reduced game",
                     }
@@ -286,16 +311,17 @@ def _cocons(
 ) -> Iterator[dict]:
     """A profile whose restrictions solve every available player-reduced
     game solves the game."""
+    table = _table(concept, cls)
     for game in parents:
         if game.player_count < 2:
             continue
-        phi_game = _phi(concept, game)
+        phi_game = table.of(game)
         subgroups = _subgroups(cls, game)
         if all(pinned is None for _, pinned in subgroups):
             tally["vacuous"] += game.num_profiles - len(phi_game)
             continue
-        for s in game.profiles():
-            if s in phi_game:
+        for s, labels, _ in _cells(cls, game):
+            if labels in phi_game:
                 continue
             present = (
                 (keep, member)
@@ -310,12 +336,12 @@ def _cocons(
             # the first present game whose restricted profile is not a
             # solution settles it; the full list is rebuilt only for a witness
             if all(
-                Profile(tuple(s.indices[i] for i in keep)) in _phi(concept, member)
+                tuple(labels[i] for i in keep) in table.of(member)
                 for keep, member in chain((first,), present)
             ):
                 yield {
                     "game": game.canonical_id,
-                    "profile": list(game.labels_of(s)),
+                    "profile": list(labels),
                     "subgroups": [
                         {"players_kept": list(keep), "game": member.canonical_id}
                         for keep, member in _player_reduced(cls, game, subgroups, s)
@@ -334,33 +360,29 @@ def _ciis(
     # The quantifier over proper reductions is read as non-vacuous: a
     # profile with no proper reduction present in the class cannot
     # trigger a violation, it is only counted in the coverage data.
+    table, members = _table(concept, cls), cls.members()
     for game in parents:
         if game.num_profiles < 3:
             continue
-        phi_game = _phi(concept, game)
-        full = cls.mask_of(game)
-        proper = [r for r in _reduced(concept, cls, game) if r[1] != full]
-        for s in game.profiles():
-            if s in phi_game:
+        phi_game = table.of(game)
+        within = cls.reduction_bits(game)
+        table.fill(within)
+        # all but the game itself, the one reduction with all its labels
+        proper = within & ~cls.having(cls.mask_of(game), within)
+        for _, labels, inside in _cells(cls, game):
+            if labels in phi_game:
                 continue
-            labels = game.labels_of(s)
-            inside = cls.label_mask(zip(labels))
-            containing = (r for r in proper if r[1] & inside == inside)
-            first = next(containing, None)
-            if first is None:
+            containing = cls.having(inside, proper)
+            if not containing:
                 tally["vacuous"] += 1
                 continue
             tally["checked"] += 1
-            # the first containing reduction the profile does not solve
-            # settles it; the full list is rebuilt only for a witness
-            if all(labels in r[2] for r in chain((first,), containing)):
+            if not containing & ~table.solvers.get(labels, 0):
                 yield {
                     "game": game.canonical_id,
                     "profile": list(labels),
                     "reductions": [
-                        g.canonical_id
-                        for g, mask, _ in proper
-                        if mask & inside == inside
+                        members[j].canonical_id for j in _positions(containing)
                     ],
                     "clause": "profile solves every proper reduction "
                     "containing it yet not the game itself",

@@ -163,8 +163,8 @@ class GameClass:
         self._masks: dict[str, int] = {}
         # ``derive``'s memo: the members per label and per player count, the
         # reductions of each member's top, the reduction relation per
-        # parent, the member per content, and the scans' per-parent,
-        # per-game and per-concept facts (``axioms``)
+        # parent, the member per content, and the scans' per-game and
+        # per-concept facts (``axioms``)
         self._derived: dict[tuple, object] = {}
         _classes.add(self)
 
@@ -285,10 +285,20 @@ class GameClass:
                 candidates &= ~having
         return candidates
 
+    def having(self, mask: int, among: int) -> int:
+        """The members of the bitset ``among`` whose masks hold every bit of
+        ``mask``: an ``and`` of the per-label member bitsets (``_index``)."""
+        by_label = self.derive(("index",), self._index)[1]
+        while mask and among:
+            low = mask & -mask
+            among &= by_label.get(low, 0)
+            mask ^= low
+        return among
+
     def _checked(self, parent: Game) -> int:
         """The candidates that ``is_reduction`` confirms are reductions of
         ``parent``, as a bitset over insertion order."""
-        members = self.derive(("index",), self._index)[0]
+        members = self.members()
         found = self._candidates(parent)
         for j in _positions(found):
             if not is_reduction(members[j], parent):
@@ -303,7 +313,7 @@ class GameClass:
         first top it is a reduction of.  The tops are the members that
         restrict no larger member, so they and the ``is_reduction`` calls
         depend on the members' content alone."""
-        members = self.derive(("index",), self._index)[0]
+        members = self.members()
         within: dict[str, int] = {}
         for top in sorted(members, key=lambda g: -g.num_profiles):
             if top.canonical_id not in within:
@@ -312,23 +322,30 @@ class GameClass:
                     within.setdefault(members[j].canonical_id, found)
         return within
 
+    def members(self) -> list[Game]:
+        """The members in insertion order, bit j of a bitset the j-th."""
+        return self.derive(("index",), self._index)[0]
+
     def reductions(self, parent: Game) -> tuple[Game, ...]:
         """The members that are reductions of ``parent``, in insertion order;
-        ``parent`` itself is one when it is a member.  Worked out once per
-        parent (``derive``).  Restriction composes: a member restricts its
-        top (``_tops``), so its reductions are its candidates
-        (``_candidates``) among the top's reductions, with no
-        ``is_reduction`` call.  A parent that is not a member is checked
-        one candidate at a time."""
+        ``parent`` itself is one when it is a member (``reduction_bits``)."""
+        members = self.members()
+        return tuple(members[j] for j in _positions(self.reduction_bits(parent)))
+
+    def reduction_bits(self, parent: Game) -> int:
+        """The members that are reductions of ``parent``, as a bitset over
+        insertion order, worked out once per parent (``derive``).
+        Restriction composes: a member restricts its top (``_tops``), so
+        its reductions are its candidates (``_candidates``) among the top's
+        reductions, with no ``is_reduction`` call.  A parent that is not a
+        member is checked one candidate at a time."""
         return self.derive(
             ("reductions", parent.canonical_id), lambda: self._reductions_of(parent)
         )
 
-    def _reductions_of(self, parent: Game) -> tuple[Game, ...]:
-        members = self.derive(("index",), self._index)[0]
+    def _reductions_of(self, parent: Game) -> int:
         within = self.derive(("tops",), self._tops).get(parent.canonical_id)
-        found = self._candidates(parent) & within if within else self._checked(parent)
-        return tuple(members[j] for j in _positions(found))
+        return self._candidates(parent) & within if within else self._checked(parent)
 
     def ids(self) -> list[str]:
         return list(self._games)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .closures import clear_reductions
-from .games import Game, Profile, _columns
+from .games import Game, Profile, _columns, _profiles
 
 
 class ConceptDomainError(ValueError):
@@ -37,15 +37,15 @@ def nash(game: Game) -> frozenset[Profile]:
     )
 
 
-def _coalition_blocks(game: Game, coalition: tuple[int, ...]) -> set[int]:
-    """Linear indices of the profiles that a joint deviation of the
-    coalition improves strictly for every member."""
+def _coalition_blocks(game: Game, coalition: tuple[int, ...], among) -> set[int]:
+    """The linear indices in ``among`` of the profiles that a joint
+    deviation of the coalition improves strictly for every member."""
     tables = [game.ranks[i] for i in coalition]
     return {
         k
         for deviations in game.columns(*coalition)
         for k in deviations
-        if any(all(t[d] < t[k] for t in tables) for d in deviations)
+        if k in among and any(all(t[d] < t[k] for t in tables) for d in deviations)
     }
 
 
@@ -53,17 +53,19 @@ def strong_nash(game: Game) -> frozenset[Profile]:
     """Profiles no coalition can profitably deviate from.
 
     A deviation blocks only when every coalition member strictly
-    improves.  Singleton coalitions make this a subset of ``nash``.
+    improves.  Singleton coalitions block exactly the profiles that are
+    not Nash equilibria, so the larger coalitions are tested on the
+    equilibria alone.
     """
     n = game.player_count
-    blocked: set[int] = set()
-    for mask in range(1, 1 << n):
-        blocked |= _coalition_blocks(
-            game, tuple(i for i in range(n) if mask >> i & 1)
-        )
-    return frozenset(
-        game.profile_at(k) for k in range(game.num_profiles) if k not in blocked
-    )
+    left = {s.linear_index(game.shape): s for s in eval_concept("nash", game)}
+    for mask in range(3, 1 << n):
+        if mask & mask - 1:  # two players or more
+            for k in _coalition_blocks(
+                game, tuple(i for i in range(n) if mask >> i & 1), left
+            ):
+                del left[k]
+    return frozenset(left.values())
 
 
 def jointly_optimal(game: Game) -> frozenset[Profile]:
@@ -97,7 +99,9 @@ def ne_indifference_closure(game: Game) -> frozenset[Profile]:
     """Nash equilibria plus every profile all players are indifferent
     to some equilibrium about."""
     rank_vectors = list(zip(*game.ranks))
-    tied = {rank_vectors[t.linear_index(game.shape)] for t in nash(game)}
+    tied = {
+        rank_vectors[t.linear_index(game.shape)] for t in eval_concept("nash", game)
+    }
     return frozenset(
         game.profile_at(k) for k, v in enumerate(rank_vectors) if v in tied
     )
@@ -105,7 +109,7 @@ def ne_indifference_closure(game: Game) -> frozenset[Profile]:
 
 def parity_ne(game: Game) -> frozenset[Profile]:
     """Nash equilibria on even player counts, empty otherwise."""
-    return nash(game) if game.player_count % 2 == 0 else frozenset()
+    return eval_concept("nash", game) if game.player_count % 2 == 0 else frozenset()
 
 
 def ex4_phi(game: Game) -> frozenset[Profile]:
@@ -113,7 +117,7 @@ def ex4_phi(game: Game) -> frozenset[Profile]:
     if game.player_count == 1:
         return all_profiles(game)
     if game.player_count == 2:
-        return nash(game)
+        return eval_concept("nash", game)
     raise ConceptDomainError(
         f"ex4_phi is defined on 1- and 2-player games only, "
         f"got {game.player_count} players"
@@ -125,7 +129,7 @@ def ex4_phi_prime(game: Game) -> frozenset[Profile]:
     if game.player_count == 1:
         return frozenset()
     if game.player_count == 2:
-        return strong_nash(game)
+        return eval_concept("strong_nash", game)
     raise ConceptDomainError(
         f"ex4_phi_prime is defined on 1- and 2-player games only, "
         f"got {game.player_count} players"
@@ -147,7 +151,7 @@ def ex5_phi(game: Game) -> frozenset[Profile]:
         )
     if game.strategies[1] == ("R",) and game.num_profiles == 2:
         return frozenset()
-    ne = nash(game)
+    ne = eval_concept("nash", game)
     return frozenset(
         s for s in ne if not any(game.rank(0, t) < game.rank(0, s) for t in ne)
     )
@@ -188,8 +192,9 @@ def eval_concept(concept: str, game: Game) -> frozenset[Profile]:
 
 def clear_cache() -> None:
     """Forget every memoized result: concept values, the per-shape
-    column table behind ``Game.columns``, and the reduction relations
+    tables behind ``Game.columns`` and ``Game.profiles``, and the facts
     that game classes have worked out."""
     _cache.clear()
     _columns.cache_clear()
+    _profiles.cache_clear()
     clear_reductions()

@@ -9,8 +9,8 @@ tuple equality and gives every game a canonical content hash.
 
 All operations here are pure functions over immutable games: they can
 be called concurrently from any number of threads and return fresh
-objects, or, for ``Game.columns``, tuples shared by every game of a
-shape.
+objects, or, for ``Game.columns`` and ``Game.profiles``, tuples and
+profiles shared by every game of a shape.
 """
 
 from __future__ import annotations
@@ -181,12 +181,15 @@ class Game:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def profiles(self) -> Iterator[Profile]:
-        """All profiles in linear-index order."""
-        for combo in itertools.product(*(range(k) for k in self.shape)):
-            yield Profile(combo)
+        """All profiles in linear-index order, shared by every game of the
+        shape (``_profiles``)."""
+        return iter(_profiles(self.shape))
 
     def profile_at(self, linear: int) -> Profile:
-        return Profile.from_linear(self.shape, linear)
+        """The profile at this linear index, shared like ``profiles``."""
+        if type(linear) is int and 0 <= linear < self.num_profiles:
+            return _profiles(self.shape)[linear]
+        return Profile.from_linear(self.shape, linear)  # raises GameFormatError
 
     def rank(self, player: int, profile: Profile) -> int:
         self._check_players((player,))
@@ -286,9 +289,16 @@ def _cells(shape: Sequence[int], axes: Sequence[Sequence[int]]) -> list[int]:
 
 
 @cache
+def _profiles(shape: tuple[int, ...]) -> tuple[Profile, ...]:
+    """``Game.profiles`` for every game of this shape.  Like ``_columns``,
+    kept across calls until ``concepts.clear_cache`` empties it."""
+    return tuple(map(Profile, itertools.product(*map(range, shape))))
+
+
+@cache
 def _columns(shape: tuple[int, ...], players: tuple[int, ...]):
-    """``Game.columns`` for every game of this shape.  The only table
-    kept across calls; ``concepts.clear_cache`` empties it."""
+    """``Game.columns`` for every game of this shape.  Kept across calls,
+    like ``_profiles``; ``concepts.clear_cache`` empties it."""
     choices = [
         [range(k)] if i in players else [(v,) for v in range(k)]
         for i, k in enumerate(shape)
@@ -506,22 +516,28 @@ def strict_dominators(game: Game) -> tuple[dict[str, frozenset[str]], ...]:
     return tuple(out)
 
 
-def _undominated(by_label: dict[str, frozenset[str]]) -> list[str]:
-    """One player's strategies that no strategy strictly dominates, given
-    the player's ``strict_dominators`` entry.  Strict dominance is
-    transitive, so each other strategy has one of these as a dominator:
-    a subset keeps a dominator of every strategy it drops exactly when
-    it keeps all of them."""
-    return [label for label, by in by_label.items() if not by]
+def _undominated(game: Game) -> tuple[list[str], ...]:
+    """Per player, the strategies no strategy strictly dominates (see
+    ``strict_dominators``), each test stopping at the first dominator
+    and at the first column that refutes one.  Strict dominance is
+    transitive, so a subset keeps a dominator of every strategy it drops
+    exactly when it keeps all of these."""
+    out = []
+    for i, labels in enumerate(game.strategies):
+        t, cols = game.ranks[i], game.columns(i)
+        out.append([lab for b, lab in enumerate(labels) if not any(
+            all(t[c[a]] < t[c[b]] for c in cols) for a in range(len(labels))
+        )])
+    return tuple(out)
 
 
 def removes_only_dominated(dominators, kept) -> bool:
     """Some strategy is removed, and each removed one has a kept strict
     dominator, given a parent's ``strict_dominators`` table and the
-    labels each player keeps."""
+    labels each player keeps (see ``_undominated``)."""
     pairs = list(zip(dominators, kept, strict=True))
     return all(
-        label in keep for by_label, keep in pairs for label in _undominated(by_label)
+        label in keep or by for by_label, keep in pairs for label, by in by_label.items()
     ) and any(label not in keep for by_label, keep in pairs for label in by_label)
 
 
@@ -646,8 +662,8 @@ def enumerate_reductions(
         lists = [_small_or_full(k) for k in game.shape]
     elif flavor_filter == "strict":
         lists = [
-            _supersets(len(pos), [pos[label] for label in _undominated(by_label)])
-            for pos, by_label in zip(game.positions, strict_dominators(game))
+            _supersets(len(pos), [pos[label] for label in keep])
+            for pos, keep in zip(game.positions, _undominated(game))
         ]
     else:
         raise ValueError(f"unknown flavor filter: {flavor_filter!r}")

@@ -964,6 +964,43 @@ def test_iis_and_mc_read_the_recorded_member_masks(closure_4x3, monkeypatch):
     assert len(calls) < edges
 
 
+@pytest.mark.parametrize("closure", ["ex2_dclosed", "closure_4x4"])
+def test_concept_free_facts_are_shared_across_concepts(closure, request, monkeypatch):
+    import nashaxioms.closures as closures
+    from nashaxioms.concepts import clear_cache
+
+    cls = request.getfixturevalue(closure)
+    calls = Counter()
+    is_reduction, label_mask = closures.is_reduction, GameClass.label_mask
+    monkeypatch.setattr(
+        closures,
+        "is_reduction",
+        lambda g, h: calls.update(["is_reduction"]) or is_reduction(g, h),
+    )
+    monkeypatch.setattr(
+        GameClass,
+        "label_mask",
+        lambda self, s: calls.update(["label_mask"]) or label_mask(self, s),
+    )
+
+    def cold_run(concepts):
+        clear_cache()
+        calls.clear()
+        for concept in concepts:
+            for axiom in ("iis", "mc", "isds", "ciis"):
+                try:
+                    _all_witnesses(axiom, concept, cls)
+                except ConceptDomainError:
+                    pass
+        return dict(calls)
+
+    alone = cold_run(["nash"])
+    assert alone["is_reduction"] > 0 and alone["label_mask"] > 0
+    # the relation, the cells' masks and the undominated masks are worked
+    # out for the first concept and read by the other eight
+    assert cold_run(CONCEPT_IDS) == alone
+
+
 def test_mc_implies_ciis_on_all_classes(
     pd_dclosed, ex2_dclosed, ex3_cons, ex4_class, ex5_class, cube_dclosed, chain_strict
 ):

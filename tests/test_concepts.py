@@ -169,6 +169,21 @@ def test_strong_nash_agrees_with_naive():
         assert strong_nash(g) == expected
         found += bool(expected) and expected != nash(g)
     assert found > 0
+    # three players, so coalitions of two and of all three are tested on
+    # the equilibria that the singletons leave
+    found = 0
+    for _ in range(150):
+        shape = [rng.randint(1, 3) for _ in range(3)]
+        total = shape[0] * shape[1] * shape[2]
+        g = build_game(
+            3,
+            [[f"p{i}s{k}" for k in range(size)] for i, size in enumerate(shape)],
+            ranks=[[rng.randrange(3) for _ in range(total)] for _ in range(3)],
+        )
+        expected = frozenset(naive_strong_nash(g))
+        assert strong_nash(g) == expected
+        found += bool(expected) and expected != nash(g)
+    assert found > 0
 
 
 def test_ne_indifference_closure_agrees_with_naive():

@@ -21,7 +21,7 @@ from nashaxioms import (
 )
 from nashaxioms.concepts import clear_cache, nash
 from nashaxioms.fixtures import FIXTURES, fixture_game
-from nashaxioms.games import _columns, strict_dominators
+from nashaxioms.games import _columns, _profiles, _undominated, strict_dominators
 from nashaxioms.oracles import nash_bruteforce
 
 from conftest import random_game, random_square_game, random_subsets
@@ -210,6 +210,8 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         lambda g: Game(1, ("UD",), ((0, 1),)),
         lambda g: g.profile_at(99),
         lambda g: g.profile_at(-1),
+        lambda g: g.profile_at(1.0),
+        lambda g: g.profile_at(True),
         lambda g: g.columns(5),
         lambda g: g.columns(0, True),
         lambda g: g.rank(0, Profile((0, 2))),
@@ -251,6 +253,8 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         "game-string-strategies",
         "profile-at-past-the-end",
         "profile-at-negative",
+        "profile-at-float",
+        "profile-at-bool",
         "columns-player-out-of-range",
         "columns-bool-player",
         "rank-profile-outside-shape",
@@ -291,6 +295,18 @@ def test_columns_agree_with_naive_and_are_tuples():
     assert _columns.cache_info().currsize > 0
     clear_cache()
     assert _columns.cache_info().currsize == 0
+
+
+def test_profiles_are_shared_by_every_game_of_a_shape(ex2, pd):
+    clear_cache()
+    assert _profiles.cache_info().currsize == 0
+    profiles = list(ex2.profiles())
+    assert profiles == [Profile(i) for i in itertools.product(range(2), repeat=2)]
+    assert all(a is b for a, b in zip(profiles, pd.profiles()))
+    assert all(ex2.profile_at(k) is s for k, s in enumerate(profiles))
+    assert _profiles.cache_info().currsize == 1
+    clear_cache()
+    assert _profiles.cache_info().currsize == 0
 
 
 def test_from_labels_reads_generators(ex2):
@@ -505,6 +521,7 @@ def test_strictly_dominates_agrees_with_naive():
                 expected = _naive_dominates(g, i, a, b)
                 assert (labels[a] in by[labels[b]]) == expected
                 verdicts.add(expected)
+            assert _undominated(g)[i] == [lab for lab in labels if not by[lab]]
     assert verdicts == {True, False}
 
 
