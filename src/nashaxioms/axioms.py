@@ -22,7 +22,7 @@ from operator import or_
 from typing import Iterable, Iterator
 
 from .closures import GameClass, _positions
-from .concepts import ConceptDomainError, eval_concept, jointly_optimal
+from .concepts import CONCEPTS, ConceptDomainError, eval_concept, jointly_optimal
 from .games import Game, Profile, _pinned_slice, _undominated
 
 
@@ -413,6 +413,8 @@ def check_axiom(axiom: str, concept: str, cls: GameClass) -> AxiomVerdict:
         raise ValueError(
             f"unknown axiom {axiom!r}; known: {', '.join(AXIOM_IDS)}"
         ) from None
+    if concept not in CONCEPTS:
+        raise ValueError(f"unknown solution concept id: {concept!r}")
     tally = Counter()
     witness = next(scan(concept, cls, cls, tally), None)
     return AxiomVerdict(

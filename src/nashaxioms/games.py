@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
@@ -500,28 +501,16 @@ def is_cut(parent: Game, subsets, m: int) -> bool:
     )
 
 
-def strict_dominators(game: Game) -> tuple[dict[str, frozenset[str]], ...]:
-    """Per player, each strategy label mapped to the labels that beat it
-    at every column of the game's full opponent profile space (with one
-    player, a plain pairwise comparison).  No label maps to itself."""
-    out = []
-    for i, labels in enumerate(game.strategies):
-        cols = [[game.ranks[i][k] for k in col] for col in game.columns(i)]
-        out.append({
-            lab: frozenset(
-                by for a, by in enumerate(labels) if all(c[a] < c[b] for c in cols)
-            )
-            for b, lab in enumerate(labels)
-        })
-    return tuple(out)
-
-
 def _undominated(game: Game) -> tuple[list[str], ...]:
-    """Per player, the strategies no strategy strictly dominates (see
-    ``strict_dominators``), each test stopping at the first dominator
-    and at the first column that refutes one.  Strict dominance is
-    transitive, so a subset keeps a dominator of every strategy it drops
-    exactly when it keeps all of these."""
+    """Per player, the strategies no strategy strictly dominates (beats
+    at every column of the full opponent profile space), each test
+    stopping at the first dominator and at the first column that refutes
+    one.  The one dominance routine: strict dominance is transitive and
+    the game finite, so a reduction removes only dominated strategies,
+    each with a kept dominator, exactly when it keeps all of these.
+    ``is_strict_reduction`` tests that on labels, ``axioms.isds`` on
+    class masks, and ``enumerate_reductions(game, "strict")`` builds the
+    subsets that keep them."""
     out = []
     for i, labels in enumerate(game.strategies):
         t, cols = game.ranks[i], game.columns(i)
@@ -531,22 +520,15 @@ def _undominated(game: Game) -> tuple[list[str], ...]:
     return tuple(out)
 
 
-def removes_only_dominated(dominators, kept) -> bool:
-    """Some strategy is removed, and each removed one has a kept strict
-    dominator, given a parent's ``strict_dominators`` table and the
-    labels each player keeps (see ``_undominated``)."""
-    pairs = list(zip(dominators, kept, strict=True))
-    return all(
-        label in keep or by for by_label, keep in pairs for label, by in by_label.items()
-    ) and any(label not in keep for by_label, keep in pairs for label in by_label)
-
-
 def is_strict_reduction(candidate: Game, parent: Game) -> bool:
     """True when candidate is a reduction of parent that removes only
-    strictly dominated strategies: at least one, each with a retained
-    dominator against the parent's full opponent sets."""
-    return is_reduction(candidate, parent) and removes_only_dominated(
-        strict_dominators(parent), candidate.strategies
+    strictly dominated strategies, at least one, each with a retained
+    dominator: it removes some and keeps all of ``_undominated(parent)``."""
+    kept = candidate.strategies
+    return (
+        is_reduction(candidate, parent)
+        and kept != parent.strategies
+        and all(set(u) <= set(k) for u, k in zip(_undominated(parent), kept))
     )
 
 
@@ -648,7 +630,7 @@ def enumerate_reductions(
     - ``strict``: every player keeps the strategies that no strategy
       strictly dominates, so each one removed has a kept strict
       dominator, and some strategy is removed (see
-      ``removes_only_dominated``).
+      ``is_strict_reduction``).
 
     The full spec is last in the product; it is dropped when it does
     not pass the filter.  A budget caps the specs considered, the
@@ -667,7 +649,7 @@ def enumerate_reductions(
         ]
     else:
         raise ValueError(f"unknown flavor filter: {flavor_filter!r}")
-    cap = None if budget is None else budget + 1
+    cap = None if budget is None else min(max(budget + 1, 0), sys.maxsize)
     lists = [
         [tuple(labels[k] for k in subset) for subset in itertools.islice(c, cap)]
         for labels, c in zip(game.strategies, lists)

@@ -28,6 +28,7 @@ from nashaxioms import (
 )
 from nashaxioms.axioms import _AXIOMS
 from nashaxioms.concepts import CONCEPT_IDS
+from nashaxioms.fixtures import fixture_game
 
 from naive_checks import naive_check, naive_coverage, naive_is_reduction, naive_mc
 
@@ -228,6 +229,17 @@ def test_unknown_ids(ex2_dclosed):
     # axiom ids are exact: no case folding
     with pytest.raises(ValueError, match="unknown axiom 'IIS'"):
         check_axiom("IIS", "nash", ex2_dclosed)
+
+
+@pytest.mark.parametrize("axiom", AXIOM_IDS)
+@pytest.mark.parametrize("seed", ["chain4", "ex2"])
+def test_unknown_concept_is_rejected_before_the_scan(axiom, seed):
+    # cons and cocons skip one-player games, and isds parents with no
+    # strict reduction, without evaluating the concept: the id must be
+    # checked before any scan starts
+    cls = strict_closure([fixture_game(seed)])
+    with pytest.raises(ValueError, match="^unknown solution concept id: 'bogus'$"):
+        check_axiom(axiom, "bogus", cls)
 
 
 def test_domain_error_names_offending_game(ex4_class):

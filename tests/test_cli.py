@@ -347,6 +347,17 @@ def test_closure_budget_error(capsys):
     assert "budget" in err
 
 
+def test_budget_above_sys_maxsize_caps_nothing(capsys, tmp_path):
+    counts = []
+    for flag in ([], ["--budget", "99999999999999999999"]):
+        out_dir = tmp_path / f"x{len(flag)}"
+        argv = ["closure", "ex2", "--mode", "reductions", *flag, "--out", str(out_dir)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        counts.append(out.rsplit("(", 1)[1])
+    assert counts == ["9 games)\n"] * 2
+
+
 def test_budget_flag_below_one_is_rejected(capsys, tmp_path):
     out_dir = tmp_path / "x"
     code, out, err = run_cli(

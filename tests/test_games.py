@@ -17,11 +17,12 @@ from nashaxioms import (
     is_strict_reduction,
     merge,
     reduce_players,
+    reduction_closure,
     restrict,
 )
 from nashaxioms.concepts import clear_cache, nash
 from nashaxioms.fixtures import FIXTURES, fixture_game
-from nashaxioms.games import _columns, _profiles, _undominated, strict_dominators
+from nashaxioms.games import _columns, _profiles, _undominated
 from nashaxioms.oracles import nash_bruteforce
 
 from conftest import random_game, random_square_game, random_subsets
@@ -491,38 +492,47 @@ def test_flavor_plain_exists():
 # ----------------------------------------------------------------------
 
 
+def naive_undominated(g):
+    """``_undominated`` re-derived from ``_naive_dominates``."""
+    return tuple(
+        [lab for b, lab in enumerate(labels) if not any(
+            _naive_dominates(g, i, a, b) for a in range(len(labels))
+        )]
+        for i, labels in enumerate(g.strategies)
+    )
+
+
 def test_defection_strictly_dominates(pd):
-    assert strict_dominators(pd) == ({"C": {"D"}, "D": set()},) * 2
+    assert all(_naive_dominates(pd, i, 1, 0) for i in range(2))
+    assert _undominated(pd) == naive_undominated(pd) == (["D"], ["D"])
 
 
 def test_no_dominance_between_rows(ex2):
-    assert strict_dominators(ex2)[0] == {"U": set(), "D": set()}
-
-
-def test_dominance_is_irreflexive(pd):
-    assert all(lab not in by[lab] for by in strict_dominators(pd) for lab in by)
+    assert not _naive_dominates(ex2, 0, 0, 1) and not _naive_dominates(ex2, 0, 1, 0)
+    assert _undominated(ex2)[0] == naive_undominated(ex2)[0] == ["U", "D"]
 
 
 def test_one_player_dominance_is_pairwise(chain):
-    # b and c tie, so neither dominates the other
-    assert strict_dominators(chain) == (
-        {"a": set(), "b": {"a"}, "c": {"a"}, "d": {"a", "b", "c"}},
-    )
+    # a beats b, c and d, and b and c beat d; b and c tie, so neither
+    # dominates the other and both are undominated once a is gone
+    pairs = {(a, b) for a, b in itertools.product(range(4), repeat=2)
+             if _naive_dominates(chain, 0, a, b)}
+    assert pairs == {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}
+    assert _undominated(chain) == naive_undominated(chain) == (["a"],)
+    tail = restrict(chain, [["b", "c", "d"]])
+    assert _undominated(tail) == naive_undominated(tail) == (["b", "c"],)
 
 
 def test_strictly_dominates_agrees_with_naive():
     rng = random.Random(401)
-    verdicts = set()
+    seen = Counter()
     for _ in range(300):
         g = random_game(rng, max_players=3, max_strategies=4)
-        for i, by in enumerate(strict_dominators(g)):
-            labels = g.strategies[i]
-            for a, b in itertools.product(range(len(labels)), repeat=2):
-                expected = _naive_dominates(g, i, a, b)
-                assert (labels[a] in by[labels[b]]) == expected
-                verdicts.add(expected)
-            assert _undominated(g)[i] == [lab for lab in labels if not by[lab]]
-    assert verdicts == {True, False}
+        undominated = _undominated(g)
+        assert undominated == naive_undominated(g)
+        for labels, keep in zip(g.strategies, undominated):
+            seen[len(keep) < len(labels)] += 1
+    assert seen[True] > 50 and seen[False] > 50
 
 
 def test_strict_reduction_gadget(pd):
@@ -727,6 +737,20 @@ def test_enumeration_matches_naive_walk(mode):
         )
 
 
+def test_negative_budget_is_exceeded_and_a_huge_one_caps_nothing(ex2):
+    # an islice cap below 0 or above sys.maxsize must not leak its ValueError
+    for flavor in ("all", "dummy-or-quasi", "strict"):
+        for budget in (-1, -5):
+            with pytest.raises(BudgetExceededError, match=f"budget of {budget}$"):
+                enumerate_reductions(ex2, flavor, budget=budget)
+        assert list(enumerate_reductions(ex2, flavor, budget=10**30)) == list(
+            enumerate_reductions(ex2, flavor)
+        )
+    with pytest.raises(BudgetExceededError):
+        reduction_closure(ex2, budget=-5)
+    assert len(reduction_closure(ex2, budget=10**30)) == len(reduction_closure(ex2))
+
+
 def test_dummy_or_quasi_budget_counts_considered_specs():
     # Each player of a 10x10 game has 10 singletons, 45 pairs and the
     # full set: 56 x 56 specs are considered, and the full spec, with
@@ -753,6 +777,7 @@ def test_strict_filter_matches_predicate():
 def test_strict_filter_agrees_with_naive_on_games_with_ties():
     # Three rank levels make ties, and so weak-but-not-strict dominance,
     # common; the naive test re-derives dominance from the raw tables.
+    # Both the strict filter and ``is_strict_reduction`` must agree.
     # Games alternate between up to three players with two strategies
     # and up to two players with three.
     rng = random.Random(7007)
@@ -761,7 +786,9 @@ def test_strict_filter_agrees_with_naive_on_games_with_ties():
         g = random_game(rng, *((3, 2), (2, 3))[k % 2], levels=3)
         strict = set(enumerate_reductions(g, "strict"))
         for labels in enumerate_reductions(g, "all"):
-            expected = naive_is_strict_reduction(restrict(g, labels), g)
+            sub = restrict(g, labels)
+            expected = naive_is_strict_reduction(sub, g)
             assert (labels in strict) == expected, (g, labels)
+            assert is_strict_reduction(sub, g) == expected, (g, labels)
             seen[expected] += 1
     assert seen[True] > 100 and seen[False] > 100

@@ -1,0 +1,98 @@
+"""Static checks on the package source that a deletion leaves nothing
+behind: no module imports a name it no longer uses, and no private
+module-level function or class outlives its last caller."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import nashaxioms
+
+PACKAGE = Path(nashaxioms.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """The names the module's imports bind, ``__future__`` aside."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update(a.asname or a.name for a in node.names)
+    return out
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """The names the module reads, attribute names included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def unused_imports(source: str) -> set[str]:
+    tree = ast.parse(source)
+    return imported_names(tree) - used_names(tree)
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The module-level functions and classes whose names start with ``_``
+    (dunder names aside)."""
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+
+
+def unreferenced_privates(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, name) for each private definition that no module reads;
+    a definition's own name is not a read of it, but a recursive call
+    inside it is not told apart from an outside one."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    referenced = set().union(*map(used_names, trees.values()))
+    return {
+        (module, name)
+        for module, tree in trees.items()
+        for name in private_definitions(tree) - referenced
+    }
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == set()
+
+
+def test_every_private_definition_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unreferenced_privates(sources) == set()
+
+
+def test_checks_catch_what_a_deletion_leaves_behind():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .games import Game, _gone as gone, restrict\n"
+        "def f(g: Game) -> None:\n"
+        "    return restrict(g, [])\n"
+        "def _orphan():\n"
+        "    pass\n"
+        "class _Used:\n"
+        "    pass\n"
+        "def _caller():\n"
+        "    return _Used()\n"
+    )
+    assert unused_imports(source) == {"os", "gone"}
+    assert unreferenced_privates({"m.py": source}) == {
+        ("m.py", "_orphan"),
+        ("m.py", "_caller"),
+    }
