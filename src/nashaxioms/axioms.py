@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .closures import GameClass, _positions
 from .concepts import CONCEPTS, ConceptDomainError, eval_concept, jointly_optimal
-from .games import Game, Profile, _pinned_slice, _undominated
+from .games import Game, Profile, _fact, _pinned_slice, _undominated
 
 
 @dataclass
@@ -222,7 +222,8 @@ def _jo(
     table = _table(concept, cls)
     for game in parents:
         phi_game = table.of(game)
-        for labels in map(game.labels_of, sorted(jointly_optimal(game))):
+        optimal = _fact("jointly_optimal", game, jointly_optimal)
+        for labels in map(game.labels_of, sorted(optimal)):
             if labels not in phi_game:
                 yield {
                     "game": game.canonical_id,

@@ -2,7 +2,7 @@
 
 The registry holds every concept the engine can evaluate by id.  All
 concepts are deterministic functions of a game's canonical form, and
-``eval_concept`` memoizes results.
+``eval_concept`` memoizes results per game content (``games._fact``).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .closures import clear_reductions
-from .games import Game, Profile, _columns, _profiles
+from .games import Game, Profile, _columns, _fact, _facts, _profiles, _small_or_full
 
 
 class ConceptDomainError(ValueError):
@@ -172,29 +172,25 @@ CONCEPTS: dict[str, Callable[[Game], frozenset[Profile]]] = {
 #: Registry ids in a fixed, report-stable order.
 CONCEPT_IDS = tuple(CONCEPTS)
 
-_cache: dict[tuple[str, str], frozenset[Profile]] = {}
-
 
 def eval_concept(concept: str, game: Game) -> frozenset[Profile]:
-    """Evaluate a registered concept on a game, memoized."""
+    """Evaluate a registered concept on a game, memoized per game content
+    under the concept's id; a miss calls the registry's function."""
     try:
         fn = CONCEPTS[concept]
     except KeyError:
         raise ValueError(f"unknown solution concept id: {concept!r}") from None
-    key = (concept, game.canonical_id)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    value = fn(game)
-    _cache[key] = value
-    return value
+    return _fact(concept, game, fn)
 
 
 def clear_cache() -> None:
-    """Forget every memoized result: concept values, the per-shape
-    tables behind ``Game.columns`` and ``Game.profiles``, and the facts
-    that game classes have worked out."""
-    _cache.clear()
+    """Forget every memoized result: the per-content facts (concept
+    values among them), the per-shape tables behind ``Game.columns`` and
+    ``Game.profiles``, the per-size subset table of
+    ``enumerate_reductions``, and the facts that game classes have
+    worked out."""
+    _facts.clear()
     _columns.cache_clear()
     _profiles.cache_clear()
+    _small_or_full.cache_clear()
     clear_reductions()

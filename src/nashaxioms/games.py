@@ -10,7 +10,9 @@ tuple equality and gives every game a canonical content hash.
 All operations here are pure functions over immutable games: they can
 be called concurrently from any number of threads and return fresh
 objects, or, for ``Game.columns`` and ``Game.profiles``, tuples and
-profiles shared by every game of a shape.
+profiles shared by every game of a shape, and for ``_undominated`` and
+the other facts in ``_facts``, values shared by every game of the same
+content.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 
 class GameFormatError(ValueError):
@@ -307,6 +309,28 @@ def _columns(shape: tuple[int, ...], players: tuple[int, ...]):
     return tuple(tuple(_cells(shape, axes)) for axes in itertools.product(*choices))
 
 
+_T = TypeVar("_T")
+
+#: The facts that depend on a game's content alone, by (fact name,
+#: canonical id): concept values under their registry ids
+#: (``concepts.eval_concept``), ``jointly_optimal`` as the ``jo`` scan
+#: reads it, and ``_undominated``.  Shared by every class and kept until
+#: ``concepts.clear_cache`` empties it.
+_facts: dict[tuple[str, str], object] = {}
+
+
+def _fact(name: str, game: Game, compute: Callable[[Game], _T]) -> _T:
+    """``compute(game)``, worked out once per game content (``_facts``).
+    The key is the fact's name, not ``compute``, so a function that is
+    swapped for a wrapper still finds the values computed before."""
+    key = (name, game.canonical_id)
+    try:
+        return _facts[key]
+    except KeyError:
+        value = _facts[key] = compute(game)
+        return value
+
+
 def build_game(
     player_count: int,
     strategies: Sequence[Sequence[str]],
@@ -501,22 +525,27 @@ def is_cut(parent: Game, subsets, m: int) -> bool:
     )
 
 
-def _undominated(game: Game) -> tuple[list[str], ...]:
+def _undominated(game: Game) -> tuple[tuple[str, ...], ...]:
     """Per player, the strategies no strategy strictly dominates (beats
     at every column of the full opponent profile space), each test
     stopping at the first dominator and at the first column that refutes
-    one.  The one dominance routine: strict dominance is transitive and
-    the game finite, so a reduction removes only dominated strategies,
-    each with a kept dominator, exactly when it keeps all of these.
+    one, worked out once per game content (``_fact``).  The one
+    dominance routine: strict dominance is transitive and the game
+    finite, so a reduction removes only dominated strategies, each with
+    a kept dominator, exactly when it keeps all of these.
     ``is_strict_reduction`` tests that on labels, ``axioms.isds`` on
     class masks, and ``enumerate_reductions(game, "strict")`` builds the
     subsets that keep them."""
+    return _fact("undominated", game, _dominance_scan)
+
+
+def _dominance_scan(game: Game) -> tuple[tuple[str, ...], ...]:
     out = []
     for i, labels in enumerate(game.strategies):
         t, cols = game.ranks[i], game.columns(i)
-        out.append([lab for b, lab in enumerate(labels) if not any(
+        out.append(tuple(lab for b, lab in enumerate(labels) if not any(
             all(t[c[a]] < t[c[b]] for c in cols) for a in range(len(labels))
-        )])
+        )))
     return tuple(out)
 
 
@@ -599,14 +628,19 @@ def _supersets(k: int, must: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield subset
 
 
-def _small_or_full(k: int) -> Iterator[tuple[int, ...]]:
+@cache
+def _small_or_full(k: int) -> tuple[tuple[int, ...], ...]:
     """The subsets of ``range(k)`` with one or two members, then the full
-    set, in ascending bitmask order."""
+    set, in ascending bitmask order: the dummy-or-quasi candidates of a
+    player with ``k`` strategies.  Kept across calls, like ``_columns``;
+    ``concepts.clear_cache`` empties it."""
+    out = []
     for hi in range(k):
-        yield (hi,)
-        yield from ((lo, hi) for lo in range(hi))
+        out.append((hi,))
+        out.extend((lo, hi) for lo in range(hi))
     if k > 2:
-        yield tuple(range(k))
+        out.append(tuple(range(k)))
+    return tuple(out)
 
 
 def enumerate_reductions(
@@ -638,10 +672,18 @@ def enumerate_reductions(
     when the game is too large.  No list is read past the budget, so
     a refused count can be lower than the full product.
     """
+    cap = None if budget is None else min(max(budget + 1, 0), sys.maxsize)
     if flavor_filter == "all":
         lists = [_supersets(k, ()) for k in game.shape]
     elif flavor_filter == "dummy-or-quasi":
-        lists = [_small_or_full(k) for k in game.shape]
+        # A player's table holds k singletons, k(k - 1)/2 pairs and the
+        # full set.  One longer than the cap is not built: ``cap`` empty
+        # stand-ins give the count that the budget refuses.
+        lists = [
+            _small_or_full(k) if cap is None or k * (k + 1) // 2 < cap
+            else itertools.repeat((), cap)
+            for k in game.shape
+        ]
     elif flavor_filter == "strict":
         lists = [
             _supersets(len(pos), [pos[label] for label in keep])
@@ -649,9 +691,8 @@ def enumerate_reductions(
         ]
     else:
         raise ValueError(f"unknown flavor filter: {flavor_filter!r}")
-    cap = None if budget is None else min(max(budget + 1, 0), sys.maxsize)
     lists = [
-        [tuple(labels[k] for k in subset) for subset in itertools.islice(c, cap)]
+        [tuple(map(labels.__getitem__, subset)) for subset in itertools.islice(c, cap)]
         for labels, c in zip(game.strategies, lists)
     ]
     total = math.prod(map(len, lists))

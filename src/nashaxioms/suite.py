@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .axioms import AxiomVerdict, check_axiom, replay_witness
 from .closures import GameClass, build_named_class, d_closure, strict_closure
-from .concepts import CONCEPT_IDS, ConceptDomainError, eval_concept, nash
+from .concepts import CONCEPT_IDS, ConceptDomainError, eval_concept
 from .fixtures import fixture_game
 from .oracles import nash_bruteforce
 from .theorems import lemma1a_witness, lemma1b_construct, verify_one_player_lemma, verify_theorem1
@@ -68,18 +68,19 @@ def run_suite() -> list[Expectation]:
     # 1. equilibrium sets of the bundled games, against the oracle
     # ------------------------------------------------------------------
     sec = "nash-sets"
+    ne2, ne5 = eval_concept("nash", ex2), eval_concept("nash", ex5)
     expect(
         sec,
         "nash(ex2) == {(U,L),(D,R)}",
-        ex2.label_set(nash(ex2)) == {("U", "L"), ("D", "R")},
+        ex2.label_set(ne2) == {("U", "L"), ("D", "R")},
     )
     expect(
         sec,
         "nash(ex5) == {(U,L),(C,R),(D,L)}",
-        ex5.label_set(nash(ex5)) == {("U", "L"), ("C", "R"), ("D", "L")},
+        ex5.label_set(ne5) == {("U", "L"), ("C", "R"), ("D", "L")},
     )
-    expect(sec, "oracle agrees on ex2", nash(ex2) == nash_bruteforce(ex2))
-    expect(sec, "oracle agrees on ex5", nash(ex5) == nash_bruteforce(ex5))
+    expect(sec, "oracle agrees on ex2", ne2 == nash_bruteforce(ex2))
+    expect(sec, "oracle agrees on ex5", ne5 == nash_bruteforce(ex5))
 
     # ------------------------------------------------------------------
     # 2. forward direction of the characterization on d-closed classes
@@ -216,7 +217,7 @@ def run_suite() -> list[Expectation]:
         cases = 0
         all_ok = True
         for game in classes[cname]:
-            for s in sorted(nash(game)):
+            for s in sorted(eval_concept("nash", game)):
                 cases += 1
                 if not lemma1b_construct(game, s).all_passed:
                     all_ok = False
@@ -236,7 +237,7 @@ def run_suite() -> list[Expectation]:
         cases = 0
         all_ok = True
         for game in classes[cname]:
-            extras = sorted(eval_concept(concept, game) - nash(game))
+            extras = sorted(eval_concept(concept, game) - eval_concept("nash", game))
             for s in extras:
                 cases += 1
                 report = lemma1a_witness(concept, game, s)

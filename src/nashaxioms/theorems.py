@@ -19,7 +19,6 @@ from .concepts import (
     ConceptDomainError,
     eval_concept,
     jointly_optimal,
-    nash,
 )
 from .games import (
     Game,
@@ -119,7 +118,7 @@ def lemma1a_witness(concept: str, game: Game, profile) -> ConstructionReport:
     phi_g = eval_concept(concept, game)
     if s not in phi_g:
         raise ValueError("profile is not selected by the concept on this game")
-    if s in nash(game):
+    if s in eval_concept("nash", game):
         raise ValueError(
             "profile is a Nash equilibrium; the construction needs a "
             "profitable unilateral deviation"
@@ -196,7 +195,7 @@ def lemma1b_construct(game: Game, profile) -> ConstructionReport:
             "construction needs at least two players; for one-player games "
             "membership follows from joint optimality alone"
         )
-    if s not in nash(game):
+    if s not in eval_concept("nash", game):
         raise ValueError("profile is not a Nash equilibrium of the game")
 
     labels = game.labels_of(s)
@@ -398,7 +397,7 @@ def verify_one_player_lemma(cls: GameClass) -> OnePlayerLemmaReport:
             )
     audit_strictly_closed(cls)
 
-    ne = {g.canonical_id: nash(g) for g in cls}
+    ne = {g.canonical_id: eval_concept("nash", g) for g in cls}
     results = []
     for concept in CONCEPT_IDS:
         res = ConceptOnePlayerResult(concept)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -105,3 +106,15 @@ def random_subsets(rng: random.Random, game):
         kept = set(rng.sample(range(len(labels)), rng.randint(1, len(labels))))
         out.append(tuple(lab for k, lab in enumerate(labels) if k in kept))
     return tuple(out)
+
+
+def weak_ordinal_2x2_games():
+    """All 5625 two-player 2x2 games with weak-ordinal preferences: one
+    dense rank table per player, each a weak order on the four profiles."""
+    orders = [
+        ranks
+        for ranks in itertools.product(range(4), repeat=4)
+        if set(ranks) == set(range(max(ranks) + 1))
+    ]
+    labels = [["T", "B"], ["L", "R"]]
+    return [build_game(2, labels, ranks=[a, b]) for a in orders for b in orders]

@@ -81,6 +81,28 @@ def naive_is_strict_reduction(cand: Game, parent: Game) -> bool:
     return removed_total > 0
 
 
+def textbook_nash(game: Game) -> frozenset[Profile]:
+    """All Nash equilibria, by building every unilateral deviation as a
+    profile and comparing the deviator's ranks: the textbook definition
+    that ``oracles.nash_bruteforce`` computes with stride arithmetic."""
+    found = []
+    for profile in game.profiles():
+        stable = True
+        for player in range(game.player_count):
+            for alt in range(game.shape[player]):
+                if alt == profile.indices[player]:
+                    continue
+                deviated = profile.replace(player, alt)
+                if game.rank(player, deviated) < game.rank(player, profile):
+                    stable = False
+                    break
+            if not stable:
+                break
+        if stable:
+            found.append(profile)
+    return frozenset(found)
+
+
 def _naive_jointly_optimal(game: Game):
     out = []
     for s in game.profiles():

@@ -15,11 +15,12 @@ from nashaxioms import (
 from nashaxioms.concepts import CONCEPT_IDS, ne_indifference_closure
 from nashaxioms.oracles import nash_bruteforce
 
-from conftest import random_game, random_subsets
+from conftest import random_game, random_subsets, weak_ordinal_2x2_games
 from naive_checks import (
     _naive_jointly_optimal,
     naive_ne_indifference_closure,
     naive_strong_nash,
+    textbook_nash,
 )
 
 
@@ -50,6 +51,18 @@ def test_nash_matches_oracle_on_random_games():
     for _ in range(400):
         g = random_game(rng)
         assert nash(g) == nash_bruteforce(g)
+
+
+def test_oracle_agrees_with_the_textbook_oracle():
+    # ranks from range(3) leave ties in most games up to 3x3x3
+    rng = random.Random(2719)
+    for _ in range(400):
+        g = random_game(rng, levels=3)
+        assert nash_bruteforce(g) == textbook_nash(g)
+    games = weak_ordinal_2x2_games()
+    assert len(games) == 5625
+    for g in games:
+        assert nash_bruteforce(g) == textbook_nash(g)
 
 
 # ----------------------------------------------------------------------
@@ -232,3 +245,89 @@ def test_eval_is_deterministic_on_canonical_form(ex2):
     assert rebuilt.canonical_id == ex2.canonical_id
     for concept in CONCEPT_IDS:
         assert eval_concept(concept, rebuilt) == eval_concept(concept, ex2)
+
+
+# ----------------------------------------------------------------------
+# the per-content memo
+# ----------------------------------------------------------------------
+
+
+def test_jointly_optimal_is_worked_out_once_per_game_content(monkeypatch):
+    import nashaxioms.axioms as axioms
+    from nashaxioms import GameClass, Provenance, check_axiom
+    from nashaxioms.concepts import CONCEPTS, clear_cache
+
+    # the memo's other facts are not confused with concept values
+    assert not {"jointly_optimal", "undominated"} & set(CONCEPTS)
+    calls = []
+    monkeypatch.setattr(
+        axioms, "jointly_optimal", lambda g: calls.append(g) or jointly_optimal(g)
+    )
+    ranks = [[0, 1, 1, 0], [1, 0, 0, 1]]
+
+    def jo_on_its_own_class(strategies):
+        game = build_game(2, strategies, ranks=ranks)
+        cls = GameClass()
+        cls.add(game, Provenance("seed"))
+        return game, check_axiom("jo", "nash", cls)
+
+    clear_cache()
+    a, verdict_a = jo_on_its_own_class([["T", "B"], ["L", "R"]])
+    b, verdict_b = jo_on_its_own_class([["T", "B"], ["L", "R"]])
+    assert a is not b and a == b and verdict_a == verdict_b
+    assert calls == [a]
+    relabeled, _ = jo_on_its_own_class([["U", "D"], ["L", "R"]])
+    assert relabeled.ranks == a.ranks and relabeled.shape == a.shape
+    assert calls == [a, relabeled]
+
+
+def _module_caches():
+    """Every module-level cache of the package, found by introspection:
+    per module, each ``functools.cache`` function it defines and each
+    dict, list or set it holds, by qualified name."""
+    import importlib
+    import pkgutil
+
+    import nashaxioms
+
+    found = {}
+    for info in pkgutil.iter_modules(nashaxioms.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"nashaxioms.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("__"):
+                continue
+            defined_here = getattr(value, "__module__", None) == module.__name__
+            if (defined_here and hasattr(value, "cache_clear")) or type(value) in (
+                dict,
+                list,
+                set,
+            ):
+                found[f"{info.name}.{name}"] = value
+    return found
+
+
+def _size(cache) -> int:
+    return cache.cache_info().currsize if hasattr(cache, "cache_info") else len(cache)
+
+
+def test_clear_cache_empties_every_module_level_cache():
+    from nashaxioms.concepts import clear_cache
+    from nashaxioms.suite import run_suite
+
+    caches = _module_caches()
+    clear_cache()
+    cold = {name: _size(cache) for name, cache in caches.items()}
+    assert all(r.ok for r in run_suite())
+    grown = {name for name, cache in caches.items() if _size(cache) > cold[name]}
+    # the suite reaches every cache known today, so one that grows is seen
+    assert {
+        "games._profiles",
+        "games._columns",
+        "games._small_or_full",
+        "games._facts",
+    } <= grown
+    clear_cache()
+    assert {name: _size(cache) for name, cache in caches.items()} == cold
+    assert all(_size(caches[name]) == 0 for name in grown)

@@ -22,7 +22,7 @@ from nashaxioms import (
 )
 from nashaxioms.concepts import clear_cache, nash
 from nashaxioms.fixtures import FIXTURES, fixture_game
-from nashaxioms.games import _columns, _profiles, _undominated
+from nashaxioms.games import _columns, _profiles, _small_or_full, _undominated
 from nashaxioms.oracles import nash_bruteforce
 
 from conftest import random_game, random_square_game, random_subsets
@@ -495,21 +495,21 @@ def test_flavor_plain_exists():
 def naive_undominated(g):
     """``_undominated`` re-derived from ``_naive_dominates``."""
     return tuple(
-        [lab for b, lab in enumerate(labels) if not any(
+        tuple(lab for b, lab in enumerate(labels) if not any(
             _naive_dominates(g, i, a, b) for a in range(len(labels))
-        )]
+        ))
         for i, labels in enumerate(g.strategies)
     )
 
 
 def test_defection_strictly_dominates(pd):
     assert all(_naive_dominates(pd, i, 1, 0) for i in range(2))
-    assert _undominated(pd) == naive_undominated(pd) == (["D"], ["D"])
+    assert _undominated(pd) == naive_undominated(pd) == (("D",), ("D",))
 
 
 def test_no_dominance_between_rows(ex2):
     assert not _naive_dominates(ex2, 0, 0, 1) and not _naive_dominates(ex2, 0, 1, 0)
-    assert _undominated(ex2)[0] == naive_undominated(ex2)[0] == ["U", "D"]
+    assert _undominated(ex2)[0] == naive_undominated(ex2)[0] == ("U", "D")
 
 
 def test_one_player_dominance_is_pairwise(chain):
@@ -518,9 +518,9 @@ def test_one_player_dominance_is_pairwise(chain):
     pairs = {(a, b) for a, b in itertools.product(range(4), repeat=2)
              if _naive_dominates(chain, 0, a, b)}
     assert pairs == {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}
-    assert _undominated(chain) == naive_undominated(chain) == (["a"],)
+    assert _undominated(chain) == naive_undominated(chain) == (("a",),)
     tail = restrict(chain, [["b", "c", "d"]])
-    assert _undominated(tail) == naive_undominated(tail) == (["b", "c"],)
+    assert _undominated(tail) == naive_undominated(tail) == (("b", "c"),)
 
 
 def test_strictly_dominates_agrees_with_naive():
@@ -762,6 +762,22 @@ def test_dummy_or_quasi_budget_counts_considered_specs():
         BudgetExceededError, match="^3136 subset specs exceed the budget of 3135$"
     ):
         enumerate_reductions(g, "dummy-or-quasi", budget=3135)
+
+
+def test_dummy_or_quasi_table_is_not_built_past_the_budget():
+    # 100 strategies have 5,051 dummy-or-quasi subsets: a budget of 1,000
+    # refuses them at the count the capped list gives, and the per-size
+    # table is not built
+    clear_cache()
+    g = build_game(1, [[f"s{k}" for k in range(100)]], ranks=[list(range(100))])
+    with pytest.raises(
+        BudgetExceededError, match="^1001 subset specs exceed the budget of 1000$"
+    ):
+        enumerate_reductions(g, "dummy-or-quasi", budget=1000)
+    assert _small_or_full.cache_info().currsize == 0
+    # the full spec, last, has no dummy or quasi-dummy player
+    assert len(list(enumerate_reductions(g, "dummy-or-quasi", budget=5051))) == 5050
+    assert _small_or_full.cache_info().currsize == 1
 
 
 def test_strict_filter_matches_predicate():

@@ -4,6 +4,7 @@ import pytest
 
 from nashaxioms import (
     GameClass,
+    build_game,
     d_closure,
     eval_concept,
     lemma1a_witness,
@@ -194,6 +195,33 @@ def test_closedness_audit_agrees_with_naive(mode, closure, audit):
         assert str(exc.value) == expected
         dropped += 1
     assert dropped >= 15
+
+
+def test_theorem1_records_do_not_depend_on_sharing_facts_across_classes():
+    from nashaxioms.concepts import clear_cache
+
+    rng = random.Random(23)
+    seeds = []
+    for shape in [(2, 2)] * 80 + [(2, 3)] * 80 + [(2, 2, 2)] * 50:
+        labels = [[f"p{i}s{k}" for k in range(size)] for i, size in enumerate(shape)]
+        cells = 1
+        for size in shape:
+            cells *= size
+        ranks = [[rng.randrange(3) for _ in range(cells)] for _ in shape]
+        seeds.append(build_game(len(shape), labels, ranks=ranks))
+
+    def records(cold: bool) -> list[dict]:
+        clear_cache()
+        out = []
+        for seed in seeds:
+            if cold:
+                clear_cache()
+            out.append(verify_theorem1(d_closure([seed])).to_record())
+        return out
+
+    warm = records(cold=False)
+    assert len(warm) >= 200 and all(r["result"] == "pass" for r in warm)
+    assert records(cold=True) == warm
 
 
 def test_engine_oracle_agreement_everywhere(ex5_class, cube_dclosed):
