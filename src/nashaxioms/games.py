@@ -324,11 +324,10 @@ def _fact(name: str, game: Game, compute: Callable[[Game], _T]) -> _T:
     The key is the fact's name, not ``compute``, so a function that is
     swapped for a wrapper still finds the values computed before."""
     key = (name, game.canonical_id)
-    try:
-        return _facts[key]
-    except KeyError:
+    value = _facts.get(key, _facts)  # the memo itself is never a value
+    if value is _facts:
         value = _facts[key] = compute(game)
-        return value
+    return value
 
 
 def build_game(
