@@ -54,7 +54,7 @@ def test_nash_matches_oracle_on_random_games():
 
 
 def test_oracle_agrees_with_the_textbook_oracle():
-    # ranks from range(3) leave ties in most games up to 3x3x3
+    # ranks from range(3) leave ties in most of these games, up to 3x3x3
     rng = random.Random(2719)
     for _ in range(400):
         g = random_game(rng, levels=3)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -204,10 +205,7 @@ def test_theorem1_records_do_not_depend_on_sharing_facts_across_classes():
     seeds = []
     for shape in [(2, 2)] * 80 + [(2, 3)] * 80 + [(2, 2, 2)] * 50:
         labels = [[f"p{i}s{k}" for k in range(size)] for i, size in enumerate(shape)]
-        cells = 1
-        for size in shape:
-            cells *= size
-        ranks = [[rng.randrange(3) for _ in range(cells)] for _ in shape]
+        ranks = [[rng.randrange(3) for _ in range(math.prod(shape))] for _ in shape]
         seeds.append(build_game(len(shape), labels, ranks=ranks))
 
     def records(cold: bool) -> list[dict]:
