@@ -314,8 +314,8 @@ _T = TypeVar("_T")
 #: The facts that depend on a game's content alone, by (fact name,
 #: canonical id): concept values under their registry ids
 #: (``concepts.eval_concept``), ``jointly_optimal`` as the ``jo`` scan
-#: reads it, and ``_undominated``.  Shared by every class and kept until
-#: ``concepts.clear_cache`` empties it.
+#: and the lemma gadgets read it, and ``_undominated``.  Shared by
+#: every class and kept until ``concepts.clear_cache`` empties it.
 _facts: dict[tuple[str, str], object] = {}
 
 
@@ -616,30 +616,28 @@ def _pinned_slice(
     return strategies, _slice_ranks(game, _columns(game.shape, keep)[k], keep)
 
 
-def _supersets(k: int, must: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The non-empty subsets of ``range(k)`` that contain ``must``, in
-    ascending bitmask order (bit j selects strategy j)."""
-    free = [j for j in range(k) if j not in must]
-    for bits in range(1 << len(free)):
-        chosen = {j for b, j in enumerate(free) if bits >> b & 1}
-        subset = tuple(j for j in range(k) if j in must or j in chosen)
-        if subset:
-            yield subset
+def _supersets(
+    labels: tuple[str, ...], must: Sequence[str] = ()
+) -> Iterator[tuple[str, ...]]:
+    """The non-empty subsets of ``labels`` that contain ``must``, in
+    ascending bitmask order (bit j selects ``labels[j]``)."""
+    low = sum(1 << j for j, label in enumerate(labels) if label in must)
+    mask = low or 1
+    while not mask >> len(labels):
+        yield tuple(label for j, label in enumerate(labels) if mask >> j & 1)
+        mask = (mask + 1) | low
 
 
-@cache
-def _small_or_full(k: int) -> tuple[tuple[int, ...], ...]:
-    """The subsets of ``range(k)`` with one or two members, then the full
-    set, in ascending bitmask order: the dummy-or-quasi candidates of a
-    player with ``k`` strategies.  Kept across calls, like ``_columns``;
-    ``concepts.clear_cache`` empties it."""
-    out = []
-    for hi in range(k):
-        out.append((hi,))
-        out.extend((lo, hi) for lo in range(hi))
-    if k > 2:
-        out.append(tuple(range(k)))
-    return tuple(out)
+def _small_or_full(labels: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+    """The subsets of ``labels`` with one or two members, then all of
+    them, in ascending bitmask order: the dummy-or-quasi candidates of
+    one player."""
+    for hi, top in enumerate(labels):
+        yield (top,)
+        for low in labels[:hi]:
+            yield low, top
+    if len(labels) > 2:
+        yield labels
 
 
 def enumerate_reductions(
@@ -673,27 +671,14 @@ def enumerate_reductions(
     """
     cap = None if budget is None else min(max(budget + 1, 0), sys.maxsize)
     if flavor_filter == "all":
-        lists = [_supersets(k, ()) for k in game.shape]
+        lists = map(_supersets, game.strategies)
     elif flavor_filter == "dummy-or-quasi":
-        # A player's table holds k singletons, k(k - 1)/2 pairs and the
-        # full set.  One longer than the cap is not built: ``cap`` empty
-        # stand-ins give the count that the budget refuses.
-        lists = [
-            _small_or_full(k) if cap is None or k * (k + 1) // 2 < cap
-            else itertools.repeat((), cap)
-            for k in game.shape
-        ]
+        lists = map(_small_or_full, game.strategies)
     elif flavor_filter == "strict":
-        lists = [
-            _supersets(len(pos), [pos[label] for label in keep])
-            for pos, keep in zip(game.positions, _undominated(game))
-        ]
+        lists = map(_supersets, game.strategies, _undominated(game))
     else:
         raise ValueError(f"unknown flavor filter: {flavor_filter!r}")
-    lists = [
-        [tuple(map(labels.__getitem__, subset)) for subset in itertools.islice(c, cap)]
-        for labels, c in zip(game.strategies, lists)
-    ]
+    lists = [list(itertools.islice(c, cap)) for c in lists]
     total = math.prod(map(len, lists))
     if budget is not None and total > budget:
         raise BudgetExceededError(

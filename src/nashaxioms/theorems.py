@@ -23,6 +23,7 @@ from .concepts import (
 from .games import (
     Game,
     Profile,
+    _fact,
     enumerate_reductions,
     is_cut,
     is_reduction,
@@ -156,7 +157,7 @@ def lemma1a_witness(concept: str, game: Game, profile) -> ConstructionReport:
     unique = next(iter(g_single.profiles()))
     report.check(
         "the single profile of G'' is jointly optimal",
-        jointly_optimal(g_single) == frozenset({unique}),
+        _fact("jointly_optimal", g_single, jointly_optimal) == frozenset({unique}),
     )
 
     jo_ok = unique in eval_concept(concept, g_single)
@@ -214,7 +215,7 @@ def lemma1b_construct(game: Game, profile) -> ConstructionReport:
         report.check(f"s survives in {role}", mapped is not None)
         report.check(
             f"s is jointly optimal in {role}",
-            mapped is not None and mapped in jointly_optimal(g_k),
+            mapped in _fact("jointly_optimal", g_k, jointly_optimal),
         )
 
     prev_spec = free_specs[0]

@@ -442,6 +442,28 @@ def naive_reductions(game: Game, mode: str):
     return out
 
 
+
+def naive_candidate_counts(game: Game, mode: str) -> list[int]:
+    """Per player, how many label subsets ``enumerate_reductions`` draws
+    its specs from under ``mode``, counted from first principles:
+    every non-empty subset for ``all``; the singletons, the pairs and,
+    with more than two strategies, the full set for ``dummy-or-quasi``;
+    the subsets that keep every strategy no strategy strictly dominates
+    for ``strict``."""
+    counts = []
+    for i, k in enumerate(game.shape):
+        if mode == "all":
+            counts.append(2**k - 1)
+        elif mode == "dummy-or-quasi":
+            counts.append(k * (k + 1) // 2 + (k > 2))
+        else:
+            undominated = [
+                b for b in range(k)
+                if not any(_naive_dominates(game, i, a, b) for a in range(k))
+            ]
+            counts.append(2 ** (k - len(undominated)))
+    return counts
+
 _AUDITS = {
     "d": ("dummy-or-quasi", "d-closed", "reduction"),
     "strict": ("strict", "strictly closed", "strict reduction"),

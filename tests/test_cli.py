@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from nashaxioms import build_named_class, dump_game
+from nashaxioms import (
+    GameClass,
+    build_named_class,
+    d_closure,
+    dump_game,
+    strict_closure,
+)
 from nashaxioms.cli import main
 
 
@@ -510,3 +516,86 @@ def test_unknown_arguments_exit_2():
         text=True,
     )
     assert result.returncode == 2
+
+
+def assert_one_error(code, out, err, message):
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_closure_takes_a_class_directory_as_its_seeds(capsys, tmp_path, pd):
+    one, two = tmp_path / "one", tmp_path / "two"
+    run_cli(capsys, "closure", "pd", "--mode", "strict", "--out", str(one))
+    code, out, err = run_cli(
+        capsys, "closure", str(one), "--mode", "d", "--out", str(two)
+    )
+    assert (code, out, err) == (0, f"wrote {two} (9 games)\n", "")
+    expected = d_closure(list(strict_closure([pd])))
+    assert GameClass.read_dir(two).content_id() == expected.content_id()
+
+
+def test_reductions_mode_refuses_a_class_of_several_seeds(capsys, tmp_path):
+    one = tmp_path / "one"
+    run_cli(capsys, "closure", "pd", "--mode", "strict", "--out", str(one))
+    code, out, err = run_cli(capsys, "closure", str(one), "--mode", "reductions")
+    assert_one_error(code, out, err, "reductions mode takes exactly one seed game")
+
+
+def test_closure_names_its_default_directory_by_content(
+    capsys, tmp_path, monkeypatch, pd
+):
+    monkeypatch.chdir(tmp_path)
+    name = f"class_{strict_closure([pd]).content_id()[:12]}"
+    code, out, err = run_cli(capsys, "closure", "pd", "--mode", "strict")
+    assert (code, out, err) == (0, f"wrote {name} (4 games)\n", "")
+    assert GameClass.read_dir(tmp_path / name).ids() == strict_closure([pd]).ids()
+
+
+def test_check_prints_the_coverage_of_a_counting_axiom(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "cons", "--concept", "nash", "--class", "ex3_cons"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "axiom=cons concept=nash class=ex3_cons result=pass\n"
+        'coverage: {"checked": 4, "skipped": 0}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("--lemma", "1a", "--game", "pd", "--profile", "C,C"),
+            "--lemma 1a needs --game, --concept and --profile",
+            id="1a-without-concept",
+        ),
+        pytest.param(
+            ("--lemma", "1b", "--game", "pd"),
+            "--lemma 1b needs --game and --profile",
+            id="1b-without-profile",
+        ),
+        pytest.param(("--lemma", "2"), "--lemma 2 needs --class", id="2-without-class"),
+        pytest.param(
+            ("--lemma", "1b", "--game", "ex2", "--profile", "U"),
+            "profile 'U' does not name one strategy per player",
+            id="profile-names-no-profile",
+        ),
+    ],
+)
+def test_construct_argument_errors(capsys, argv, message):
+    assert_one_error(*run_cli(capsys, "construct", *argv), message)
+
+
+def test_check_refuses_an_unknown_class(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "iis", "--concept", "nash", "--class", "nope"
+    )
+    assert_one_error(
+        code,
+        out,
+        err,
+        "'nope' is neither a class directory nor a named class "
+        "(pd_dclosed, ex2_dclosed, ex3_cons, ex4, ex5)",
+    )

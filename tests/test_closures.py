@@ -335,3 +335,26 @@ def test_directory_roundtrip(tmp_path, ex2_dclosed):
 def test_unknown_class_name():
     with pytest.raises(ValueError):
         build_named_class("nonsense")
+
+
+def test_closure_refuses_no_seeds_and_a_budget_it_outgrows(ex2, pd):
+    with pytest.raises(ValueError, match="^closure needs at least one seed game$"):
+        d_closure([])
+    with pytest.raises(
+        BudgetExceededError, match="^seeds alone exceed the budget of 1 games$"
+    ):
+        d_closure([ex2, pd], budget=1)
+    # each seed's 9 specs fit a budget of 9, but their 18-game closure
+    # does not: the first seed's 8 reductions take it to 10 games
+    assert len(d_closure([ex2, pd])) == 18
+    with pytest.raises(
+        BudgetExceededError,
+        match="^closure exceeded the budget of 9 games; frontier size 8$",
+    ):
+        d_closure([ex2, pd], budget=9)
+
+
+def test_read_dir_needs_a_manifest(tmp_path):
+    with pytest.raises(GameFormatError) as exc:
+        GameClass.read_dir(tmp_path)
+    assert str(exc.value) == f"{tmp_path} has no manifest.json"

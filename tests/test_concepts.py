@@ -325,7 +325,6 @@ def test_clear_cache_empties_every_module_level_cache():
     assert {
         "games._profiles",
         "games._columns",
-        "games._small_or_full",
         "games._facts",
     } <= grown
     clear_cache()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -22,7 +23,7 @@ from nashaxioms import (
 )
 from nashaxioms.concepts import clear_cache, nash
 from nashaxioms.fixtures import FIXTURES, fixture_game
-from nashaxioms.games import _columns, _profiles, _small_or_full, _undominated
+from nashaxioms.games import _columns, _profiles, _undominated
 from nashaxioms.oracles import nash_bruteforce
 
 from conftest import random_game, random_square_game, random_subsets
@@ -30,6 +31,7 @@ from naive_checks import (
     _naive_dominates,
     _naive_reduce_players,
     naive_is_reduction,
+    naive_candidate_counts,
     naive_columns,
     naive_is_strict_reduction,
     naive_reductions,
@@ -373,6 +375,18 @@ def test_label_renaming_is_not_tolerated(ex2):
     assert not is_reduction(renamed, ex2)
 
 
+def test_reordered_labels_are_not_a_reduction(ex2):
+    # ex2 with player 1's rows swapped: the same preferences, but a
+    # reduction keeps the parent's strategy order
+    swapped = build_game(
+        2, [["D", "U"], ["L", "R"]], ranks=[[1, 1, 0, 2], [1, 1, 0, 2]]
+    )
+    assert not is_reduction(swapped, ex2)
+    three = build_game(1, [["a", "b", "c"]], ranks=[[0, 1, 2]])
+    assert is_reduction(build_game(1, [["a", "c"]], ranks=[[0, 1]]), three)
+    assert not is_reduction(build_game(1, [["c", "a"]], ranks=[[1, 0]]), three)
+
+
 def test_reduction_agrees_with_naive_on_random_pairs():
     rng = random.Random(20240817)
     for _ in range(300):
@@ -662,6 +676,14 @@ def test_reduce_players_guards(ex2):
         reduce_players(ex2, (0,), Profile((0, 5)))
 
 
+@pytest.mark.parametrize("keep", [(2,), (-1,)])
+def test_reduce_players_rejects_an_out_of_range_player(ex2, keep):
+    with pytest.raises(
+        GameFormatError, match="^keep contains an invalid player index$"
+    ):
+        reduce_players(ex2, keep, Profile((0, 0)))
+
+
 @pytest.mark.parametrize("keep", [["0"], [True], [0.0], [1, False]])
 def test_reduce_players_rejects_non_int_indices(ex2, keep):
     with pytest.raises(GameFormatError, match="player indices must be integers"):
@@ -717,6 +739,11 @@ def test_enumeration_budget(ex2):
     assert len(list(enumerate_reductions(ex2, "all", budget=9))) == 9
 
 
+def test_enumeration_rejects_an_unknown_flavor(ex2):
+    with pytest.raises(ValueError, match="^unknown flavor filter: 'bogus'$"):
+        enumerate_reductions(ex2, "bogus")
+
+
 def test_enumeration_streams_restart(ex2):
     first = list(enumerate_reductions(ex2, "all"))
     second = list(enumerate_reductions(ex2, "all"))
@@ -730,11 +757,22 @@ def test_enumeration_matches_naive_walk(mode):
     rng = random.Random(1212)
     games = [fixture_game(name) for name in FIXTURES]
     games += [random_game(rng, 3, 4, levels=3) for _ in range(200)]
+    # A budget refuses exactly when the product of the per-player counts
+    # exceeds it, at that product with each factor capped at budget + 1.
     for g in games:
-        assert list(enumerate_reductions(g, mode)) == naive_reductions(g, mode), (
-            g,
-            mode,
-        )
+        specs = naive_reductions(g, mode)
+        assert list(enumerate_reductions(g, mode)) == specs, (g, mode)
+        counts = naive_candidate_counts(g, mode)
+        for budget in (-1, 0, 1, len(specs) - 1, len(specs), 10**30):
+            if math.prod(counts) <= budget:
+                assert list(enumerate_reductions(g, mode, budget=budget)) == specs
+                continue
+            refused = math.prod(min(c, max(budget + 1, 0)) for c in counts)
+            with pytest.raises(
+                BudgetExceededError,
+                match=f"^{refused} subset specs exceed the budget of {budget}$",
+            ):
+                enumerate_reductions(g, mode, budget=budget)
 
 
 def test_negative_budget_is_exceeded_and_a_huge_one_caps_nothing(ex2):
@@ -764,20 +802,16 @@ def test_dummy_or_quasi_budget_counts_considered_specs():
         enumerate_reductions(g, "dummy-or-quasi", budget=3135)
 
 
-def test_dummy_or_quasi_table_is_not_built_past_the_budget():
+def test_dummy_or_quasi_list_is_not_built_past_the_budget():
     # 100 strategies have 5,051 dummy-or-quasi subsets: a budget of 1,000
-    # refuses them at the count the capped list gives, and the per-size
-    # table is not built
-    clear_cache()
+    # refuses them at the count the capped list gives
     g = build_game(1, [[f"s{k}" for k in range(100)]], ranks=[list(range(100))])
     with pytest.raises(
         BudgetExceededError, match="^1001 subset specs exceed the budget of 1000$"
     ):
         enumerate_reductions(g, "dummy-or-quasi", budget=1000)
-    assert _small_or_full.cache_info().currsize == 0
     # the full spec, last, has no dummy or quasi-dummy player
     assert len(list(enumerate_reductions(g, "dummy-or-quasi", budget=5051))) == 5050
-    assert _small_or_full.cache_info().currsize == 1
 
 
 def test_strict_filter_matches_predicate():

@@ -17,7 +17,12 @@ from nashaxioms import (
 )
 from nashaxioms.closures import Provenance
 from nashaxioms.oracles import nash_bruteforce
-from nashaxioms.theorems import audit_d_closed, audit_strictly_closed
+from nashaxioms.theorems import (
+    ConceptOnePlayerResult,
+    OnePlayerLemmaReport,
+    audit_d_closed,
+    audit_strictly_closed,
+)
 
 from conftest import random_game
 from naive_checks import naive_audit_message
@@ -265,3 +270,32 @@ def test_one_player_lemma_rejects_unclosed(chain):
         match="not strictly closed: game .* missing the strict reduction with",
     ):
         verify_one_player_lemma(cls)
+
+
+@pytest.mark.parametrize(
+    "fields, line",
+    [
+        pytest.param(
+            dict(isds_pass=True, refinement_holds=False),
+            "  FAIL phi: isds=pass jo=fail nash-agreement=no replays=0",
+            id="invariance-without-refinement",
+        ),
+        pytest.param(
+            dict(jo_pass=True, coarsening_holds=False),
+            "  FAIL phi: isds=fail jo=pass nash-agreement=no replays=0",
+            id="joint-optimality-without-coarsening",
+        ),
+        pytest.param(
+            dict(isds_pass=True, jo_pass=True),
+            "  FAIL phi: isds=pass jo=pass nash-agreement=no replays=0",
+            id="both-axioms-without-nash-agreement",
+        ),
+    ],
+)
+def test_one_player_lemma_reports_an_inconsistent_concept(fields, line):
+    result = ConceptOnePlayerResult("phi", **fields)
+    assert not result.consistent
+    report = OnePlayerLemmaReport(3, [result])
+    assert not report.all_consistent
+    assert report.lines() == ["one-player strictly closed class of 3 games", line]
+    assert report.to_record()["result"] == "violated"
