@@ -442,7 +442,6 @@ def naive_reductions(game: Game, mode: str):
     return out
 
 
-
 def naive_candidate_counts(game: Game, mode: str) -> list[int]:
     """Per player, how many label subsets ``enumerate_reductions`` draws
     its specs from under ``mode``, counted from first principles:
@@ -458,11 +457,13 @@ def naive_candidate_counts(game: Game, mode: str) -> list[int]:
             counts.append(k * (k + 1) // 2 + (k > 2))
         else:
             undominated = [
-                b for b in range(k)
+                b
+                for b in range(k)
                 if not any(_naive_dominates(game, i, a, b) for a in range(k))
             ]
             counts.append(2 ** (k - len(undominated)))
     return counts
+
 
 _AUDITS = {
     "d": ("dummy-or-quasi", "d-closed", "reduction"),
