@@ -428,12 +428,10 @@ class GameClass:
             manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
         except (ValueError, RecursionError) as exc:  # bad bytes, syntax or nesting
             raise malformed(exc) from None
-        if not (
-            isinstance(manifest, dict)
-            and isinstance(manifest.get("games"), list)
-            and isinstance(manifest.get("params", {}), dict)
-        ):
+        if not (isinstance(manifest, dict) and isinstance(manifest.get("games"), list)):
             raise malformed("expected an object with a 'games' list")
+        if not isinstance(manifest.get("params", {}), dict):
+            raise malformed("'params' must be an object")
         try:
             check_fields(manifest, ("params", "games"), "the manifest")
         except GameFormatError as exc:

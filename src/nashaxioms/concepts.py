@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .closures import clear_reductions
-from .games import Game, Profile, _columns, _fact, _facts, _profiles
+from .games import Game, Profile, _columns, _fact, _facts, _ids, _profiles
 
 
 class ConceptDomainError(ValueError):
@@ -185,10 +185,11 @@ def eval_concept(concept: str, game: Game) -> frozenset[Profile]:
 
 def clear_cache() -> None:
     """Forget every memoized result: the per-content facts (concept
-    values among them), the per-shape tables behind ``Game.columns`` and
-    ``Game.profiles``, and the facts that game classes have worked
-    out."""
+    values among them) and canonical ids, the per-shape tables behind
+    ``Game.columns`` and ``Game.profiles``, and the facts that game
+    classes have worked out."""
     _facts.clear()
+    _ids.clear()
     _columns.cache_clear()
     _profiles.cache_clear()
     clear_reductions()

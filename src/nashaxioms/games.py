@@ -117,6 +117,15 @@ def _normalize_ranks(values: Sequence, reverse: bool) -> tuple[int, ...]:
     return tuple(map(order.__getitem__, values))
 
 
+#: ``json.dumps`` with compact separators, for ``Game.canonical_id``.
+_json = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Each canonical id by the content it hashes, (player count, strategies,
+#: rank tables): one entry per distinct content, shared by every game of
+#: it and kept until ``concepts.clear_cache`` empties it.
+_ids: dict[tuple, str] = {}
+
+
 @dataclass(frozen=True)
 class Game:
     """An n-player normal-form game with dense ordinal rank tables.
@@ -170,18 +179,24 @@ class Game:
                 )
         _assemble(self.player_count, strategies, ranks, self)
 
+    #: The canonical ids of the games this one restricts.  ``restrict``
+    #: sets it on the games it builds and ``is_reduction`` reads it; every
+    #: other game, one read from a file among them, has none.
+    _restricts = frozenset()
+
     @cached_property
     def canonical_id(self) -> str:
-        payload = json.dumps(
-            {
-                "players": self.player_count,
-                "strategies": [list(s) for s in self.strategies],
-                "ranks": [list(r) for r in self.ranks],
-            },
-            separators=(",", ":"),
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """SHA-256 of the canonical JSON of the fields, keys sorted, worked
+        out once per content (``_ids``)."""
+        key = (self.player_count, self.strategies, self.ranks)
+        cid = _ids.get(key)
+        if cid is None:
+            payload = (
+                f'{{"players":{self.player_count},"ranks":{_json(self.ranks)},'
+                f'"strategies":{_json(self.strategies)}}}'
+            )
+            cid = _ids[key] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return cid
 
     def profiles(self) -> Iterator[Profile]:
         """All profiles in linear-index order, shared by every game of the
@@ -469,7 +484,9 @@ def restrict(parent: Game, subsets) -> Game:
     Strategy lists keep the parent's order; rank tables are the
     parent's tables on the surviving profiles, dense-normalized per
     player.  Restricting to the full subsets returns a game equal to
-    the parent.
+    the parent.  The game records that it restricts the parent and,
+    since restriction composes, every game the parent restricts
+    (``Game._restricts``).
     """
     idx = _kept_indices(parent, subsets)
     strategies = tuple(
@@ -477,7 +494,9 @@ def restrict(parent: Game, subsets) -> Game:
     )
     cells = _cells(parent.shape, idx)
     ranks = _slice_ranks(parent, cells, range(parent.player_count))
-    return _assemble(parent.player_count, strategies, ranks)
+    child = _assemble(parent.player_count, strategies, ranks)
+    vars(child)["_restricts"] = parent._restricts | {parent.canonical_id}
+    return child
 
 
 def _slice_ranks(
@@ -497,8 +516,12 @@ def is_reduction(candidate: Game, parent: Game) -> bool:
     strategy subsets, and agreement of the preference order on every
     surviving profile pair.  Because both games carry dense rank
     tables, order agreement is exactly equality with the normalized
-    restriction.
+    restriction.  A candidate that ``restrict`` cut from the parent, or
+    from a game cut from it, says so in its record (``Game._restricts``).
     """
+    record = candidate._restricts
+    if record and parent.canonical_id in record:
+        return True
     if candidate.player_count != parent.player_count:
         return False
     idx = []

@@ -597,12 +597,23 @@ def three_root_dclosure():
 def test_games_built_from_checked_parts_equal_checked_games(closure, request):
     """``restrict`` and ``reduce_players`` build their games without
     ``Game``'s checks; each one must be the game those checks build from
-    the same fields, with the same attributes set at construction."""
+    the same fields, with the same attributes set at construction.  The
+    one attribute more is the record of the games a ``restrict``-built
+    game restricts, and each of those must be a member that the naive
+    check confirms."""
     lazy = ("canonical_id", "positions")
     cls = request.getfixturevalue(closure)
     for g in cls:
         checked = Game(g.player_count, g.strategies, g.ranks)
-        assert {k: v for k, v in vars(g).items() if k not in lazy} == vars(checked)
+        built = {k: v for k, v in vars(g).items() if k not in lazy}
+        record = built.pop("_restricts", None)
+        restricted = cls.provenance[g.canonical_id].kind == "reduction-of"
+        assert (record is not None) == restricted
+        if restricted:
+            parents = [cls.get(cid) for cid in record]
+            assert parents and None not in parents
+            assert all(naive_is_reduction(g, parent) for parent in parents)
+        assert built == vars(checked)
         assert checked == g and checked.canonical_id == g.canonical_id
         assert (checked.shape, checked.num_profiles) == (g.shape, g.num_profiles)
 

@@ -289,6 +289,21 @@ def test_malformed_manifest_is_named(capsys, tmp_path, ex2_dclosed, rewrite):
     assert err.startswith(f"error: {manifest}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("params", [[], "d", 3, None])
+def test_manifest_params_that_are_not_an_object_are_named(
+    capsys, tmp_path, ex2_dclosed, params
+):
+    out_dir = ex2_dclosed.write_dir(tmp_path / "cls")
+    manifest = out_dir / "manifest.json"
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    manifest.write_text(json.dumps({**data, "params": params}), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "jo", "--concept", "nash", "--class", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {manifest}: 'params' must be an object\n"
+
+
 @pytest.mark.parametrize(
     "name,before,after",
     [

@@ -326,6 +326,7 @@ def test_clear_cache_empties_every_module_level_cache():
         "games._profiles",
         "games._columns",
         "games._facts",
+        "games._ids",
     } <= grown
     clear_cache()
     assert {name: _size(cache) for name, cache in caches.items()} == cold

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -23,6 +25,7 @@ from nashaxioms import (
 )
 from nashaxioms.concepts import clear_cache, nash
 from nashaxioms.fixtures import FIXTURES, fixture_game
+import nashaxioms.games as games
 from nashaxioms.games import _columns, _profiles, _undominated
 from nashaxioms.oracles import nash_bruteforce
 
@@ -80,6 +83,50 @@ def test_scaling_payoffs_does_not_change_canonical_id(ex2):
     )
     assert scaled.canonical_id == ex2.canonical_id
     assert scaled == ex2
+
+
+def _dumps_id(game):
+    """The canonical id as ``json.dumps`` of the fields as a dict of lists
+    writes it, keys sorted: the form every committed id was made with."""
+    payload = json.dumps(
+        {
+            "players": game.player_count,
+            "strategies": [list(s) for s in game.strategies],
+            "ranks": [list(r) for r in game.ranks],
+        },
+        separators=(",", ":"),
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# labels that JSON escapes, or writes as \u escapes, or leaves alone
+AWKWARD_LABELS = [
+    '"', "\\", 'a"b', "c\\d", "é", "☃x", "𝄞", "\n", "\x00", "\u2028", "'", " ", "x"
+]
+
+
+def test_canonical_id_matches_the_json_dumps_form():
+    rng = random.Random(25)
+    clear_cache()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        labels = [rng.sample(AWKWARD_LABELS, rng.randint(1, 3)) for _ in range(n)]
+        total = math.prod(map(len, labels))
+        ranks = [[rng.randrange(total) for _ in range(total)] for _ in range(n)]
+        game = build_game(n, labels, ranks=ranks)
+        assert game.canonical_id == _dumps_id(game)
+    for name in FIXTURES:
+        assert fixture_game(name).canonical_id == _dumps_id(fixture_game(name))
+
+
+def test_canonical_id_is_hashed_once_per_content(ex2):
+    clear_cache()
+    copies = [Game(ex2.player_count, ex2.strategies, ex2.ranks) for _ in range(3)]
+    assert {g.canonical_id for g in copies} == {ex2.canonical_id}
+    assert list(games._ids.values()) == [ex2.canonical_id]
+    clear_cache()
+    assert games._ids == {}
 
 
 def test_build_errors():

@@ -24,7 +24,7 @@ from nashaxioms.theorems import (
     audit_strictly_closed,
 )
 
-from conftest import random_game
+from conftest import random_game, weak_ordinal_2x2_games
 from naive_checks import naive_audit_message
 
 
@@ -156,6 +156,15 @@ def test_forward_direction_on_dclosed_classes(pd_dclosed, ex2_dclosed, ex5_dclos
         report = verify_theorem1(cls)
         assert report.all_passed
         assert set(report.verdicts) == {"iis", "mc", "isds", "jo"}
+
+
+def test_forward_direction_on_every_weak_ordinal_2x2_dclosure():
+    """Theorem 1 on the d-closure of each of the 5625 2x2 weak-ordinal
+    games: the exhaustive sweep of the end-to-end measure."""
+    games = weak_ordinal_2x2_games()
+    assert len(games) == 5625
+    failed = [g for g in games if not verify_theorem1(d_closure([g])).all_passed]
+    assert failed == []
 
 
 def test_forward_direction_rejects_unclosed_class(ex2_dclosed):
