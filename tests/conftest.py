@@ -1,9 +1,17 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from nashaxioms import build_game, build_named_class, d_closure, strict_closure
+from nashaxioms import (
+    build_game,
+    build_named_class,
+    d_closure,
+    reduce_players,
+    strict_closure,
+)
+from nashaxioms.closures import Provenance
 from nashaxioms.fixtures import fixture_game
 
 
@@ -90,6 +98,35 @@ def random_game(
         [rng.randrange(0, levels or total) for _ in range(total)] for _ in range(n)
     ]
     return build_game(n, labels, ranks=tables)
+
+
+def shaped_game(rng: random.Random, shape, levels: int = 3):
+    """A game of this shape with ranks from ``range(levels)``, so ties are
+    common; the labels depend on the shape only, so games drawn alike
+    share them."""
+    labels = [[f"p{i}s{k}" for k in range(size)] for i, size in enumerate(shape)]
+    total = math.prod(shape)
+    ranks = [[rng.randrange(levels) for _ in range(total)] for _ in shape]
+    return build_game(len(shape), labels, ranks=ranks)
+
+
+def add_player_reductions(cls, members):
+    """Add every player reduction of each of ``members`` to ``cls``."""
+    for member in members:
+        n = member.player_count
+        for mask in range(1, (1 << n) - 1):
+            keep = tuple(i for i in range(n) if mask >> i & 1)
+            for s in member.profiles():
+                cls.add(
+                    reduce_players(member, keep, s),
+                    Provenance(
+                        "player-reduction-of",
+                        parent=member.canonical_id,
+                        keep=keep,
+                        fixed=member.labels_of(s),
+                    ),
+                )
+    return cls
 
 
 def random_square_game(rng: random.Random, k: int):

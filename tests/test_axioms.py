@@ -1,7 +1,6 @@
 import itertools
 import hashlib
 import json
-import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -30,6 +29,7 @@ from nashaxioms.axioms import _AXIOMS
 from nashaxioms.concepts import CONCEPT_IDS
 from nashaxioms.fixtures import fixture_game
 
+from conftest import add_player_reductions, shaped_game
 from naive_checks import naive_check, naive_coverage, naive_is_reduction, naive_mc
 
 
@@ -281,18 +281,9 @@ def test_checkers_agree_with_naive_scans(
         assert got == want, f"{axiom}/{concept} disagrees on a class"
 
 
-def _random_game(rng, shape):
-    """A game with ranks drawn from three levels, so ties are common; the
-    labels depend on the shape only, so games drawn alike share them."""
-    labels = [[f"p{i}s{k}" for k in range(size)] for i, size in enumerate(shape)]
-    total = math.prod(shape)
-    ranks = [[rng.randrange(3) for _ in range(total)] for _ in shape]
-    return build_game(len(shape), labels, ranks=ranks)
-
-
 def _random_reduction_closure(shape, seed):
     """The reduction closure of a random game."""
-    return reduction_closure(_random_game(random.Random(seed), shape))
+    return reduction_closure(shaped_game(random.Random(seed), shape))
 
 
 @pytest.fixture(scope="module")
@@ -373,7 +364,7 @@ def strict_closures():
     out = []
     while len(out) < 12:
         shape = (rng.randint(2, 4), rng.randint(2, 3))
-        cls = strict_closure([_random_game(rng, shape)])
+        cls = strict_closure([shaped_game(rng, shape)])
         if len(cls) > 1:
             out.append(cls)
     return out
@@ -393,7 +384,7 @@ def test_isds_agrees_with_naive_on_strict_closures(strict_closures):
 def two_root_dclosure():
     """The d-closure of two random 3x2 games with the same labels."""
     rng = random.Random(1)
-    cls = d_closure([_random_game(rng, (3, 2)), _random_game(rng, (3, 2))])
+    cls = d_closure([shaped_game(rng, (3, 2)), shaped_game(rng, (3, 2))])
     assert len(cls) == 36 and _fits_without_reducing(cls)
     return cls
 
@@ -402,7 +393,7 @@ def two_root_dclosure():
 def player_reduction_class():
     """A random 3x2 game's reduction closure, plus each game it reduces
     to by pinning one player and that game's reductions."""
-    root = _random_game(random.Random(0), (3, 2))
+    root = shaped_game(random.Random(0), (3, 2))
     cls = reduction_closure(root)
     for keep in ((0,), (1,)):
         for s in root.profiles():
@@ -454,31 +445,12 @@ def test_reduction_scans_agree_with_naive_on_several_roots(
 _KEEP_3 = ((0,), (1,), (0, 1), (2,), (0, 2), (1, 2))
 
 
-def _add_player_reductions(cls, members):
-    """Add every player reduction of each of ``members`` to ``cls``."""
-    for member in members:
-        n = member.player_count
-        for mask in range(1, (1 << n) - 1):
-            keep = tuple(i for i in range(n) if mask >> i & 1)
-            for s in member.profiles():
-                cls.add(
-                    reduce_players(member, keep, s),
-                    Provenance(
-                        "player-reduction-of",
-                        parent=member.canonical_id,
-                        keep=keep,
-                        fixed=member.labels_of(s),
-                    ),
-                )
-    return cls
-
-
 @pytest.fixture(scope="module")
 def player_reduced_3x3x2():
     """A random 3x3x2 game's reduction closure plus every player reduction
     of each member, the shape of the benchmark's player-reduced class."""
     cls = _random_reduction_closure((3, 3, 2), seed=3)
-    return _add_player_reductions(cls, list(cls))
+    return add_player_reductions(cls, list(cls))
 
 
 @pytest.fixture(scope="module")
@@ -496,7 +468,7 @@ def partly_player_reduced():
     of its seed alone: a member with a player who keeps all strategies
     has an available subgroup, and the others have none."""
     cls = _random_reduction_closure((3, 3, 2), seed=7)
-    _add_player_reductions(cls, [next(iter(cls))])
+    add_player_reductions(cls, [next(iter(cls))])
     present = {g.strategies for g in cls}
     available = [
         any(
@@ -519,7 +491,7 @@ def seeded_player_reduction():
     cls = _random_reduction_closure((3, 3, 2), seed=8)
     seed = next(iter(cls))
     cls.add(reduce_players(seed, (0,), next(seed.profiles())), Provenance("seed"))
-    _add_player_reductions(cls, list(cls))
+    add_player_reductions(cls, list(cls))
     assert [p.kind for p in cls.provenance.values()].count("seed") == 2
     return cls
 
@@ -578,7 +550,7 @@ def three_root_dclosure():
     members restrict three roots, and small members of one root often
     equal restrictions of another."""
     rng = random.Random(2)
-    cls = d_closure([_random_game(rng, (4, 4)) for _ in range(3)])
+    cls = d_closure([shaped_game(rng, (4, 4)) for _ in range(3)])
     assert len(cls) >= 300
     # a top's ``is_reduction`` calls take in candidates that restrict
     # another seed, so the class must hold such candidates of both answers
@@ -651,7 +623,7 @@ def lying_class():
     reduction to a label the seed does not have."""
     cls = _random_reduction_closure((3, 2), seed=4)
     seed = next(iter(cls))
-    _add_player_reductions(cls, [seed])
+    add_player_reductions(cls, [seed])
     pinned = seed.profile_from_labels(("p0s0", "p1s0"))
     records = [
         (
@@ -738,7 +710,7 @@ def test_reductions_of_non_member_parents_agree_with_naive(shape):
     checked for it alone: every member of two seeds' reduction closures
     outside the seeds' d-closure, queried as a parent."""
     rng = random.Random(4)
-    seeds = [_random_game(rng, shape) for _ in range(2)]
+    seeds = [shaped_game(rng, shape) for _ in range(2)]
     cls = d_closure(seeds)
     outside = [h for seed in seeds for h in reduction_closure(seed) if h not in cls]
     assert len(outside) > 200
@@ -787,7 +759,7 @@ def test_replay_provenance_agrees_with_naive(closure, request):
 @pytest.mark.parametrize("axiom", ["cons", "cocons"])
 def test_scans_find_a_player_reduced_member_added_after_a_scan(axiom):
     full = _random_reduction_closure((3, 2), seed=5)
-    _add_player_reductions(full, list(full))
+    add_player_reductions(full, list(full))
     # all members but the last, a player reduction that the scans look up
     cls = GameClass()
     for cid in full.ids()[:-1]:

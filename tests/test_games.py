@@ -102,7 +102,8 @@ def _dumps_id(game):
 
 # labels that JSON escapes, or writes as \u escapes, or leaves alone
 AWKWARD_LABELS = [
-    '"', "\\", 'a"b', "c\\d", "é", "☃x", "𝄞", "\n", "\x00", "\u2028", "'", " ", "x"
+    '"', "\\", 'a"b', "c\\d", "é", "☃x", "𝄞",
+    "\n", "\x00", "\u2028", "'", " ", "x",
 ]
 
 

@@ -7,14 +7,12 @@ record, so ``is_reduction`` compares their rank tables, and checks every
 recorded id with the naive reduction test.
 """
 
-import math
 import random
 
 import pytest
 
 from nashaxioms import (
     GameClass,
-    build_game,
     d_closure,
     is_reduction,
     reduce_players,
@@ -22,54 +20,34 @@ from nashaxioms import (
     restrict,
     strict_closure,
 )
-from nashaxioms.closures import Provenance
 
+from conftest import add_player_reductions, shaped_game
 from naive_checks import naive_is_reduction
 
 
-def _game(rng, shape, levels=3):
-    """A random game whose labels depend on its shape only, so that seeds
-    of one shape share them and a member of one seed's closure can have
-    the labels of a member of another's."""
-    labels = [[f"p{i}s{k}" for k in range(size)] for i, size in enumerate(shape)]
-    total = math.prod(shape)
-    ranks = [[rng.randrange(levels) for _ in range(total)] for _ in shape]
-    return build_game(len(shape), labels, ranks=ranks)
-
-
 def _with_player_reductions(cls):
-    """``cls`` plus every player reduction of each member, which carry no
+    """``cls`` plus every player reduction of each member; these carry no
     record."""
-    for member in list(cls):
-        n = member.player_count
-        for mask in range(1, (1 << n) - 1):
-            keep = tuple(i for i in range(n) if mask >> i & 1)
-            for s in member.profiles():
-                cls.add(
-                    reduce_players(member, keep, s),
-                    Provenance(
-                        "player-reduction-of",
-                        parent=member.canonical_id,
-                        keep=keep,
-                        fixed=member.labels_of(s),
-                    ),
-                )
-    return cls
+    return add_player_reductions(cls, list(cls))
 
 
 CLASSES = {
-    "d-2x3": lambda rng: d_closure([_game(rng, (2, 3))]),
-    "d-two-3x3-seeds": lambda rng: d_closure([_game(rng, (3, 3)) for _ in range(2)]),
-    "d-2x2x2": lambda rng: d_closure([_game(rng, (2, 2, 2))]),
+    "d-2x3": lambda rng: d_closure([shaped_game(rng, (2, 3))]),
+    "d-two-3x3-seeds": lambda rng: d_closure(
+        [shaped_game(rng, (3, 3)) for _ in range(2)]
+    ),
+    "d-2x2x2": lambda rng: d_closure([shaped_game(rng, (2, 2, 2))]),
     "strict-three-1x5-seeds": lambda rng: strict_closure(
-        [_game(rng, (5,), levels=5) for _ in range(3)]
+        [shaped_game(rng, (5,), levels=5) for _ in range(3)]
     ),
     "strict-two-4x4-seeds": lambda rng: strict_closure(
-        [_game(rng, (4, 4), levels=8) for _ in range(2)]
+        [shaped_game(rng, (4, 4), levels=8) for _ in range(2)]
     ),
-    "reduction-4x4": lambda rng: reduction_closure(_game(rng, (4, 4), levels=5)),
+    "reduction-4x4": lambda rng: reduction_closure(
+        shaped_game(rng, (4, 4), levels=5)
+    ),
     "reduction-3x3x2-player-reduced": lambda rng: _with_player_reductions(
-        reduction_closure(_game(rng, (3, 3, 2)))
+        reduction_closure(shaped_game(rng, (3, 3, 2)))
     ),
 }
 
@@ -102,7 +80,7 @@ def test_relation_from_records_equals_relation_read_from_disk(name, seed, tmp_pa
 
 @pytest.fixture(scope="module")
 def seed():
-    return _game(random.Random(5), (3, 3, 2), levels=4)
+    return shaped_game(random.Random(5), (3, 3, 2), levels=4)
 
 
 def test_player_reduction_is_not_a_reduction(seed):
