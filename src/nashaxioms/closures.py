@@ -3,7 +3,9 @@
 A ``GameClass`` is a deduplicated, insertion-ordered set of games with
 a provenance record per member saying how it entered.  Closures run a
 breadth-first worklist with the frontier sorted by canonical id, so
-class contents, insertion order, and provenance are reproducible.
+class contents, insertion order, and provenance are reproducible.  The
+d- and reduction closures are one pass over the seeds' specs, since
+those reductions compose; strict closures expand every new member.
 """
 
 from __future__ import annotations
@@ -489,13 +491,11 @@ def _closure(
     # Every member is its seed restricted to its labels, and restriction
     # composes, so (seed number, labels) names one game: a key seen before
     # names a game already in the class, and is not restricted again.
-    seed_of = {g.canonical_id: k for k, g in enumerate(seed_list)}
     seen = {(k, g.strategies) for k, g in enumerate(seed_list)}
-    frontier = seed_list
+    frontier = list(enumerate(seed_list))
     while frontier:
-        next_frontier: list[Game] = []
-        for parent in sorted(frontier, key=lambda g: g.canonical_id):
-            seed = seed_of[parent.canonical_id]
+        next_frontier: list[tuple[int, Game]] = []
+        for seed, parent in sorted(frontier, key=lambda p: p[1].canonical_id):
             try:
                 specs = enumerate_reductions(parent, flavor_filter, budget=budget)
             except BudgetExceededError as exc:
@@ -512,14 +512,14 @@ def _closure(
                     Provenance(kind, parent=parent.canonical_id, subsets=labels),
                 )
                 if added:
-                    seed_of[child.canonical_id] = seed
-                    next_frontier.append(child)
+                    next_frontier.append((seed, child))
                     if len(cls) > budget:
                         raise BudgetExceededError(
                             f"closure exceeded the budget of {budget} games; "
                             f"frontier size {len(next_frontier)}"
                         )
-        frontier = next_frontier
+        # Reductions compose, and so do dummy-or-quasi ones; strict reductions do not
+        frontier = next_frontier if flavor_filter == "strict" else []
     return cls
 
 
@@ -536,19 +536,9 @@ def strict_closure(seeds: Iterable[Game], budget: int = DEFAULT_BUDGET) -> GameC
 
 
 def reduction_closure(seed: Game, budget: int = DEFAULT_BUDGET) -> GameClass:
-    """The seed plus every one of its reductions.
-
-    Reductions of reductions are reductions of the seed, so one pass
-    is the fixpoint.  The budget caps the specs, hence the members.
-    """
-    cls = GameClass(params={"mode": "reductions", "budget": budget})
-    cls.add(seed, Provenance("seed"))
-    for labels in enumerate_reductions(seed, "all", budget=budget):
-        cls.add(
-            restrict(seed, labels),
-            Provenance("reduction-of", parent=seed.canonical_id, subsets=labels),
-        )
-    return cls
+    """The seed plus every one of its reductions.  The budget caps the
+    specs, hence the members."""
+    return _closure([seed], "all", "reduction-of", "reductions", budget)
 
 
 #: Names accepted by build_named_class and the CLI --class flag.

@@ -491,15 +491,17 @@ def naive_audit_message(games, mode: str):
 _CLOSURES = {
     "d": ("dummy-or-quasi", "dummy-reduction-of"),
     "strict": ("strict", "strict-reduction-of"),
+    "reductions": ("all", "reduction-of"),
 }
 
 
 def naive_closure(seeds, mode: str):
-    """The d- or strict closure (``mode`` is ``d`` or ``strict``) as
-    ``(canonical id, provenance payload)`` pairs in insertion order: a
-    breadth-first search over frontiers sorted by canonical id that
-    restricts each member to every ``naive_reductions`` entry and keeps
-    the games whose canonical id is new."""
+    """The d-, strict or reduction closure (``mode`` is ``d``, ``strict``
+    or ``reductions``) as ``(canonical id, provenance payload)`` pairs in
+    insertion order: a breadth-first search over frontiers sorted by
+    canonical id that restricts each member to every ``naive_reductions``
+    entry and keeps the games whose canonical id is new, until a frontier
+    adds nothing."""
     flavor_filter, kind = _CLOSURES[mode]
     members = {}
     frontier = []

@@ -368,6 +368,16 @@ def test_closure_budget_error(capsys):
     assert "budget" in err
 
 
+def test_reduction_closure_budget_error_names_the_frontier(capsys, tmp_path):
+    out_dir = tmp_path / "x"
+    argv = ["closure", "ex2", "--mode", "reductions", "--budget", "3"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err == "error: 9 subset specs exceed the budget of 3; frontier size 1\n"
+    assert not out_dir.exists()
+
+
 def test_budget_above_sys_maxsize_caps_nothing(capsys, tmp_path):
     counts = []
     for flag in ([], ["--budget", "99999999999999999999"]):

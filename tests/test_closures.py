@@ -108,6 +108,12 @@ def test_reduction_closure_counts(ex2, ex5):
     assert len(reduction_closure(single)) == 1
 
 
+def test_membership_by_id(ex2_dclosed, ex2, ex5):
+    assert ex2.canonical_id in ex2_dclosed
+    assert ex5.canonical_id not in ex2_dclosed
+    assert "nope" not in ex2_dclosed
+
+
 def test_provenance_replays(ex2_dclosed, ex3_cons, chain_strict):
     for cls in (ex2_dclosed, ex3_cons, chain_strict):
         for cid in cls.ids():
@@ -126,7 +132,8 @@ def test_provenance_kinds(ex3_cons, ex4_class):
 
 #: Shapes of the random seeds the closures are checked on.
 _SHAPES = [
-    (3,), (4,), (1, 3), (2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 2, 2), (3, 2, 2)
+    (3,), (4,), (1, 3), (2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (5, 3),
+    (2, 2, 2), (3, 2, 2), (2, 2, 3),
 ]
 
 
@@ -158,20 +165,36 @@ def _as_pairs(cls):
     return [(cid, cls.provenance[cid].to_payload()) for cid in cls.ids()]
 
 
-@pytest.mark.parametrize("mode,build", [("d", d_closure), ("strict", strict_closure)])
+def reduction_closure_of(seeds):
+    """``reduction_closure`` of the one game in ``seeds``."""
+    return reduction_closure(*seeds)
+
+
+@pytest.mark.parametrize(
+    "mode,build",
+    [
+        ("d", d_closure),
+        ("strict", strict_closure),
+        ("reductions", reduction_closure_of),
+    ],
+)
 def test_closures_match_the_naive_search(mode, build):
     """Members, insertion order and provenance agree with a search that
-    restricts every spec of every member."""
+    restricts every spec of every member until nothing new turns up, so
+    the d- and reduction closures' single pass over the seeds' specs is
+    checked against the fixpoint.  ``reduction_closure`` takes one seed."""
     bundled = [fixture_game(name) for name in FIXTURES]
     seed_lists = [[g] for g in bundled] + [bundled]
     rng = random.Random(13)
     seed_lists += [_closure_seeds(rng, k) for k in range(210)]
+    if mode == "reductions":
+        seed_lists = [seeds for seeds in seed_lists if len(seeds) == 1]
     for seeds in seed_lists:
         assert _as_pairs(build(seeds)) == naive_closure(seeds, mode), seeds
 
 
 @pytest.mark.parametrize("seed", ["cube", "ex2", "chain", "4x4"])
-@pytest.mark.parametrize("build", [d_closure, strict_closure])
+@pytest.mark.parametrize("build", [d_closure, strict_closure, reduction_closure_of])
 def test_closure_restricts_once_per_new_member(seed, build, request, monkeypatch):
     """With one seed, each restriction a closure makes is a new member."""
     if seed == "4x4":
@@ -352,6 +375,19 @@ def test_closure_refuses_no_seeds_and_a_budget_it_outgrows(ex2, pd):
         match="^closure exceeded the budget of 9 games; frontier size 8$",
     ):
         d_closure([ex2, pd], budget=9)
+
+
+def test_reduction_closure_refuses_a_budget_below_its_seed(ex2):
+    with pytest.raises(
+        BudgetExceededError, match="^seeds alone exceed the budget of 0 games$"
+    ):
+        reduction_closure(ex2, budget=0)
+    with pytest.raises(
+        BudgetExceededError,
+        match="^9 subset specs exceed the budget of 8; frontier size 1$",
+    ):
+        reduction_closure(ex2, budget=8)
+    assert len(reduction_closure(ex2, budget=9)) == 9
 
 
 def test_read_dir_needs_a_manifest(tmp_path):

@@ -24,7 +24,7 @@ from nashaxioms import (
     restrict,
 )
 from nashaxioms.concepts import clear_cache, nash
-from nashaxioms.fixtures import FIXTURES, fixture_game
+from nashaxioms.fixtures import FIXTURES, fixture_game, fixture_path
 import nashaxioms.games as games
 from nashaxioms.games import _columns, _profiles, _undominated
 from nashaxioms.oracles import nash_bruteforce
@@ -157,6 +157,24 @@ def test_build_errors():
         build_game("2", [["a"], ["x"]], ranks=[[0], [0]])
     with pytest.raises(GameFormatError, match=not_int):
         Game("2", (("a",), ("x",)), ((0,), (0,)))
+
+
+def test_tables_and_strategies_that_are_not_lists_are_named():
+    with pytest.raises(GameFormatError, match="^table is not a sequence$"):
+        build_game(1, [["a"]], payoffs=[5])
+    not_lists = "^strategies must be one list of labels per player, got 5$"
+    with pytest.raises(GameFormatError, match=not_lists):
+        build_game(1, 5, ranks=[[0]])
+    with pytest.raises(GameFormatError, match=not_lists):
+        Game(1, 5, [[0]])
+
+
+def test_unknown_fixture_lists_the_known_names():
+    with pytest.raises(KeyError) as exc:
+        fixture_path("nope")
+    assert exc.value.args == (
+        "unknown fixture 'nope'; known: pd, ex2, ex5, cube222, chain4",
+    )
 
 
 def test_build_accepts_any_finite_real_payoff():

@@ -1,6 +1,6 @@
 """Static checks on the package source that a deletion leaves nothing
 behind: no module imports a name it no longer uses, and no private
-module-level function or class outlives its last caller."""
+module-level function, class or constant outlives its last reader."""
 
 import ast
 from pathlib import Path
@@ -25,10 +25,11 @@ def imported_names(tree: ast.Module) -> set[str]:
 
 
 def used_names(tree: ast.Module) -> set[str]:
-    """The names the module reads, attribute names included."""
+    """The names the module reads, attribute names included; a name that
+    is only bound (``x = ...``) is not read."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -41,15 +42,16 @@ def unused_imports(source: str) -> set[str]:
 
 
 def private_definitions(tree: ast.Module) -> set[str]:
-    """The module-level functions and classes whose names start with ``_``
-    (dunder names aside)."""
-    return {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-    }
+    """The module-level functions, classes and names bound by assignment
+    whose names start with ``_`` (dunder names aside)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
 def unreferenced_privates(sources: dict[str, str]) -> set[tuple[str, str]]:
@@ -90,9 +92,13 @@ def test_checks_catch_what_a_deletion_leaves_behind():
         "    pass\n"
         "def _caller():\n"
         "    return _Used()\n"
+        "_ORPHAN = 1\n"
+        "_READ: dict = {}\n"
+        "_READ[0] = f\n"
     )
     assert unused_imports(source) == {"os", "gone"}
     assert unreferenced_privates({"m.py": source}) == {
         ("m.py", "_orphan"),
         ("m.py", "_caller"),
+        ("m.py", "_ORPHAN"),
     }

@@ -25,7 +25,11 @@ from nashaxioms.theorems import (
 )
 
 from conftest import random_game, weak_ordinal_2x2_games
-from naive_checks import naive_audit_message
+from naive_checks import (
+    naive_audit_message,
+    naive_is_reduction,
+    naive_is_strict_reduction,
+)
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +148,36 @@ def test_reconstruction_total_over_classes(pd_dclosed, ex2_dclosed, cube_dclosed
         for game in cls:
             for s in sorted(nash(game)):
                 assert lemma1b_construct(game, s).all_passed
+
+
+def test_gadget_reduction_claims_hold_by_content(
+    pd_dclosed, ex2_dclosed, cube_dclosed
+):
+    """Every game a construction claims is a reduction of G is one by a
+    pairwise rank comparison, not only by the record ``restrict`` leaves,
+    and so is G'' a strict reduction of G'."""
+    reports = []
+    for cls in (pd_dclosed, ex2_dclosed, cube_dclosed):
+        for game in cls:
+            for s in game.profiles():
+                if s in nash(game):
+                    reports.append((game, lemma1b_construct(game, s)))
+                else:
+                    reports.append((game, lemma1a_witness("all_profiles", game, s)))
+    claims = {"reduction": 0, "strict": 0}
+    for game, report in reports:
+        assert report.all_passed
+        roles = dict(report.constructed)
+        for claim in report.assertions:
+            role, _, rest = claim.name.partition(" is a ")
+            if rest.startswith("reduction of G"):
+                assert naive_is_reduction(roles[role], game), claim.name
+                claims["reduction"] += 1
+            elif rest == "strict reduction of G'":
+                assert naive_is_strict_reduction(roles[role], roles["G'"])
+                claims["strict"] += 1
+    # 49 part (a) reports with two reduction claims each, 47 part (b) ones
+    assert claims == {"reduction": 246, "strict": 49}
 
 
 # ----------------------------------------------------------------------
