@@ -23,7 +23,16 @@ from typing import Iterable, Iterator
 
 from .closures import GameClass, _positions
 from .concepts import CONCEPTS, ConceptDomainError, eval_concept, jointly_optimal
-from .games import Game, Profile, _fact, _pinned_slice, _undominated
+from .games import (
+    Game,
+    Profile,
+    _fact,
+    _facts,
+    _label_fact,
+    _pinned_slice,
+    _undominated,
+    label_mask,
+)
 
 
 @dataclass
@@ -62,30 +71,36 @@ class AxiomVerdict:
 
 
 class _Table:
-    """One concept's solutions on a class: per game (by canonical id) the
-    label set of its solutions, and per label tuple the members it
-    solves as a bitset over insertion order, for the members ``fill``
-    has entered.  Filled one game at a time as the scans ask, so the
-    concept is evaluated on the same games in the same order as if each
-    scan called ``eval_concept`` itself."""
+    """One concept's solutions on a class: per label tuple the members it
+    solves as a bitset over insertion order, for the members ``fill`` has
+    entered.  Filled one game at a time as the scans ask, so the concept
+    is evaluated on the same games in the same order as if each scan
+    called ``eval_concept`` itself."""
 
     def __init__(self, concept: str, cls: GameClass):
         self.concept = concept
+        # the key of the label sets in ``_facts``: a tuple is never a concept id
+        self.name = ("labels", concept)
         self.members = cls.members()
-        self.labels: dict[str, frozenset] = {}
         self.solvers: dict[tuple, int] = {}
         self.filled = 0
 
     def of(self, game: Game) -> frozenset:
-        """The label set of the game's solutions; an error names the game."""
-        cid = game.canonical_id
-        if cid not in self.labels:
+        """The label set of the game's solutions, worked out once per game
+        content (``_fact``); an error names the game."""
+        # the scans' hottest lookup: a hit reads the memo without a call
+        labels = _facts.get((self.name, game.canonical_id))
+        if labels is None:
             try:
-                phi = eval_concept(self.concept, game)
+                labels = _fact(self.name, game, self._labels)
             except ConceptDomainError as exc:
-                raise ConceptDomainError(f"{exc} [game {cid[:12]}]") from exc
-            self.labels[cid] = game.label_set(phi)
-        return self.labels[cid]
+                raise ConceptDomainError(
+                    f"{exc} [game {game.canonical_id[:12]}]"
+                ) from exc
+        return labels
+
+    def _labels(self, game: Game) -> frozenset:
+        return game.label_set(eval_concept(self.concept, game))
 
     def fill(self, bits: int) -> None:
         """Enter the members of the bitset ``bits`` into ``solvers``, in order."""
@@ -101,15 +116,20 @@ def _table(concept: str, cls: GameClass) -> _Table:
     return cls.derive(("table", concept), lambda: _Table(concept, cls))
 
 
-def _cells(cls: GameClass, game: Game) -> list[tuple[Profile, tuple, int]]:
+def _cells(game: Game) -> tuple[tuple[Profile, tuple, int], ...]:
     """Per profile of ``game``, in linear-index order: the profile, its
-    labels and their mask, worked out once per game (``cls.derive``).  A
-    member holds the profile when its mask holds the profile's."""
-    return cls.derive(("cells", game.canonical_id), lambda: [
-        (s, x, cls.label_mask(zip(x)))
+    labels and their mask, worked out once per strategy tuple
+    (``_label_fact``).  A member holds the profile when its mask holds the
+    profile's."""
+    return _label_fact("cells", game, _profile_cells)
+
+
+def _profile_cells(game: Game) -> tuple[tuple[Profile, tuple, int], ...]:
+    return tuple(
+        (s, x, label_mask(zip(x)))
         for s in game.profiles()
         for x in (game.labels_of(s),)
-    ])
+    )
 
 
 def _iis(
@@ -126,7 +146,7 @@ def _iis(
         # per solution, the reductions that hold it but do not solve it
         lost = [
             (labels, cls.having(inside, within) & ~table.solvers.get(labels, 0))
-            for _, labels, inside in _cells(cls, parent)
+            for _, labels, inside in _cells(parent)
             if labels in phi
         ]
         for j in _positions(reduce(or_, (bits for _, bits in lost))):
@@ -155,7 +175,7 @@ def _mc(
         # only the reductions that solve one of them are visited
         solvers = table.solvers
         solve_extra = reduce(or_, (
-            solvers.get(x, 0) for _, x, _ in _cells(cls, parent) if x not in phi_parent
+            solvers.get(x, 0) for _, x, _ in _cells(parent) if x not in phi_parent
         ), 0)
         for j in _positions(solve_extra & within):
             ga = members[j]
@@ -186,10 +206,7 @@ def _isds(
     table, members = _table(concept, cls), cls.members()
     for parent in parents:
         full = cls.mask_of(parent)
-        need = cls.derive(
-            ("undominated", parent.canonical_id),
-            lambda: cls.label_mask(_undominated(parent)),
-        )
+        need = _fact("undominated mask", parent, lambda g: label_mask(_undominated(g)))
         if need == full:
             continue
         within = cls.reduction_bits(parent)
@@ -286,7 +303,7 @@ def _cons(
         if all(pinned is None for _, pinned in subgroups):
             tally["skipped"] += len(phi_game) * len(subgroups)
             continue
-        for s, labels, _ in _cells(cls, game):
+        for s, labels, _ in _cells(game):
             if labels not in phi_game:
                 continue
             for keep, member in _player_reduced(cls, game, subgroups, s):
@@ -321,7 +338,7 @@ def _cocons(
         if all(pinned is None for _, pinned in subgroups):
             tally["vacuous"] += game.num_profiles - len(phi_game)
             continue
-        for s, labels, _ in _cells(cls, game):
+        for s, labels, _ in _cells(game):
             if labels in phi_game:
                 continue
             present = (
@@ -370,7 +387,7 @@ def _ciis(
         table.fill(within)
         # all but the game itself, the one reduction with all its labels
         proper = within & ~cls.having(cls.mask_of(game), within)
-        for _, labels, inside in _cells(cls, game):
+        for _, labels, inside in _cells(game):
             if labels in phi_game:
                 continue
             containing = cls.having(inside, proper)

@@ -27,6 +27,7 @@ from .games import (
     _pinned_slice,
     enumerate_reductions,
     is_reduction,
+    label_mask,
     reduce_players,
     restrict,
 )
@@ -160,13 +161,12 @@ class GameClass:
         self._games: dict[str, Game] = {}
         self.provenance: dict[str, Provenance] = {}
         self.params: dict = dict(params or {})
-        # ``label_mask``'s bit per (player index, label), and each member's mask
-        self._bits: dict[tuple[int, str], int] = {}
+        # each member's ``label_mask``
         self._masks: dict[str, int] = {}
         # ``derive``'s memo: the members per label and per player count, the
         # reductions of each member's top, the reduction relation per
-        # parent, the member per content, and the scans' per-game and
-        # per-concept facts (``axioms``)
+        # parent, the member per content, and the scans' per-class facts
+        # (``axioms``: solver bitsets and player subgroups)
         self._derived: dict[tuple, object] = {}
         _classes.add(self)
 
@@ -178,7 +178,7 @@ class GameClass:
         self._check_record(game, provenance)
         self._games[cid] = game
         self.provenance[cid] = provenance
-        self._masks[cid] = self.label_mask(game.strategies)
+        self._masks[cid] = label_mask(game.strategies)
         self._derived.clear()
         return True
 
@@ -229,27 +229,11 @@ class GameClass:
         )
         return members.get((strategies, ranks))
 
-    def label_mask(self, strategies: Iterable[Iterable[str]]) -> int:
-        """Per-player labels (``zip(labels)`` for a profile's) as one int:
-        the sum of the class's bits for each (player index, label), a new
-        pair taking the next free bit.  One registry serves every mask of
-        the class, so a subset of a game's labels has a mask inside the
-        game's, whichever member or parent the masks were taken for."""
-        bits = self._bits
-        mask = 0
-        for i, labels in enumerate(strategies):
-            for lab in labels:
-                bit = bits.get((i, lab))
-                if bit is None:
-                    bit = bits[i, lab] = 1 << len(bits)
-                mask |= bit
-        return mask
-
     def mask_of(self, game: Game) -> int:
         """``label_mask(game.strategies)``: the mask ``add`` recorded for a
         member, worked out afresh for any other game."""
         mask = self._masks.get(game.canonical_id)
-        return self.label_mask(game.strategies) if mask is None else mask
+        return label_mask(game.strategies) if mask is None else mask
 
     def derive(self, key: tuple, compute: Callable[[], object]):
         """``compute()``, worked out once per ``key`` and kept until the

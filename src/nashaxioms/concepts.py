@@ -184,10 +184,12 @@ def eval_concept(concept: str, game: Game) -> frozenset[Profile]:
 
 
 def clear_cache() -> None:
-    """Forget every memoized result: the per-content facts (concept
-    values among them) and canonical ids, the per-shape tables behind
-    ``Game.columns`` and ``Game.profiles``, and the facts that game
-    classes have worked out."""
+    """Forget every memoized result: the per-content and per-label facts
+    (concept values, solution label sets, cells and specs among them) and
+    canonical ids, the per-shape tables behind ``Game.columns`` and
+    ``Game.profiles``, and the facts that game classes have worked out.
+    The label-bit registry (``games._label_bits``) stays: it only interns
+    labels, and the masks handed out under it stay valid."""
     _facts.clear()
     _ids.clear()
     _columns.cache_clear()

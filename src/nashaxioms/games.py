@@ -12,7 +12,8 @@ be called concurrently from any number of threads and return fresh
 objects, or, for ``Game.columns`` and ``Game.profiles``, tuples and
 profiles shared by every game of a shape, and for ``_undominated`` and
 the other facts in ``_facts``, values shared by every game of the same
-content.
+content, or of the same labels.  ``label_mask`` packs labels into one
+int under a process-wide bit registry, so masks taken anywhere compare.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 
 class GameFormatError(ValueError):
@@ -324,22 +325,65 @@ def _columns(shape: tuple[int, ...], players: tuple[int, ...]):
     return tuple(tuple(_cells(shape, axes)) for axes in itertools.product(*choices))
 
 
+#: The bit of each (player index, strategy label), handed out in the order
+#: the pairs are first met (``label_mask``).  An interning table, not a
+#: memo: it only grows, and ``concepts.clear_cache`` leaves it, so every
+#: mask handed out stays valid and means the same labels everywhere.
+_label_bits: dict[tuple[int, str], int] = {}
+
+
+def label_mask(strategies: Iterable[Iterable[str]]) -> int:
+    """Per-player labels (``zip(labels)`` for a profile's) as one int: the
+    sum of the bits of each (player index, label), a new pair taking the
+    next free bit (``_label_bits``).  One registry serves every mask, so a
+    subset of a game's labels has a mask inside the game's, whichever
+    class, member or parent the masks were taken for.  Masks are read only
+    as sets: no bit position reaches any output."""
+    bits = _label_bits
+    mask = 0
+    for i, labels in enumerate(strategies):
+        for lab in labels:
+            bit = bits.get((i, lab))
+            if bit is None:
+                bit = bits[i, lab] = 1 << len(bits)
+            mask |= bit
+    return mask
+
+
 _T = TypeVar("_T")
 
 #: The facts that depend on a game's content alone, by (fact name,
-#: canonical id): concept values under their registry ids
-#: (``concepts.eval_concept``), ``jointly_optimal`` as the ``jo`` scan
-#: and the lemma gadgets read it, and ``_undominated``.  Shared by
-#: every class and kept until ``concepts.clear_cache`` empties it.
-_facts: dict[tuple[str, str], object] = {}
+#: canonical id), and those that depend on its labels alone, by (fact
+#: name, strategies).  Content facts: concept values under their registry
+#: ids (``concepts.eval_concept``), each concept's solution label sets
+#: (``axioms._Table``), ``jointly_optimal`` as the ``jo`` scan and the
+#: lemma gadgets read it, ``_undominated`` and its mask (``axioms.isds``),
+#: and the oracle's equilibria (``theorems.verify_theorem1``).  Label
+#: facts: each game's profile cells (``axioms._cells``) and its
+#: dummy-or-quasi specs (``theorems.audit_d_closed``).  A canonical id is
+#: a string and strategies a tuple, so the two kinds never share a key.
+#: Every value is immutable, shared by every class and kept until
+#: ``concepts.clear_cache`` empties the memo.
+_facts: dict[tuple[Hashable, str | tuple], object] = {}
 
 
-def _fact(name: str, game: Game, compute: Callable[[Game], _T]) -> _T:
+def _fact(name: Hashable, game: Game, compute: Callable[[Game], _T]) -> _T:
     """``compute(game)``, worked out once per game content (``_facts``).
     The key is the fact's name, not ``compute``, so a function that is
     swapped for a wrapper still finds the values computed before."""
     key = (name, game.canonical_id)
     value = _facts.get(key, _facts)  # the memo itself is never a value
+    if value is _facts:
+        value = _facts[key] = compute(game)
+    return value
+
+
+def _label_fact(name: Hashable, game: Game, compute: Callable[[Game], _T]) -> _T:
+    """``compute(game)`` for a fact of the game's labels alone, worked out
+    once per strategy tuple (``_facts``) and shared by every game that
+    carries those labels, whatever its rank tables."""
+    key = (name, game.strategies)
+    value = _facts.get(key, _facts)
     if value is _facts:
         value = _facts[key] = compute(game)
     return value

@@ -11,6 +11,7 @@ correspondence on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .axioms import AxiomVerdict, check_axiom
 from .closures import GameClass
@@ -24,6 +25,7 @@ from .games import (
     Game,
     Profile,
     _fact,
+    _label_fact,
     enumerate_reductions,
     is_cut,
     is_reduction,
@@ -270,14 +272,17 @@ class TheoremOneReport:
 
 
 def _audit_closed(
-    cls: GameClass, flavor_filter: str, closed: str, reduction: str
+    cls: GameClass,
+    specs: Callable[[Game], Iterable[tuple]],
+    closed: str,
+    reduction: str,
 ) -> None:
-    """Raise unless every reduction of every member that passes
-    ``flavor_filter`` is itself a member; a member reduction carrying
-    a spec's labels is that spec's restriction, so labels suffice."""
+    """Raise unless every reduction of every member that ``specs`` names
+    is itself a member; a member reduction carrying a spec's labels is
+    that spec's restriction, so labels suffice."""
     for game in cls:
         present = {g.strategies for g in cls.reductions(game)}
-        for labels in enumerate_reductions(game, flavor_filter):
+        for labels in specs(game):
             if labels not in present:
                 raise ValueError(
                     f"class is not {closed}: game {game.canonical_id[:12]} "
@@ -285,28 +290,46 @@ def _audit_closed(
                 )
 
 
+def _d_specs(game: Game) -> tuple[tuple[tuple[str, ...], ...], ...]:
+    """The game's dummy-or-quasi specs, which depend on its labels alone,
+    worked out once per strategy tuple (``_label_fact``)."""
+    return _label_fact(
+        "dummy-or-quasi",
+        game,
+        lambda g: tuple(enumerate_reductions(g, "dummy-or-quasi")),
+    )
+
+
 def audit_d_closed(cls: GameClass) -> None:
     """Raise unless every dummy/quasi-dummy reduction of every member
     is itself a member."""
-    _audit_closed(cls, "dummy-or-quasi", "d-closed", "reduction")
+    _audit_closed(cls, _d_specs, "d-closed", "reduction")
 
 
 def audit_strictly_closed(cls: GameClass) -> None:
-    """Raise unless every strict reduction of every member is a member."""
-    _audit_closed(cls, "strict", "strictly closed", "strict reduction")
+    """Raise unless every strict reduction of every member is a member.
+    Strict specs depend on dominance, so each member enumerates its own."""
+    _audit_closed(
+        cls,
+        lambda game: enumerate_reductions(game, "strict"),
+        "strictly closed",
+        "strict reduction",
+    )
 
 
 def verify_theorem1(cls: GameClass) -> TheoremOneReport:
     """Run the four axiom checkers on the Nash correspondence over a
     d-closed class and cross-check every equilibrium set against the
-    brute-force oracle."""
+    brute-force oracle, whose equilibria are worked out once per game
+    content (``_fact``)."""
     audit_d_closed(cls)
     verdicts = {
         axiom: check_axiom(axiom, "nash", cls)
         for axiom in ("iis", "mc", "isds", "jo")
     }
     oracle_ok = all(
-        eval_concept("nash", g) == nash_bruteforce(g) for g in cls
+        eval_concept("nash", g) == _fact("nash_bruteforce", g, nash_bruteforce)
+        for g in cls
     )
     return TheoremOneReport(len(cls), verdicts, oracle_ok)
 

@@ -830,8 +830,9 @@ def test_solution_labels_are_worked_out_once_and_follow_add(ex2, monkeypatch):
     cls.add(member, Provenance("reduction-of", ex2.canonical_id, member.strategies))
     verdict = check_axiom("iis", "ne_indifference_closure", cls)
     assert verdict.violated and verdict.witness["reduction"] == member.canonical_id
-    # ``add`` dropped every fact of the class, the seed's solutions too
-    assert made == {ex2.canonical_id: 2, member.canonical_id: 1}
+    # ``add`` dropped the class's facts, but a label set is a fact of the
+    # game's content, so the seed's survives and only the new member's is made
+    assert made == {ex2.canonical_id: 1, member.canonical_id: 1}
 
 
 def test_clear_cache_drops_the_reduction_relation(ex2, monkeypatch):
@@ -891,10 +892,8 @@ def test_insertion_order_does_not_change_reductions_or_witnesses(
     assert reordered.reductions(members[0]) == (members[0],)
     for game in members[1:]:
         reordered.add(game, Provenance("seed"))
-    assert any(
-        cls.label_mask(g.strategies) != reordered.label_mask(g.strategies)
-        for g in members
-    )
+    # one label-bit registry: every game has the same mask in both classes
+    assert all(cls.mask_of(g) == reordered.mask_of(g) for g in members)
     calls = []
     real = closures.is_reduction
     monkeypatch.setattr(
@@ -925,6 +924,32 @@ def test_insertion_order_does_not_change_reductions_or_witnesses(
     assert witnesses > 0
 
 
+def test_one_label_registry_serves_every_pass(player_reduction_class):
+    """Masks come from one process-wide registry, which ``clear_cache``
+    leaves: a scan after it reads the same, every member's recorded mask
+    is the registry's, and a repeated pass hands out no new bit."""
+    from nashaxioms import games
+    from nashaxioms.concepts import clear_cache
+
+    cls = player_reduction_class
+
+    def scan_pass():
+        clear_cache()
+        return [
+            (check_axiom(axiom, concept, cls), _all_witnesses(axiom, concept, cls))
+            for axiom in AXIOM_IDS
+            for concept in ("nash", "strong_nash", "ne_indifference_closure")
+        ]
+
+    first = scan_pass()
+    assert any(verdict.violated for verdict, _ in first)
+    size = len(games._label_bits)
+    assert scan_pass() == first
+    assert len(games._label_bits) == size
+    for member in cls:
+        assert cls.mask_of(member) == games.label_mask(member.strategies)
+
+
 def test_reductions_of_non_members_leave_later_scans_unchanged(player_reduction_class):
     cls = GameClass()
     for cid in player_reduction_class.ids():
@@ -947,13 +972,21 @@ def test_reductions_of_non_members_leave_later_scans_unchanged(player_reduction_
             )
 
 
+def _count_label_masks(monkeypatch, count) -> None:
+    """Make every module that calls ``label_mask`` call ``count`` first."""
+    import nashaxioms.axioms as axioms
+    import nashaxioms.closures as closures
+
+    for module in (axioms, closures):
+        monkeypatch.setattr(
+            module, "label_mask", lambda s, real=module.label_mask: count() or real(s)
+        )
+
+
 def test_iis_and_mc_read_the_recorded_member_masks(closure_4x3, monkeypatch):
     edges = sum(len(closure_4x3.reductions(p)) for p in closure_4x3)
     calls = []
-    real = GameClass.label_mask
-    monkeypatch.setattr(
-        GameClass, "label_mask", lambda self, s: calls.append(1) or real(self, s)
-    )
+    _count_label_masks(monkeypatch, lambda: calls.append(1))
     for axiom in ("iis", "mc"):
         _all_witnesses(axiom, "nash", closure_4x3)
     assert len(calls) < edges
@@ -966,17 +999,13 @@ def test_concept_free_facts_are_shared_across_concepts(closure, request, monkeyp
 
     cls = request.getfixturevalue(closure)
     calls = Counter()
-    is_reduction, label_mask = closures.is_reduction, GameClass.label_mask
+    is_reduction = closures.is_reduction
     monkeypatch.setattr(
         closures,
         "is_reduction",
         lambda g, h: calls.update(["is_reduction"]) or is_reduction(g, h),
     )
-    monkeypatch.setattr(
-        GameClass,
-        "label_mask",
-        lambda self, s: calls.update(["label_mask"]) or label_mask(self, s),
-    )
+    _count_label_masks(monkeypatch, lambda: calls.update(["label_mask"]))
 
     def cold_run(concepts):
         clear_cache()

@@ -317,6 +317,8 @@ def test_clear_cache_empties_every_module_level_cache():
     from nashaxioms.suite import run_suite
 
     caches = _module_caches()
+    # the label-bit registry interns labels and is never emptied
+    registry = caches.pop("games._label_bits")
     clear_cache()
     cold = {name: _size(cache) for name, cache in caches.items()}
     assert all(r.ok for r in run_suite())
@@ -331,3 +333,44 @@ def test_clear_cache_empties_every_module_level_cache():
     clear_cache()
     assert {name: _size(cache) for name, cache in caches.items()} == cold
     assert all(_size(caches[name]) == 0 for name in grown)
+    assert registry
+
+
+def test_clear_cache_misses_no_memo():
+    """After a scan and a Theorem-1 check, ``clear_cache`` leaves every
+    memo empty: the fact and id memos, every ``functools.cache`` of the
+    package, and the derive memo of every live class.  The label-bit
+    registry is the one exception, and it keeps its bits."""
+    import importlib
+    import pkgutil
+
+    import nashaxioms
+    from nashaxioms import closures, games
+    from nashaxioms.axioms import AXIOM_IDS, check_axiom
+    from nashaxioms.concepts import clear_cache
+    from nashaxioms.fixtures import fixture_game
+    from nashaxioms.theorems import verify_theorem1
+
+    scanned = closures.build_named_class("ex4")
+    for axiom in AXIOM_IDS:
+        check_axiom(axiom, "nash", scanned)
+    checked = closures.d_closure([fixture_game("ex2")])
+    assert verify_theorem1(checked).all_passed
+    assert scanned._derived and checked._derived and games._facts and games._ids
+    registry = dict(games._label_bits)
+    cached = {}
+    for info in pkgutil.iter_modules(nashaxioms.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"nashaxioms.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                cached[f"{info.name}.{name}"] = value
+    assert {"games._columns", "games._profiles"} <= set(cached)
+    assert any(fn.cache_info().currsize for fn in cached.values())
+    clear_cache()
+    assert not games._facts and not games._ids
+    sizes = {name: fn.cache_info().currsize for name, fn in cached.items()}
+    assert sizes == dict.fromkeys(cached, 0)
+    assert list(closures._classes) and not any(c._derived for c in closures._classes)
+    assert games._label_bits == registry

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from nashaxioms import (
     verify_one_player_lemma,
     verify_theorem1,
 )
+from nashaxioms.axioms import _AXIOMS
 from nashaxioms.closures import Provenance
 from nashaxioms.oracles import nash_bruteforce
 from nashaxioms.theorems import (
@@ -268,6 +270,76 @@ def test_theorem1_records_do_not_depend_on_sharing_facts_across_classes():
     warm = records(cold=False)
     assert len(warm) >= 200 and all(r["result"] == "pass" for r in warm)
     assert records(cold=True) == warm
+
+
+def _sharing_seeds(count: int) -> list:
+    """Seeded random 2x2, 2x3 and 2x2x2 games with ranks from ``range(3)``,
+    each player's labels drawn from a small pool in a random order, so
+    classes meet the same labels, and the same content, in many mixes."""
+    rng = random.Random(27)
+    pools = [["T", "M", "B", "U"], ["L", "C", "R", "D"], ["x", "y", "z"]]
+    shapes = [(2, 2), (2, 3), (2, 2, 2)]
+    seeds = []
+    for k in range(count):
+        shape = shapes[k % 3]
+        labels = [rng.sample(pools[i], size) for i, size in enumerate(shape)]
+        ranks = [[rng.randrange(3) for _ in range(math.prod(shape))] for _ in shape]
+        seeds.append(build_game(len(shape), labels, ranks=ranks))
+    return seeds
+
+
+def _class_facts(cls) -> dict:
+    """Everything a class's checks report: its Theorem-1 record, and the
+    full witness stream and coverage of five scans for three concepts."""
+    streams = {}
+    for concept in ("nash", "strong_nash", "ne_indifference_closure"):
+        for axiom in ("iis", "mc", "isds", "jo", "ciis"):
+            tally = Counter()
+            found = list(_AXIOMS[axiom][0](concept, cls, cls, tally))
+            streams[axiom, concept] = (found, dict(tally))
+    return {
+        "members": cls.ids(),
+        "theorem1": verify_theorem1(cls).to_record(),
+        "streams": streams,
+    }
+
+
+def test_shared_facts_never_leak_across_classes():
+    """Label and content facts are shared by every class that meets the
+    same labels or content: the checks of each class read the same with a
+    cold memo per class as with one memo shared by all, in shuffled order,
+    and a class with a hole fails its audit with the naive message."""
+    from nashaxioms.concepts import clear_cache
+
+    seeds = _sharing_seeds(200)
+    cold = []
+    for seed in seeds:
+        clear_cache()
+        cold.append(_class_facts(d_closure([seed])))
+    assert all(c["theorem1"]["result"] == "pass" for c in cold)
+    assert sum(len(f) for c in cold for f, _ in c["streams"].values()) > 0
+    order = list(range(len(seeds)))
+    random.Random(2027).shuffle(order)
+    clear_cache()
+    shared = {}
+    classes = {}
+    for k in order:
+        classes[k] = d_closure([seeds[k]])
+        shared[k] = _class_facts(classes[k])
+    assert [shared[k] for k in range(len(seeds))] == cold
+    rng = random.Random(72)
+    for k in order:
+        full = classes[k]
+        gone = rng.choice([c for c in full.ids() if full.provenance[c].kind != "seed"])
+        holed = GameClass()
+        for cid in full.ids():
+            if cid != gone:
+                holed.add(full.get(cid), full.provenance[cid])
+        expected = naive_audit_message(holed, "d")
+        assert expected is not None
+        with pytest.raises(ValueError) as exc:
+            audit_d_closed(holed)
+        assert str(exc.value) == expected
 
 
 def test_engine_oracle_agreement_everywhere(ex5_class, cube_dclosed):
