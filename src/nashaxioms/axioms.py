@@ -26,10 +26,12 @@ from .concepts import CONCEPTS, ConceptDomainError, eval_concept, jointly_optima
 from .games import (
     Game,
     Profile,
+    _column_of,
+    _columns,
     _fact,
     _facts,
     _label_fact,
-    _pinned_slice,
+    _slice_ranks,
     _undominated,
     label_mask,
 )
@@ -171,13 +173,18 @@ def _mc(
         full = cls.mask_of(parent)
         within = cls.reduction_bits(parent)
         table.fill(within)
-        # only profiles that do not solve the parent can be witnesses, so
-        # only the reductions that solve one of them are visited
+        # only a profile x that does not solve the parent can be a witness,
+        # and only when two reductions that solve x together hold every
+        # label of the parent, so only the solvers of an x whose solvers
+        # cover the parent's mask are visited
         solvers = table.solvers
-        solve_extra = reduce(or_, (
-            solvers.get(x, 0) for _, x, _ in _cells(parent) if x not in phi_parent
-        ), 0)
-        for j in _positions(solve_extra & within):
+        visit = 0
+        for _, x, _ in _cells(parent):
+            if x not in phi_parent:
+                solve_x = solvers.get(x, 0) & within
+                if solve_x & ~visit and cls.covers(full, solve_x):
+                    visit |= solve_x
+        for j in _positions(visit):
             ga = members[j]
             extra = table.of(ga) - phi_parent
             shared = reduce(or_, map(solvers.__getitem__, extra))
@@ -249,45 +256,52 @@ def _jo(
                 }
 
 
-def _subgroups(cls: GameClass, game: Game) -> list[tuple[tuple[int, ...], dict | None]]:
-    """``(keep, pinned)`` per non-empty proper player subgroup of
-    ``game``, in ascending bitmask order, worked out once per game
-    (``cls.derive``).  A game reduced to the players in ``keep`` has
-    their strategies, so it can be a member only when some member has
-    those strategies; otherwise ``pinned`` is None, and else it is the
-    memo ``_player_reduced`` fills, one member or None per pinned
-    column."""
+def _subgroups(
+    cls: GameClass, game: Game
+) -> list[tuple[tuple[int, ...], dict | None, tuple[int, ...]]]:
+    """``(keep, pinned, column_of)`` per non-empty proper player subgroup
+    of ``game``, in ascending bitmask order, worked out once per game
+    (``cls.derive``).  ``column_of`` gives each profile's pinned column,
+    by linear index (``_column_of``).  A game reduced to the players in
+    ``keep`` has their strategies, so it can be a member only when some
+    member has those strategies (``cls.groups``); otherwise ``pinned`` is
+    None, and else it is the memo ``_player_reduced`` fills, one member or
+    None per column number."""
 
     def compute():
-        present = cls.derive(("strategies",), lambda: {g.strategies for g in cls})
+        present = cls.groups()
         n = game.player_count
         out = []
         for mask in range(1, (1 << n) - 1):
             keep = tuple(i for i in range(n) if mask >> i & 1)
             available = tuple(game.strategies[i] for i in keep) in present
-            out.append((keep, {} if available else None))
+            out.append((keep, {} if available else None, _column_of(game.shape, keep)))
         return out
 
     return cls.derive(("subgroups", game.canonical_id), compute)
 
 
 def _player_reduced(
-    cls: GameClass, game: Game, subgroups: list, s: Profile
+    cls: GameClass, game: Game, subgroups: list, p: int
 ) -> Iterator[tuple[tuple[int, ...], Game | None]]:
     """``(keep, member or None)`` per entry of ``_subgroups(cls, game)``:
     the member of the class that is ``game`` reduced to the players in
-    ``keep`` with the others fixed at ``s``.  It is looked for only when
-    available, by the content of the pinned slice (``cls.with_content``),
-    so no game is built, and once per pinned column: the others'
-    components of ``s``."""
-    for keep, pinned in subgroups:
+    ``keep`` with the others fixed at their components of the profile of
+    linear index ``p``.  It is looked for only when available, by the
+    content of the pinned column (``cls.with_content``), so no game is
+    built, and once per column."""
+    for keep, pinned, column_of in subgroups:
         if pinned is None:
             yield keep, None
             continue
-        column = tuple(x for i, x in enumerate(s.indices) if i not in keep)
-        if column not in pinned:
-            pinned[column] = cls.with_content(*_pinned_slice(game, keep, s))
-        yield keep, pinned[column]
+        c = column_of[p]
+        member = pinned.get(c, pinned)  # the memo itself is never a value
+        if member is pinned:
+            member = pinned[c] = cls.with_content(
+                tuple(game.strategies[i] for i in keep),
+                _slice_ranks(game, _columns(game.shape, keep)[c], keep),
+            )
+        yield keep, member
 
 
 def _cons(
@@ -300,13 +314,13 @@ def _cons(
             continue
         phi_game = table.of(game)
         subgroups = _subgroups(cls, game)
-        if all(pinned is None for _, pinned in subgroups):
+        if all(pinned is None for _, pinned, _ in subgroups):
             tally["skipped"] += len(phi_game) * len(subgroups)
             continue
-        for s, labels, _ in _cells(game):
+        for p, (_, labels, _) in enumerate(_cells(game)):
             if labels not in phi_game:
                 continue
-            for keep, member in _player_reduced(cls, game, subgroups, s):
+            for keep, member in _player_reduced(cls, game, subgroups, p):
                 if member is None:
                     tally["skipped"] += 1
                     continue
@@ -335,15 +349,15 @@ def _cocons(
             continue
         phi_game = table.of(game)
         subgroups = _subgroups(cls, game)
-        if all(pinned is None for _, pinned in subgroups):
+        if all(pinned is None for _, pinned, _ in subgroups):
             tally["vacuous"] += game.num_profiles - len(phi_game)
             continue
-        for s, labels, _ in _cells(game):
+        for p, (_, labels, _) in enumerate(_cells(game)):
             if labels in phi_game:
                 continue
             present = (
                 (keep, member)
-                for keep, member in _player_reduced(cls, game, subgroups, s)
+                for keep, member in _player_reduced(cls, game, subgroups, p)
                 if member is not None
             )
             first = next(present, None)
@@ -362,7 +376,7 @@ def _cocons(
                     "profile": list(labels),
                     "subgroups": [
                         {"players_kept": list(keep), "game": member.canonical_id}
-                        for keep, member in _player_reduced(cls, game, subgroups, s)
+                        for keep, member in _player_reduced(cls, game, subgroups, p)
                         if member is not None
                     ],
                     "clause": "profile solves every available "

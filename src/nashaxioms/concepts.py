@@ -10,7 +10,16 @@ from __future__ import annotations
 from typing import Callable
 
 from .closures import clear_reductions
-from .games import Game, Profile, _columns, _fact, _facts, _ids, _profiles
+from .games import (
+    Game,
+    Profile,
+    _column_of,
+    _columns,
+    _fact,
+    _facts,
+    _ids,
+    _profiles,
+)
 
 
 class ConceptDomainError(ValueError):
@@ -186,12 +195,14 @@ def eval_concept(concept: str, game: Game) -> frozenset[Profile]:
 def clear_cache() -> None:
     """Forget every memoized result: the per-content and per-label facts
     (concept values, solution label sets, cells and specs among them) and
-    canonical ids, the per-shape tables behind ``Game.columns`` and
-    ``Game.profiles``, and the facts that game classes have worked out.
-    The label-bit registry (``games._label_bits``) stays: it only interns
-    labels, and the masks handed out under it stay valid."""
+    canonical ids, the per-shape tables behind ``Game.columns``,
+    ``Game.profiles`` and each profile's column (``games._column_of``),
+    and the facts that game classes have worked out.  The label-bit
+    registry (``games._label_bits``) stays: it only interns labels, and
+    the masks handed out under it stay valid."""
     _facts.clear()
     _ids.clear()
     _columns.cache_clear()
+    _column_of.cache_clear()
     _profiles.cache_clear()
     clear_reductions()

@@ -325,6 +325,18 @@ def _columns(shape: tuple[int, ...], players: tuple[int, ...]):
     return tuple(tuple(_cells(shape, axes)) for axes in itertools.product(*choices))
 
 
+@cache
+def _column_of(shape: tuple[int, ...], players: tuple[int, ...]) -> tuple[int, ...]:
+    """Per profile of a game of this shape, in linear-index order, the
+    number of its column in ``_columns(shape, players)``.  Kept like
+    ``_columns``; ``concepts.clear_cache`` empties it."""
+    out = [0] * math.prod(shape)
+    for c, cells in enumerate(_columns(shape, players)):
+        for k in cells:
+            out[k] = c
+    return tuple(out)
+
+
 #: The bit of each (player index, strategy label), handed out in the order
 #: the pairs are first met (``label_mask``).  An interning table, not a
 #: memo: it only grows, and ``concepts.clear_cache`` leaves it, so every
@@ -566,19 +578,30 @@ def is_reduction(candidate: Game, parent: Game) -> bool:
     record = candidate._restricts
     if record and parent.canonical_id in record:
         return True
-    if candidate.player_count != parent.player_count:
-        return False
+    return (
+        candidate.player_count == parent.player_count
+        and _restricted_ranks(parent, candidate.strategies) == candidate.ranks
+    )
+
+
+def _restricted_ranks(
+    parent: Game, strategies: tuple[tuple[str, ...], ...]
+) -> tuple[tuple[int, ...], ...] | None:
+    """The rank tables of ``parent`` restricted to these label tuples, one
+    per player, or None unless each is a subset of its player's labels in
+    the parent's order: the one game of these labels that can be a
+    reduction of ``parent`` has these tables."""
     idx = []
-    for pos, labels in zip(parent.positions, candidate.strategies):
+    for pos, labels in zip(parent.positions, strategies):
         try:
             ids = [pos[lab] for lab in labels]
         except KeyError:
-            return False
+            return None
         if any(b <= a for a, b in zip(ids, ids[1:])):
-            return False
+            return None
         idx.append(ids)
     cells = _cells(parent.shape, idx)
-    return _slice_ranks(parent, cells, range(parent.player_count)) == candidate.ranks
+    return _slice_ranks(parent, cells, range(parent.player_count))
 
 
 def is_cut(parent: Game, subsets, m: int) -> bool:

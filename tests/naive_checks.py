@@ -269,25 +269,32 @@ def naive_check(axiom: str, concept: str, games) -> str:
 
 
 def naive_mc(concept: str, games) -> str:
-    """The mc verdict result, with each parent's reductions derived once
-    by ``naive_is_reduction`` and the merging pairs walked with plain
-    sets."""
+    """The mc verdict result: violated at the first of
+    ``naive_mc_witnesses``."""
+    first = next(naive_mc_witnesses(concept, games), None)
+    return "pass" if first is None else "violated"
+
+
+def naive_mc_witnesses(concept: str, games):
+    """Every mc witness as (parent id, reduction a id, reduction b id,
+    profile labels), with each parent's reductions derived once by
+    ``naive_is_reduction`` and the merging pairs walked with plain sets."""
     games = list(games)
     solved = {g.canonical_id: _label_sets(g, eval_concept(concept, g)) for g in games}
     for parent in games:
         below = [
-            ([set(labels) for labels in g.strategies], solved[g.canonical_id])
+            (g.canonical_id, [set(labels) for labels in g.strategies])
             for g in games
             if naive_is_reduction(g, parent)
         ]
         whole = [set(labels) for labels in parent.strategies]
         target = solved[parent.canonical_id]
-        for sets_a, phi_a in below:
-            for sets_b, phi_b in below:
-                merged = [a | b for a, b in zip(sets_a, sets_b)]
-                if merged == whole and (phi_a & phi_b) - target:
-                    return "violated"
-    return "pass"
+        for a, sets_a in below:
+            for b, sets_b in below:
+                merged = [x | y for x, y in zip(sets_a, sets_b)]
+                if merged == whole:
+                    for labels in (solved[a] & solved[b]) - target:
+                        yield parent.canonical_id, a, b, labels
 
 
 def naive_coverage(axiom: str, concept: str, games) -> tuple[str, dict, dict | None]:

@@ -1,6 +1,7 @@
 import itertools
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -30,7 +31,13 @@ from nashaxioms.concepts import CONCEPT_IDS
 from nashaxioms.fixtures import fixture_game
 
 from conftest import add_player_reductions, shaped_game
-from naive_checks import naive_check, naive_coverage, naive_is_reduction, naive_mc
+from naive_checks import (
+    naive_check,
+    naive_coverage,
+    naive_is_reduction,
+    naive_mc,
+    naive_mc_witnesses,
+)
 
 
 def strategy_sets(cls, cid):
@@ -342,6 +349,85 @@ def closure_4x3x2():
 def test_mc_agrees_with_naive_on_a_315_game_closure(concept, want, closure_4x3x2):
     assert check_axiom("mc", concept, closure_4x3x2).result == want
     assert naive_mc(concept, closure_4x3x2) == want
+
+
+def _mc_stream(concept, cls) -> list[tuple]:
+    """The full ``mc`` scan's witnesses, in scan order, in the form
+    ``naive_mc_witnesses`` gives them."""
+    found, _ = _all_witnesses("mc", concept, cls)
+    return [
+        (w["game"], w["reduction_a"], w["reduction_b"], tuple(w["profile"]))
+        for w in found
+    ]
+
+
+# naive mc takes about 1.5 s per concept on the 370-game class
+@pytest.mark.parametrize(
+    "concept", ["strong_nash", "ex4_phi_prime", "ex5_phi", "parity_ne"]
+)
+def test_mc_witnesses_agree_with_naive_on_the_player_reduced_class(
+    concept, player_reduced_3x3x2
+):
+    """Every witness of the full ``mc`` scan on the 3x3x2 player-reduced
+    class, whose two- and one-player members share labels.  ``ex4_phi_prime``
+    and ``ex5_phi`` are defined on at most two players: on the whole class
+    both sides stop at the same domain error, and the witnesses are
+    compared on the class of its two-player members."""
+    cls = player_reduced_3x3x2
+    if concept in ("ex4_phi_prime", "ex5_phi"):
+        with pytest.raises(ConceptDomainError) as got:
+            _mc_stream(concept, cls)
+        with pytest.raises(ConceptDomainError) as want:
+            list(naive_mc_witnesses(concept, cls))
+        assert str(got.value).startswith(str(want.value))
+        cls = GameClass()
+        for g in player_reduced_3x3x2:
+            if g.player_count == 2:
+                cls.add(g, Provenance("seed"))
+    stream = _mc_stream(concept, cls)
+    assert len(set(stream)) == len(stream)
+    assert set(stream) == set(naive_mc_witnesses(concept, cls))
+    assert bool(stream) == (concept != "parity_ne")
+
+
+def _payoff_game(rng: random.Random, shape):
+    """A game of this shape with payoffs from ``range(5)`` and labels
+    ``a1``, ``b1``, ..., drawn as the ``scan`` benchmark draws its seeds."""
+    labels = [
+        [f"{chr(ord('a') + i)}{k + 1}" for k in range(size)]
+        for i, size in enumerate(shape)
+    ]
+    total = math.prod(shape)
+    payoffs = [[rng.randrange(5) for _ in range(total)] for _ in shape]
+    return build_game(len(shape), labels, payoffs=payoffs)
+
+
+def test_mc_searches_no_partner_for_nash(monkeypatch):
+    """``mc`` searches partners (``having``) only for the solvers of a
+    profile whose solvers together cover the parent's labels.  For Nash a
+    profitable deviation's label is missing from every solver of a
+    non-equilibrium, so no search is made: on the seeded 961-game 5x5
+    reduction closure, and on both classes of the ``scan`` benchmark at
+    seed 0."""
+    rng = random.Random("scan:0")
+    scan_4x4 = reduction_closure(_payoff_game(rng, (4, 4)))
+    scan_3x3x2 = reduction_closure(_payoff_game(rng, (3, 3, 2)))
+    add_player_reductions(scan_3x3x2, list(scan_3x3x2))
+    closure_961 = reduction_closure(_payoff_game(random.Random(1), (5, 5)))
+    assert [len(scan_4x4), len(scan_3x3x2), len(closure_961)] == [225, 355, 961]
+    for cls in (closure_961, scan_4x4, scan_3x3x2):
+        for parent in cls:
+            cls.reduction_bits(parent)
+        searches = []
+        with monkeypatch.context() as patch:
+            real = GameClass.having
+            patch.setattr(
+                GameClass,
+                "having",
+                lambda self, mask, among: searches.append(1) or real(self, mask, among),
+            )
+            assert _mc_stream("nash", cls) == []
+        assert searches == []
 
 
 def _fits_without_reducing(cls) -> bool:
@@ -773,20 +859,35 @@ def test_scans_find_a_player_reduced_member_added_after_a_scan(axiom):
     assert _coverage(grown) == naive_coverage(axiom, "nash", full)
 
 
-def test_pinned_slices_agree_with_naive(player_reduced_3x3x2):
+def test_pinned_slices_agree_with_naive(player_reduced_3x3x2, sparsely_player_reduced):
+    """Each pinned slice is the game ``reduce_players`` builds, and the
+    column-indexed lookup of ``cons`` and ``cocons`` gives, for every
+    (game, keep, profile), that game's member, or None when it is not a
+    member: with every player reduction present, and with some absent."""
+    from nashaxioms.axioms import _player_reduced, _subgroups
     from nashaxioms.games import _pinned_slice
     from naive_checks import _naive_reduce_players
 
-    slices = 0
-    for g in player_reduced_3x3x2:
-        n = g.player_count
-        for mask in range(1, (1 << n) - 1):
-            keep = tuple(i for i in range(n) if mask >> i & 1)
-            for s in g.profiles():
-                want = _naive_reduce_players(g, keep, s)
-                assert _pinned_slice(g, keep, s) == (want.strategies, want.ranks)
-                slices += 1
-    assert slices > 1000
+    for cls in (player_reduced_3x3x2, sparsely_player_reduced):
+        slices, members = 0, set()
+        for g in cls:
+            n = g.player_count
+            keeps = [
+                tuple(i for i in range(n) if mask >> i & 1)
+                for mask in range(1, (1 << n) - 1)
+            ]
+            subgroups = _subgroups(cls, g)
+            for p, s in enumerate(g.profiles()):
+                found = list(_player_reduced(cls, g, subgroups, p))
+                assert [keep for keep, _ in found] == keeps
+                for keep, member in found:
+                    want = _naive_reduce_players(g, keep, s)
+                    assert _pinned_slice(g, keep, s) == (want.strategies, want.ranks)
+                    assert member is cls.get(want.canonical_id)
+                    members.add(member)
+                    slices += 1
+        assert slices > 1000 and len(members - {None}) > 50
+        assert (None in members) == (cls is sparsely_player_reduced)
 
 
 def test_scans_see_members_added_after_a_scan(ex2):
