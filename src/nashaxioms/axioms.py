@@ -27,11 +27,10 @@ from .games import (
     Game,
     Profile,
     _column_of,
-    _columns,
+    _column_slice,
     _fact,
     _facts,
     _label_fact,
-    _slice_ranks,
     _undominated,
     label_mask,
 )
@@ -264,12 +263,12 @@ def _subgroups(
     (``cls.derive``).  ``column_of`` gives each profile's pinned column,
     by linear index (``_column_of``).  A game reduced to the players in
     ``keep`` has their strategies, so it can be a member only when some
-    member has those strategies (``cls.groups``); otherwise ``pinned`` is
-    None, and else it is the memo ``_player_reduced`` fills, one member or
-    None per column number."""
+    member has those strategies; otherwise ``pinned`` is None, and else
+    it is the memo ``_player_reduced`` fills, one member or None per
+    column number."""
 
     def compute():
-        present = cls.groups()
+        present = cls.derive(("strategies",), lambda: {g.strategies for g in cls})
         n = game.player_count
         out = []
         for mask in range(1, (1 << n) - 1):
@@ -297,10 +296,7 @@ def _player_reduced(
         c = column_of[p]
         member = pinned.get(c, pinned)  # the memo itself is never a value
         if member is pinned:
-            member = pinned[c] = cls.with_content(
-                tuple(game.strategies[i] for i in keep),
-                _slice_ranks(game, _columns(game.shape, keep)[c], keep),
-            )
+            member = pinned[c] = cls.with_content(*_column_slice(game, keep, c))
         yield keep, member
 
 

@@ -25,7 +25,6 @@ from .games import (
     Game,
     GameFormatError,
     _pinned_slice,
-    _restricted_ranks,
     enumerate_reductions,
     is_reduction,
     label_mask,
@@ -164,10 +163,10 @@ class GameClass:
         self.params: dict = dict(params or {})
         # each member's ``label_mask``
         self._masks: dict[str, int] = {}
-        # ``derive``'s memo: the members per label, per player count and per
-        # strategy tuple, the reductions of each member's top, the reduction
-        # relation per parent, the member per content, and the scans'
-        # per-class facts (``axioms``: solver bitsets and player subgroups)
+        # ``derive``'s memo: the members per label and per player count, the
+        # reductions of each member's top, the reduction relation per
+        # parent, the member per content, and the scans' per-class facts
+        # (``axioms``: solver bitsets and player subgroups)
         self._derived: dict[tuple, object] = {}
         _classes.add(self)
 
@@ -222,20 +221,13 @@ class GameClass:
 
     def with_content(self, strategies, ranks) -> Game | None:
         """The member with these label tuples and dense rank tables, or
-        None (``_position``)."""
-        j = self._position(strategies, ranks)
-        return None if j is None else self.members()[j]
-
-    def _position(self, strategies, ranks) -> int | None:
-        """The insertion position of the member with these label tuples and
-        dense rank tables, or None.  Content equality is canonical-id
-        equality, so this finds a game without building it or hashing an
-        id; the table is worked out once (``derive``)."""
-        positions = self.derive(
-            ("content",),
-            lambda: {(g.strategies, g.ranks): j for j, g in enumerate(self)},
+        None.  Content equality is canonical-id equality, so this finds a
+        game without building it or hashing an id; the table is worked out
+        once (``derive``)."""
+        members = self.derive(
+            ("content",), lambda: {(g.strategies, g.ranks): g for g in self}
         )
-        return positions.get((strategies, ranks))
+        return members.get((strategies, ranks))
 
     def mask_of(self, game: Game) -> int:
         """``label_mask(game.strategies)``: the mask ``add`` recorded for a
@@ -301,41 +293,14 @@ class GameClass:
             mask ^= low
         return among
 
-    def groups(self) -> dict[tuple, tuple[int, int | None]]:
-        """Per strategy tuple of the members: its label mask, and the
-        insertion position of the one member that carries it, or None when
-        several do, worked out once (``derive``)."""
-        return self.derive(("groups",), self._groups)
-
-    def _groups(self) -> dict[tuple, tuple[int, int | None]]:
-        groups: dict[tuple, tuple[int, int | None]] = {}
-        for j, (cid, game) in enumerate(self._games.items()):
-            several = game.strategies in groups
-            groups[game.strategies] = self._masks[cid], None if several else j
-        return groups
-
     def _checked(self, parent: Game) -> int:
-        """The members that are reductions of ``parent``, as a bitset over
-        insertion order, one label group (``groups``) inside the parent's
-        player count and mask at a time.  A parent has one reduction per
-        strategy tuple, so a group of several members is looked up by the
-        content of the parent's slice (``_position``); a group of one takes
-        one ``is_reduction`` call, which a member that ``restrict`` built
-        answers from its record."""
+        """The candidates that ``is_reduction`` confirms are reductions of
+        ``parent``, as a bitset over insertion order."""
         members = self.members()
-        outer, n = self.mask_of(parent), parent.player_count
-        found = 0
-        for strategies, (mask, j) in self.groups().items():
-            if mask & ~outer or len(strategies) != n:
-                continue
-            if j is not None:
-                if is_reduction(members[j], parent):
-                    found |= 1 << j
-                continue
-            ranks = _restricted_ranks(parent, strategies)
-            hit = None if ranks is None else self._position(strategies, ranks)
-            if hit is not None:
-                found |= 1 << hit
+        found = self._candidates(parent)
+        for j in _positions(found):
+            if not is_reduction(members[j], parent):
+                found ^= 1 << j
         return found
 
     def _tops(self) -> dict[str, int]:
@@ -344,8 +309,8 @@ class GameClass:
         that is not a reduction of an earlier top becomes a top, whose
         reductions ``_checked`` finds, and every other member takes the
         first top it is a reduction of.  The tops are the members that
-        restrict no larger member, so they, the lookups and the
-        ``is_reduction`` calls depend on the members' content alone."""
+        restrict no larger member, so they and the ``is_reduction`` calls
+        depend on the members' content alone."""
         members = self.members()
         within: dict[str, int] = {}
         for top in sorted(members, key=lambda g: -g.num_profiles):
@@ -371,7 +336,7 @@ class GameClass:
         Restriction composes: a member restricts its top (``_tops``), so
         its reductions are its candidates (``_candidates``) among the top's
         reductions, with no ``is_reduction`` call.  A parent that is not a
-        member is checked one label group at a time (``_checked``)."""
+        member is checked one candidate at a time."""
         return self.derive(
             ("reductions", parent.canonical_id), lambda: self._reductions_of(parent)
         )

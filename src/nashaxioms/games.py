@@ -578,30 +578,19 @@ def is_reduction(candidate: Game, parent: Game) -> bool:
     record = candidate._restricts
     if record and parent.canonical_id in record:
         return True
-    return (
-        candidate.player_count == parent.player_count
-        and _restricted_ranks(parent, candidate.strategies) == candidate.ranks
-    )
-
-
-def _restricted_ranks(
-    parent: Game, strategies: tuple[tuple[str, ...], ...]
-) -> tuple[tuple[int, ...], ...] | None:
-    """The rank tables of ``parent`` restricted to these label tuples, one
-    per player, or None unless each is a subset of its player's labels in
-    the parent's order: the one game of these labels that can be a
-    reduction of ``parent`` has these tables."""
+    if candidate.player_count != parent.player_count:
+        return False
     idx = []
-    for pos, labels in zip(parent.positions, strategies):
+    for pos, labels in zip(parent.positions, candidate.strategies):
         try:
             ids = [pos[lab] for lab in labels]
         except KeyError:
-            return None
+            return False
         if any(b <= a for a, b in zip(ids, ids[1:])):
-            return None
+            return False
         idx.append(ids)
     cells = _cells(parent.shape, idx)
-    return _slice_ranks(parent, cells, range(parent.player_count))
+    return _slice_ranks(parent, cells, range(parent.player_count)) == candidate.ranks
 
 
 def is_cut(parent: Game, subsets, m: int) -> bool:
@@ -693,17 +682,25 @@ def reduce_players(game: Game, keep: Iterable[int], fixed: Profile) -> Game:
 def _pinned_slice(
     game: Game, keep: tuple[int, ...], fixed: Profile
 ) -> tuple[tuple[tuple[str, ...], ...], tuple[tuple[int, ...], ...]]:
-    """``reduce_players`` without its checks: the kept players' labels and
-    their dense rank tables on the column of ``_columns(shape, keep)``
-    where the other players play their components of ``fixed``.  ``keep``
-    is a sorted tuple of players, a proper subset, and ``fixed`` fits the
-    game."""
-    k = 0
+    """``reduce_players`` without its checks: the slice of the column of
+    ``_columns(shape, keep)`` where the other players play their
+    components of ``fixed`` (``_column_slice``).  ``keep`` is a sorted
+    tuple of players, a proper subset, and ``fixed`` fits the game."""
+    c = 0
     for i, size in enumerate(game.shape):
         if i not in keep:
-            k = k * size + fixed.indices[i]
+            c = c * size + fixed.indices[i]
+    return _column_slice(game, keep, c)
+
+
+def _column_slice(
+    game: Game, keep: tuple[int, ...], c: int
+) -> tuple[tuple[tuple[str, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The kept players' labels and their dense rank tables on column
+    number ``c`` of ``_columns(game.shape, keep)``: the content of the
+    game reduced to the players in ``keep`` with the others pinned."""
     strategies = tuple(game.strategies[i] for i in keep)
-    return strategies, _slice_ranks(game, _columns(game.shape, keep)[k], keep)
+    return strategies, _slice_ranks(game, _columns(game.shape, keep)[c], keep)
 
 
 def _supersets(

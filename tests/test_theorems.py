@@ -203,18 +203,6 @@ def test_forward_direction_on_every_weak_ordinal_2x2_dclosure():
     assert failed == []
 
 
-def test_forward_direction_on_the_weak_ordinal_2x2_space_as_one_class():
-    """Theorem 1 on the d-closure of all 5625 2x2 weak-ordinal games at
-    once.  Every reduction of a 2x2 game is a dummy-or-quasi reduction, so
-    this one class is the union of the per-game d-closures, and its clause
-    instances are theirs: it passes as the per-game sweep does.  Its
-    members share labels, so the relation is looked up by content."""
-    cls = d_closure(weak_ordinal_2x2_games())
-    assert len(cls) == 5665
-    assert sum(cls.reduction_bits(p).bit_count() for p in cls) == 50737
-    assert verify_theorem1(cls).all_passed
-
-
 def test_forward_direction_rejects_unclosed_class(ex2_dclosed):
     corrupted = GameClass()
     # drop one non-seed member
