@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, product
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -126,10 +126,14 @@ def _cells(game: Game) -> tuple[tuple[Profile, tuple, int], ...]:
 
 
 def _profile_cells(game: Game) -> tuple[tuple[Profile, tuple, int], ...]:
+    # the product of the players' labels and of their bits runs in
+    # linear-index order, like the profiles
+    bits = [
+        [label_mask([()] * i + [(lab,)]) for lab in labels]
+        for i, labels in enumerate(game.strategies)
+    ]
     return tuple(
-        (s, x, label_mask(zip(x)))
-        for s in game.profiles()
-        for x in (game.labels_of(s),)
+        zip(game.profiles(), product(*game.strategies), map(sum, product(*bits)))
     )
 
 

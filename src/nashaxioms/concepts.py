@@ -7,12 +7,15 @@ concepts are deterministic functions of a game's canonical form, and
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import Callable
 
 from .closures import clear_reductions
 from .games import (
     Game,
     Profile,
+    _best_responses,
     _column_of,
     _columns,
     _fact,
@@ -27,23 +30,25 @@ class ConceptDomainError(ValueError):
 
 
 def nash(game: Game) -> frozenset[Profile]:
-    """The Nash equilibrium correspondence, by exhaustive best response.
+    """The Nash equilibrium correspondence, read from the best-response
+    table (``games._best_responses``).
 
     A profile is kept when every player's strategy attains the minimal
-    rank in its opponent column.
+    rank in its opponent column: player 1's best responses are the
+    candidates, and each later player keeps those where it best responds.
     """
-    best_responses = [0] * game.num_profiles
-    for player, table in enumerate(game.ranks):
-        for col in game.columns(player):
-            low = min(map(table.__getitem__, col))
-            for k in col:
-                if table[k] == low:
-                    best_responses[k] += 1
-    return frozenset(
-        game.profile_at(k)
-        for k, count in enumerate(best_responses)
-        if count == game.player_count
-    )
+    shape, best = game.shape, _best_responses(game)
+    profiles = _profiles(shape)
+    found = []
+    for col, mask in zip(_columns(shape, (0,)), best[0]):
+        while mask:  # one candidate per set bit, highest first
+            a = mask.bit_length() - 1
+            found.append(col[a])
+            mask ^= 1 << a
+    for i in range(1, game.player_count):
+        column, masks = _column_of(shape, (i,)), best[i]
+        found = [k for k in found if masks[column[k]] >> profiles[k].indices[i] & 1]
+    return frozenset(map(profiles.__getitem__, found))
 
 
 def _coalition_blocks(game: Game, coalition: tuple[int, ...], among) -> set[int]:
@@ -81,18 +86,16 @@ def jointly_optimal(game: Game) -> frozenset[Profile]:
     """Profiles made up entirely of weakly dominant strategies.
 
     A strategy is weakly dominant when it attains the column-minimal
-    rank at every opponent column.  Always a subset of ``nash``; for
-    one-player games the two coincide.
+    rank at every opponent column: its bit is in every one of the
+    player's best-response masks (``games._best_responses``).  Always a
+    subset of ``nash``; for one-player games the two coincide.
     """
     dominant: list[list[int]] = []
-    for player, table in enumerate(game.ranks):
-        options = set(range(game.shape[player]))
-        for col in game.columns(player):
-            low = min(map(table.__getitem__, col))
-            options &= {a for a, k in enumerate(col) if table[k] == low}
-            if not options:
-                return frozenset()
-        dominant.append(sorted(options))
+    for size, masks in zip(game.shape, _best_responses(game)):
+        always = reduce(and_, masks)
+        if not always:
+            return frozenset()
+        dominant.append([a for a in range(size) if always >> a & 1])
     return frozenset(game.profile_at(k) for k in game.subgrid(dominant))
 
 

@@ -10,10 +10,13 @@ tuple equality and gives every game a canonical content hash.
 All operations here are pure functions over immutable games: they can
 be called concurrently from any number of threads and return fresh
 objects, or, for ``Game.columns`` and ``Game.profiles``, tuples and
-profiles shared by every game of a shape, and for ``_undominated`` and
-the other facts in ``_facts``, values shared by every game of the same
-content, or of the same labels.  ``label_mask`` packs labels into one
-int under a process-wide bit registry, so masks taken anywhere compare.
+profiles shared by every game of a shape, and for the facts in
+``_facts``, values shared by every game of the same content, or of the
+same labels.  One is the best-response table (``_best_responses``),
+from which Nash equilibria, jointly optimal profiles and undominated
+strategies (``_undominated``) are all read.  ``label_mask`` packs labels
+into one int under a process-wide bit registry, so masks taken anywhere
+compare.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 
@@ -220,12 +224,12 @@ class Game:
 
     def subgrid(self, axes: Sequence[Sequence[int]]) -> list[int]:
         """Linear indices of the sub-grid ``axes[0] x ... x axes[n-1]``
-        (each axis ascending), in linear-index order.  Besides
-        ``Profile.linear_index``/``from_linear``, the only code that
-        knows the flat-table layout."""
+        (each axis strictly ascending, inside the shape), in
+        linear-index order."""
         axes = [list(axis) for axis in axes]
         if len(axes) != self.player_count or not all(
-            0 <= i < size for size, axis in zip(self.shape, axes) for i in axis
+            a < b for size, axis in zip(self.shape, axes)
+            for a, b in zip([-1] + axis, axis + [size])
         ):
             raise GameFormatError(f"axes {axes} do not fit the shape {self.shape}")
         return _cells(self.shape, axes)
@@ -368,9 +372,10 @@ _T = TypeVar("_T")
 #: canonical id), and those that depend on its labels alone, by (fact
 #: name, strategies).  Content facts: concept values under their registry
 #: ids (``concepts.eval_concept``), each concept's solution label sets
-#: (``axioms._Table``), ``jointly_optimal`` as the ``jo`` scan and the
-#: lemma gadgets read it, ``_undominated`` and its mask (``axioms.isds``),
-#: and the oracle's equilibria (``theorems.verify_theorem1``).  Label
+#: (``axioms._Table``), the best-response table (``_best_responses``),
+#: ``jointly_optimal`` as the ``jo`` scan and the lemma gadgets read it,
+#: ``_undominated`` and its mask (``axioms.isds``), and the oracle's
+#: equilibria (``theorems.verify_theorem1``).  Label
 #: facts: each game's profile cells (``axioms._cells``) and its
 #: dummy-or-quasi specs (``theorems.audit_d_closed``).  A canonical id is
 #: a string and strategies a tuple, so the two kinds never share a key.
@@ -558,11 +563,13 @@ def restrict(parent: Game, subsets) -> Game:
 def _slice_ranks(
     game: Game, cells: Sequence[int], players: Iterable[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """The players' rank tables on these cells, dense-normalized."""
-    return tuple(
-        _normalize_ranks([game.ranks[i][k] for k in cells], reverse=False)
-        for i in players
-    )
+    """The players' rank tables on these cells, dense-normalized: each
+    gathered by one ``itemgetter``, which returns a one-cell slice as a
+    bare value, so that slice is the table ``(0,)``."""
+    if len(cells) == 1:
+        return tuple((0,) for _ in players)
+    take = operator.itemgetter(*cells)
+    return tuple(_normalize_ranks(take(game.ranks[i]), reverse=False) for i in players)
 
 
 def is_reduction(candidate: Game, parent: Game) -> bool:
@@ -603,27 +610,67 @@ def is_cut(parent: Game, subsets, m: int) -> bool:
     )
 
 
+def _best_responses(game: Game) -> tuple[tuple[int, ...], ...]:
+    """Per player i and per column of ``_columns(game.shape, (i,))``, the
+    bitmask of the strategies at the column's minimal rank (bit ``a`` for
+    strategy ``a``), worked out once per game content (``_fact``, under a
+    tuple name, which no concept id is).  ``concepts.nash`` and
+    ``concepts.jointly_optimal`` read it, and so does ``_undominated``."""
+    return _fact(("best responses",), game, _best_response_scan)
+
+
+def _best_response_scan(game: Game) -> tuple[tuple[int, ...], ...]:
+    # Player i's column that starts at cell r is the strided slice
+    # table[r : r + block : stride]: stride is the product of the later
+    # players' strategy counts, block is player i's count times stride.
+    out = []
+    stride = game.num_profiles
+    for size, table in zip(game.shape, game.ranks):
+        block, stride = stride, stride // size
+        if size == 1:  # the one strategy is every column's best response
+            out.append((1,) * len(table))
+            continue
+        masks = []
+        for start in range(0, len(table), block):
+            for r in range(start, start + stride):
+                col = table[r : r + block : stride]
+                low = min(col)
+                if col.count(low) == 1:
+                    masks.append(1 << col.index(low))
+                else:
+                    masks.append(sum(1 << a for a, v in enumerate(col) if v == low))
+        out.append(tuple(masks))
+    return tuple(out)
+
+
 def _undominated(game: Game) -> tuple[tuple[str, ...], ...]:
     """Per player, the strategies no strategy strictly dominates (beats
-    at every column of the full opponent profile space), each test
-    stopping at the first dominator and at the first column that refutes
-    one, worked out once per game content (``_fact``).  The one
-    dominance routine: strict dominance is transitive and the game
-    finite, so a reduction removes only dominated strategies, each with
-    a kept dominator, exactly when it keeps all of these.
-    ``is_strict_reduction`` tests that on labels, ``axioms.isds`` on
-    class masks, and ``enumerate_reductions(game, "strict")`` builds the
-    subsets that keep them."""
+    at every column of the full opponent profile space), worked out once
+    per game content (``_fact``).  A best response somewhere
+    (``_best_responses``) is kept without a test; every other strategy
+    is tested, stopping at the first dominator and at the first column
+    that refutes one.  The one dominance routine: strict dominance is
+    transitive and the game finite, so a reduction removes only
+    dominated strategies, each with a kept dominator, exactly when it
+    keeps all of these.  ``is_strict_reduction`` tests that on labels,
+    ``axioms.isds`` on class masks, and ``enumerate_reductions(game,
+    "strict")`` builds the subsets that keep them."""
     return _fact("undominated", game, _dominance_scan)
 
 
 def _dominance_scan(game: Game) -> tuple[tuple[str, ...], ...]:
     out = []
-    for i, labels in enumerate(game.strategies):
-        t, cols = game.ranks[i], game.columns(i)
-        out.append(tuple(lab for b, lab in enumerate(labels) if not any(
-            all(t[c[a]] < t[c[b]] for c in cols) for a in range(len(labels))
-        )))
+    for i, masks in enumerate(_best_responses(game)):
+        labels, responders = game.strategies[i], reduce(operator.or_, masks)
+        if responders + 1 == 1 << len(labels):  # each responds somewhere
+            out.append(labels)
+            continue
+        t, cols = game.ranks[i], _columns(game.shape, (i,))
+        out.append(tuple(
+            lab for b, lab in enumerate(labels) if responders >> b & 1 or not any(
+                all(t[c[a]] < t[c[b]] for c in cols) for a in range(len(labels))
+            )
+        ))
     return tuple(out)
 
 

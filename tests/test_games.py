@@ -23,21 +23,24 @@ from nashaxioms import (
     reduction_closure,
     restrict,
 )
-from nashaxioms.concepts import clear_cache, nash
+from nashaxioms.concepts import clear_cache, jointly_optimal, nash
 from nashaxioms.fixtures import FIXTURES, fixture_game, fixture_path
 import nashaxioms.games as games
 from nashaxioms.games import _columns, _profiles, _undominated
 from nashaxioms.oracles import nash_bruteforce
 
-from conftest import random_game, random_square_game, random_subsets
+from conftest import random_game, random_square_game, random_subsets, shaped_game
 from naive_checks import (
     _naive_dominates,
+    _naive_jointly_optimal,
     _naive_reduce_players,
     naive_is_reduction,
     naive_candidate_counts,
     naive_columns,
+    naive_dense,
     naive_is_strict_reduction,
     naive_reductions,
+    textbook_nash,
 )
 
 
@@ -291,6 +294,8 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         lambda g: g.subgrid([[5], [0]]),
         lambda g: g.subgrid([[0], [-1]]),
         lambda g: g.subgrid([[0]]),
+        lambda g: g.subgrid([[1, 0], [0]]),
+        lambda g: g.subgrid([[0, 0], [0]]),
         lambda g: g.labels_of(Profile((0, -1))),
         lambda g: g.labels_of(Profile((0, 2))),
         lambda g: g.labels_of(Profile((0,))),
@@ -334,6 +339,8 @@ def test_restrict_rejects_non_int_indices(ex2, subsets):
         "subgrid-axis-past-the-end",
         "subgrid-negative-axis",
         "subgrid-too-few-axes",
+        "subgrid-descending-axis",
+        "subgrid-repeated-index",
         "labels-of-negative-index",
         "labels-of-past-the-end",
         "labels-of-wrong-length",
@@ -613,6 +620,108 @@ def test_strictly_dominates_agrees_with_naive():
         for labels, keep in zip(g.strategies, undominated):
             seen[len(keep) < len(labels)] += 1
     assert seen[True] > 50 and seen[False] > 50
+
+
+#: The shapes of the benchmark's classes and of their members, and larger.
+KERNEL_SHAPES = [(k,) for k in range(1, 7)] + [
+    (4, 4), (5, 5), (3, 3, 2), (2, 2, 2, 2), (4, 4, 4)
+]
+
+#: The three kernels that read one best-response table, each call order
+#: starting from a different one.
+KERNEL_ORDERS = [
+    ("nash", "jointly_optimal", "undominated"),
+    ("jointly_optimal", "undominated", "nash"),
+    ("undominated", "nash", "jointly_optimal"),
+]
+
+
+def kernel_values(g, order):
+    """The three kernels on ``g`` from a cold memo, called in ``order``."""
+    calls = {
+        "nash": lambda: nash(g),
+        "jointly_optimal": lambda: jointly_optimal(g),
+        "undominated": lambda: _undominated(g),
+    }
+    clear_cache()
+    return {name: calls[name]() for name in order}
+
+
+def test_best_response_kernels_agree_with_naive_at_benchmark_sizes():
+    rng = random.Random(2901)
+    seen = Counter()
+    for shape in KERNEL_SHAPES:
+        for levels in (2, 3, 5):
+            for _ in range(2):
+                g = shaped_game(rng, shape, levels)
+                expected = {
+                    "nash": nash_bruteforce(g),
+                    "jointly_optimal": frozenset(_naive_jointly_optimal(g)),
+                    "undominated": naive_undominated(g),
+                }
+                assert expected["nash"] == textbook_nash(g)
+                for order in KERNEL_ORDERS:
+                    assert kernel_values(g, order) == expected
+                seen["equilibria"] += bool(expected["nash"])
+                seen["jointly optimal"] += bool(expected["jointly_optimal"])
+                seen["dominated"] += expected["undominated"] != g.strategies
+    assert min(seen.values()) > 10, seen
+
+
+def test_rank_slices_agree_with_naive_on_every_column():
+    rng = random.Random(2902)
+    for shape in KERNEL_SHAPES:
+        g = shaped_game(rng, shape, 5)
+        n = g.player_count
+        slices = [
+            (cells, players)
+            for size in range(1, n + 1)
+            for players in itertools.combinations(range(n), size)
+            for cells in _columns(g.shape, players)
+        ]
+        # one-cell slices, of every player
+        slices += [((k,), range(n)) for k in range(g.num_profiles)]
+        for cells, players in slices:
+            expected = tuple(
+                tuple(naive_dense([g.ranks[i][k] for k in cells], higher_first=False))
+                for i in players
+            )
+            assert games._slice_ranks(g, cells, players) == expected
+
+
+class CountedReads(tuple):
+    """A rank table that counts its reads by index; slices are not counted."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            self.reads += 1
+        return tuple.__getitem__(self, key)
+
+
+def test_three_kernels_scan_the_rank_tables_once(monkeypatch):
+    """The kernels share one best-response entry per content, and a player
+    whose every strategy is a best response somewhere is compared with
+    nothing.  Player 1 of this game best responds with T to L and with B
+    to R; player 2's R is strictly dominated, so it is tested."""
+    rows, cols = CountedReads((0, 1, 1, 0)), CountedReads((0, 1, 0, 1))
+    g = games._assemble(2, (("T", "B"), ("L", "R")), (rows, cols))
+    scans = []
+    scan = games._best_response_scan
+    monkeypatch.setattr(
+        games, "_best_response_scan", lambda game: scans.append(game) or scan(game)
+    )
+    for order in KERNEL_ORDERS:
+        rows.reads = cols.reads = 0
+        scans.clear()
+        values = kernel_values(g, order)
+        assert values["undominated"] == (("T", "B"), ("L",))
+        assert scans == [g]
+        best = [key for key in games._facts if key[0] == ("best responses",)]
+        assert best == [(("best responses",), g.canonical_id)]
+        assert rows.reads == 0 and cols.reads > 0
+    clear_cache()
 
 
 def test_strict_reduction_gadget(pd):

@@ -79,6 +79,36 @@ def test_every_private_definition_is_referenced():
     assert unreferenced_privates(sources) == set()
 
 
+def engine_reads(source: str) -> set[str]:
+    """What of the engine's Nash route a module imports or reads: the
+    ``concepts`` module, the fact memo's reader and the best-response
+    table."""
+    tree = ast.parse(source)
+    modules = {
+        (node.module or "").rpartition(".")[2]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    }
+    names = imported_names(tree) | used_names(tree)
+    return ({"concepts"} & (modules | names)) | (
+        {"_fact", "_best_responses"} & names
+    )
+
+
+def test_oracle_is_independent_of_the_engine():
+    """``verify_theorem1`` compares Nash with the brute-force oracle,
+    which is a second route only while it shares nothing with ``nash``."""
+    oracle = (PACKAGE / "oracles.py").read_text(encoding="utf-8")
+    assert engine_reads(oracle) == set()
+    assert engine_reads("from .concepts import eval_concept\n") == {"concepts"}
+    assert engine_reads("from . import concepts\n") == {"concepts"}
+    assert engine_reads(
+        "from .games import _fact, _best_responses\n"
+        "def f(g):\n"
+        "    return _best_responses(g)\n"
+    ) == {"_fact", "_best_responses"}
+
+
 def test_checks_catch_what_a_deletion_leaves_behind():
     source = (
         "from __future__ import annotations\n"
