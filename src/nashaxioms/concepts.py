@@ -39,12 +39,10 @@ def nash(game: Game) -> frozenset[Profile]:
     """
     shape, best = game.shape, _best_responses(game)
     profiles = _profiles(shape)
-    found = []
-    for col, mask in zip(_columns(shape, (0,)), best[0]):
-        while mask:  # one candidate per set bit, highest first
-            a = mask.bit_length() - 1
-            found.append(col[a])
-            mask ^= 1 << a
+    found = [
+        k for col, mask in zip(_columns(shape, (0,)), best[0])
+        for a, k in enumerate(col) if mask >> a & 1
+    ]
     for i in range(1, game.player_count):
         column, masks = _column_of(shape, (i,)), best[i]
         found = [k for k in found if masks[column[k]] >> profiles[k].indices[i] & 1]

@@ -563,9 +563,8 @@ def restrict(parent: Game, subsets) -> Game:
 def _slice_ranks(
     game: Game, cells: Sequence[int], players: Iterable[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """The players' rank tables on these cells, dense-normalized: each
-    gathered by one ``itemgetter``, which returns a one-cell slice as a
-    bare value, so that slice is the table ``(0,)``."""
+    """The players' rank tables on these cells, dense-normalized; a
+    one-cell slice, which ``itemgetter`` returns bare, is ``(0,)``."""
     if len(cells) == 1:
         return tuple((0,) for _ in players)
     take = operator.itemgetter(*cells)
@@ -623,22 +622,18 @@ def _best_response_scan(game: Game) -> tuple[tuple[int, ...], ...]:
     # Player i's column that starts at cell r is the strided slice
     # table[r : r + block : stride]: stride is the product of the later
     # players' strategy counts, block is player i's count times stride.
+    # The columns come in ``_columns(shape, (i,))`` order, earlier
+    # players outermost, which ``concepts.nash`` and ``_column_of`` rely on.
     out = []
     stride = game.num_profiles
     for size, table in zip(game.shape, game.ranks):
         block, stride = stride, stride // size
-        if size == 1:  # the one strategy is every column's best response
-            out.append((1,) * len(table))
-            continue
         masks = []
         for start in range(0, len(table), block):
             for r in range(start, start + stride):
                 col = table[r : r + block : stride]
                 low = min(col)
-                if col.count(low) == 1:
-                    masks.append(1 << col.index(low))
-                else:
-                    masks.append(sum(1 << a for a, v in enumerate(col) if v == low))
+                masks.append(sum(1 << a for a, v in enumerate(col) if v == low))
         out.append(tuple(masks))
     return tuple(out)
 
@@ -662,9 +657,6 @@ def _dominance_scan(game: Game) -> tuple[tuple[str, ...], ...]:
     out = []
     for i, masks in enumerate(_best_responses(game)):
         labels, responders = game.strategies[i], reduce(operator.or_, masks)
-        if responders + 1 == 1 << len(labels):  # each responds somewhere
-            out.append(labels)
-            continue
         t, cols = game.ranks[i], _columns(game.shape, (i,))
         out.append(tuple(
             lab for b, lab in enumerate(labels) if responders >> b & 1 or not any(
