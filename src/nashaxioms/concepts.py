@@ -21,6 +21,7 @@ from .games import (
     _fact,
     _facts,
     _ids,
+    _low_mask,
     _profiles,
 )
 
@@ -198,12 +199,14 @@ def clear_cache() -> None:
     (concept values, solution label sets, cells and specs among them) and
     canonical ids, the per-shape tables behind ``Game.columns``,
     ``Game.profiles`` and each profile's column (``games._column_of``),
-    and the facts that game classes have worked out.  The label-bit
-    registry (``games._label_bits``) stays: it only interns labels, and
-    the masks handed out under it stay valid."""
+    each rank column's minimum mask (``games._low_mask``), and the facts
+    that game classes have worked out.  The label-bit registry
+    (``games._label_bits``) stays: it only interns labels, and the masks
+    handed out under it stay valid."""
     _facts.clear()
     _ids.clear()
     _columns.cache_clear()
     _column_of.cache_clear()
+    _low_mask.cache_clear()
     _profiles.cache_clear()
     clear_reductions()

@@ -628,14 +628,21 @@ def _best_response_scan(game: Game) -> tuple[tuple[int, ...], ...]:
     stride = game.num_profiles
     for size, table in zip(game.shape, game.ranks):
         block, stride = stride, stride // size
-        masks = []
-        for start in range(0, len(table), block):
-            for r in range(start, start + stride):
-                col = table[r : r + block : stride]
-                low = min(col)
-                masks.append(sum(1 << a for a, v in enumerate(col) if v == low))
-        out.append(tuple(masks))
+        out.append(tuple([
+            _low_mask(table[r : r + block : stride])
+            for start in range(0, len(table), block)
+            for r in range(start, start + stride)
+        ]))
     return tuple(out)
+
+
+@cache
+def _low_mask(column: tuple[int, ...]) -> int:
+    """The bitmask of the positions of a rank column's minimum.  The same
+    columns recur across games, so each is worked out once; kept like
+    ``_columns``, and ``concepts.clear_cache`` empties it."""
+    low = min(column)
+    return sum(1 << a for a, v in enumerate(column) if v == low)
 
 
 def _undominated(game: Game) -> tuple[tuple[str, ...], ...]:
