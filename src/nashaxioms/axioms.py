@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, product
+from itertools import product
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -25,9 +25,6 @@ from .closures import GameClass, _positions
 from .concepts import CONCEPTS, ConceptDomainError, eval_concept, jointly_optimal
 from .games import (
     Game,
-    Profile,
-    _column_of,
-    _column_slice,
     _fact,
     _facts,
     _label_fact,
@@ -117,24 +114,21 @@ def _table(concept: str, cls: GameClass) -> _Table:
     return cls.derive(("table", concept), lambda: _Table(concept, cls))
 
 
-def _cells(game: Game) -> tuple[tuple[Profile, tuple, int], ...]:
-    """Per profile of ``game``, in linear-index order: the profile, its
-    labels and their mask, worked out once per strategy tuple
-    (``_label_fact``).  A member holds the profile when its mask holds the
-    profile's."""
+def _cells(game: Game) -> tuple[tuple[tuple, int], ...]:
+    """Per profile of ``game``, in linear-index order: its labels and their
+    mask, worked out once per strategy tuple (``_label_fact``).  A member
+    holds the profile when its mask holds the profile's."""
     return _label_fact("cells", game, _profile_cells)
 
 
-def _profile_cells(game: Game) -> tuple[tuple[Profile, tuple, int], ...]:
+def _profile_cells(game: Game) -> tuple[tuple[tuple, int], ...]:
     # the product of the players' labels and of their bits runs in
     # linear-index order, like the profiles
     bits = [
         [label_mask([()] * i + [(lab,)]) for lab in labels]
         for i, labels in enumerate(game.strategies)
     ]
-    return tuple(
-        zip(game.profiles(), product(*game.strategies), map(sum, product(*bits)))
-    )
+    return tuple(zip(product(*game.strategies), map(sum, product(*bits))))
 
 
 def _iis(
@@ -151,7 +145,7 @@ def _iis(
         # per solution, the reductions that hold it but do not solve it
         lost = [
             (labels, cls.having(inside, within) & ~table.solvers.get(labels, 0))
-            for _, labels, inside in _cells(parent)
+            for labels, inside in _cells(parent)
             if labels in phi
         ]
         for j in _positions(reduce(or_, (bits for _, bits in lost))):
@@ -182,7 +176,7 @@ def _mc(
         # cover the parent's mask are visited
         solvers = table.solvers
         visit = 0
-        for _, x, _ in _cells(parent):
+        for x, _ in _cells(parent):
             if x not in phi_parent:
                 solve_x = solvers.get(x, 0) & within
                 if solve_x & ~visit and cls.covers(full, solve_x):
@@ -259,51 +253,6 @@ def _jo(
                 }
 
 
-def _subgroups(
-    cls: GameClass, game: Game
-) -> list[tuple[tuple[int, ...], dict | None, tuple[int, ...]]]:
-    """``(keep, pinned, column_of)`` per non-empty proper player subgroup
-    of ``game``, in ascending bitmask order, worked out once per game
-    (``cls.derive``).  ``column_of`` gives each profile's pinned column,
-    by linear index (``_column_of``).  A game reduced to the players in
-    ``keep`` has their strategies, so it can be a member only when some
-    member has those strategies; otherwise ``pinned`` is None, and else
-    it is the memo ``_player_reduced`` fills, one member or None per
-    column number."""
-
-    def compute():
-        present = cls.derive(("strategies",), lambda: {g.strategies for g in cls})
-        n = game.player_count
-        out = []
-        for mask in range(1, (1 << n) - 1):
-            keep = tuple(i for i in range(n) if mask >> i & 1)
-            available = tuple(game.strategies[i] for i in keep) in present
-            out.append((keep, {} if available else None, _column_of(game.shape, keep)))
-        return out
-
-    return cls.derive(("subgroups", game.canonical_id), compute)
-
-
-def _player_reduced(
-    cls: GameClass, game: Game, subgroups: list, p: int
-) -> Iterator[tuple[tuple[int, ...], Game | None]]:
-    """``(keep, member or None)`` per entry of ``_subgroups(cls, game)``:
-    the member of the class that is ``game`` reduced to the players in
-    ``keep`` with the others fixed at their components of the profile of
-    linear index ``p``.  It is looked for only when available, by the
-    content of the pinned column (``cls.with_content``), so no game is
-    built, and once per column."""
-    for keep, pinned, column_of in subgroups:
-        if pinned is None:
-            yield keep, None
-            continue
-        c = column_of[p]
-        member = pinned.get(c, pinned)  # the memo itself is never a value
-        if member is pinned:
-            member = pinned[c] = cls.with_content(*_column_slice(game, keep, c))
-        yield keep, member
-
-
 def _cons(
     concept: str, cls: GameClass, parents: Iterable[Game], tally: Counter
 ) -> Iterator[dict]:
@@ -313,14 +262,15 @@ def _cons(
         if game.player_count < 2:
             continue
         phi_game = table.of(game)
-        subgroups = _subgroups(cls, game)
-        if all(pinned is None for _, pinned, _ in subgroups):
+        subgroups = cls.player_reduced(game)
+        if all(members is None for _, members, _ in subgroups):
             tally["skipped"] += len(phi_game) * len(subgroups)
             continue
-        for p, (_, labels, _) in enumerate(_cells(game)):
+        for p, (labels, _) in enumerate(_cells(game)):
             if labels not in phi_game:
                 continue
-            for keep, member in _player_reduced(cls, game, subgroups, p):
+            for keep, members, column_of in subgroups:
+                member = None if members is None else members[column_of[p]]
                 if member is None:
                     tally["skipped"] += 1
                     continue
@@ -348,36 +298,33 @@ def _cocons(
         if game.player_count < 2:
             continue
         phi_game = table.of(game)
-        subgroups = _subgroups(cls, game)
-        if all(pinned is None for _, pinned, _ in subgroups):
+        subgroups = cls.player_reduced(game)
+        if all(members is None for _, members, _ in subgroups):
             tally["vacuous"] += game.num_profiles - len(phi_game)
             continue
-        for p, (_, labels, _) in enumerate(_cells(game)):
+        for p, (labels, _) in enumerate(_cells(game)):
             if labels in phi_game:
                 continue
-            present = (
+            present = [
                 (keep, member)
-                for keep, member in _player_reduced(cls, game, subgroups, p)
-                if member is not None
-            )
-            first = next(present, None)
-            if first is None:
+                for keep, members, column_of in subgroups
+                if members is not None
+                and (member := members[column_of[p]]) is not None
+            ]
+            if not present:
                 tally["vacuous"] += 1
                 continue
             tally["checked"] += 1
-            # the first present game whose restricted profile is not a
-            # solution settles it; the full list is rebuilt only for a witness
             if all(
                 tuple(labels[i] for i in keep) in table.of(member)
-                for keep, member in chain((first,), present)
+                for keep, member in present
             ):
                 yield {
                     "game": game.canonical_id,
                     "profile": list(labels),
                     "subgroups": [
                         {"players_kept": list(keep), "game": member.canonical_id}
-                        for keep, member in _player_reduced(cls, game, subgroups, p)
-                        if member is not None
+                        for keep, member in present
                     ],
                     "clause": "profile solves every available "
                     "player-reduced game yet not the game itself",
@@ -401,7 +348,7 @@ def _ciis(
         table.fill(within)
         # all but the game itself, the one reduction with all its labels
         proper = within & ~cls.having(cls.mask_of(game), within)
-        for _, labels, inside in _cells(game):
+        for labels, inside in _cells(game):
             if labels in phi_game:
                 continue
             containing = cls.having(inside, proper)
@@ -462,9 +409,9 @@ def replay_witness(verdict: AxiomVerdict, cls: GameClass) -> bool:
     """True when a violated verdict's witness re-verifies: the axiom's
     own scan, started from the witness's game, yields it again."""
     entry = _AXIOMS.get(verdict.axiom)
-    if entry is None or not verdict.violated or not isinstance(verdict.witness, dict):
+    if entry is None or verdict.concept not in CONCEPTS or not verdict.violated:
         return False
-    cid = verdict.witness.get("game")
+    cid = verdict.witness.get("game") if isinstance(verdict.witness, dict) else None
     game = cls.get(cid) if isinstance(cid, str) else None
     if game is None:
         return False

@@ -24,7 +24,10 @@ from .games import (
     BudgetExceededError,
     Game,
     GameFormatError,
-    _pinned_slice,
+    _column_of,
+    _column_slice,
+    _columns,
+    _slice_ranks,
     enumerate_reductions,
     is_reduction,
     label_mask,
@@ -165,8 +168,8 @@ class GameClass:
         self._masks: dict[str, int] = {}
         # ``derive``'s memo: the members per label and per player count, the
         # reductions of each member's top, the reduction relation per
-        # parent, the member per content, and the scans' per-class facts
-        # (``axioms``: solver bitsets and player subgroups)
+        # parent, the member per content, each game's player-reduced
+        # members, and the scans' solver bitsets (``axioms``)
         self._derived: dict[tuple, object] = {}
         _classes.add(self)
 
@@ -345,6 +348,37 @@ class GameClass:
         within = self.derive(("tops",), self._tops).get(parent.canonical_id)
         return self._candidates(parent) & within if within else self._checked(parent)
 
+    def player_reduced(
+        self, game: Game
+    ) -> list[tuple[tuple[int, ...], tuple | None, tuple[int, ...]]]:
+        """``(keep, members, column_of)`` per non-empty proper subgroup of
+        ``game``'s players, in ascending bitmask order, worked out once per
+        game (``derive``).  ``column_of`` gives each profile's pinned
+        column by linear index (``_column_of``), and ``members`` per column
+        of ``_columns(shape, keep)`` the member that is ``game`` reduced to
+        the players in ``keep`` with the others pinned there, or None,
+        found by content (``with_content``), so no game is built.  Such a
+        game has the kept players' strategies, so ``members`` is None when
+        no member has them."""
+
+        def compute():
+            present = self.derive(("strategies",), lambda: {g.strategies for g in self})
+            n, shape = game.player_count, game.shape
+            out = []
+            for mask in range(1, (1 << n) - 1):
+                keep = tuple(i for i in range(n) if mask >> i & 1)
+                strategies = tuple(game.strategies[i] for i in keep)
+                members = None
+                if strategies in present:
+                    members = tuple(
+                        self.with_content(strategies, _slice_ranks(game, cells, keep))
+                        for cells in _columns(shape, keep)
+                    )
+                out.append((keep, members, _column_of(shape, keep)))
+            return out
+
+        return self.derive(("player reduced", game.canonical_id), compute)
+
     def ids(self) -> list[str]:
         return list(self._games)
 
@@ -367,18 +401,20 @@ class GameClass:
         """The member itself, once its provenance record is confirmed by
         content, with no game built, to regenerate it from its parent: a
         seed's always does, a reduction's when ``is_reduction(member,
-        parent)``, a player reduction's when the parent's ``_pinned_slice``
-        has the member's labels and rank tables.  ``ValueError`` when the
-        record gives a different game or the id names no member."""
+        parent)``, a player reduction's when the parent's slice on the
+        pinned column (``_column_of``, ``_column_slice``) has the member's
+        labels and rank tables.  ``ValueError`` when the record gives a
+        different game or the id names no member."""
         member = self._games.get(canonical_id)
         if member is None:
             raise ValueError(f"{canonical_id!r} is not a member of the class")
         prov = self.provenance[canonical_id]
         parent = self._games.get(prov.parent)  # None for a seed
         if prov.kind == "player-reduction-of":
-            fixed = parent.profile_from_labels(prov.fixed)
-            content = (member.strategies, member.ranks)
-            replays = _pinned_slice(parent, tuple(prov.keep), fixed) == content
+            keep = tuple(prov.keep)
+            k = parent.profile_from_labels(prov.fixed).linear_index(parent.shape)
+            c = _column_of(parent.shape, keep)[k]
+            replays = _column_slice(parent, keep, c) == (member.strategies, member.ranks)
         else:
             replays = prov.kind == "seed" or is_reduction(member, parent)
         if not replays:

@@ -7,16 +7,20 @@ relation by construction.  Rank tables are kept dense (the values used
 are exactly 0..k), which turns preference-order equality into plain
 tuple equality and gives every game a canonical content hash.
 
-All operations here are pure functions over immutable games: they can
-be called concurrently from any number of threads and return fresh
-objects, or, for ``Game.columns`` and ``Game.profiles``, tuples and
-profiles shared by every game of a shape, and for the facts in
-``_facts``, values shared by every game of the same content, or of the
-same labels.  One is the best-response table (``_best_responses``),
+All operations here are pure functions over immutable games: they
+return fresh objects, or, for ``Game.columns`` and ``Game.profiles``,
+tuples and profiles shared by every game of a shape, and for the facts
+in ``_facts``, values shared by every game of the same content, or of
+the same labels.  One is the best-response table (``_best_responses``),
 from which Nash equilibria, jointly optimal profiles and undominated
 strategies (``_undominated``) are all read.  ``label_mask`` packs labels
 into one int under a process-wide bit registry, so masks taken anywhere
 compare.
+
+The registry and the memos are plain dicts filled without a lock, so
+they assume one thread: two threads calling ``label_mask`` at once can
+give two labels one bit, which corrupts masks and every verdict read
+from them.
 """
 
 from __future__ import annotations
@@ -721,22 +725,9 @@ def reduce_players(game: Game, keep: Iterable[int], fixed: Profile) -> Game:
         raise GameFormatError("keep contains an invalid player index")
     if not isinstance(fixed, Profile):
         raise GameFormatError(f"fixed must be a Profile, got {fixed!r}")
-    fixed.linear_index(game.shape)  # raises unless fixed fits the game
-    return _assemble(len(keep), *_pinned_slice(game, keep, fixed))
-
-
-def _pinned_slice(
-    game: Game, keep: tuple[int, ...], fixed: Profile
-) -> tuple[tuple[tuple[str, ...], ...], tuple[tuple[int, ...], ...]]:
-    """``reduce_players`` without its checks: the slice of the column of
-    ``_columns(shape, keep)`` where the other players play their
-    components of ``fixed`` (``_column_slice``).  ``keep`` is a sorted
-    tuple of players, a proper subset, and ``fixed`` fits the game."""
-    c = 0
-    for i, size in enumerate(game.shape):
-        if i not in keep:
-            c = c * size + fixed.indices[i]
-    return _column_slice(game, keep, c)
+    k = fixed.linear_index(game.shape)  # raises unless fixed fits the game
+    c = _column_of(game.shape, keep)[k]
+    return _assemble(len(keep), *_column_slice(game, keep, c))
 
 
 def _column_slice(

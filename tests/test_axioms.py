@@ -230,6 +230,15 @@ def test_tampered_witness_does_not_replay(axiom, concept, tamper, ex3_cons):
     assert replay_witness(forged, ex3_cons) is False
 
 
+def test_witness_with_an_unknown_concept_does_not_replay(ex3_cons):
+    # like an unknown axiom id, an unknown concept id is a verdict that
+    # does not re-verify, not an error
+    verdict = check_axiom("cons", "parity_ne", ex3_cons)
+    assert replay_witness(verdict, ex3_cons)
+    forged = AxiomVerdict("cons", "nope", "violated", witness=verdict.witness)
+    assert replay_witness(forged, ex3_cons) is False
+
+
 def test_unknown_ids(ex2_dclosed):
     with pytest.raises(ValueError):
         check_axiom("nope", "nash", ex2_dclosed)
@@ -860,12 +869,11 @@ def test_scans_find_a_player_reduced_member_added_after_a_scan(axiom):
 
 
 def test_pinned_slices_agree_with_naive(player_reduced_3x3x2, sparsely_player_reduced):
-    """Each pinned slice is the game ``reduce_players`` builds, and the
-    column-indexed lookup of ``cons`` and ``cocons`` gives, for every
-    (game, keep, profile), that game's member, or None when it is not a
-    member: with every player reduction present, and with some absent."""
-    from nashaxioms.axioms import _player_reduced, _subgroups
-    from nashaxioms.games import _pinned_slice
+    """For every (game, keep, profile), ``reduce_players`` builds the naive
+    player-reduced game, and the entry of ``GameClass.player_reduced`` at
+    the profile's pinned column, which ``cons`` and ``cocons`` read, is
+    that game's member, or None exactly where it is not a member: with
+    every player reduction present, and with some absent."""
     from naive_checks import _naive_reduce_players
 
     for cls in (player_reduced_3x3x2, sparsely_player_reduced):
@@ -876,13 +884,13 @@ def test_pinned_slices_agree_with_naive(player_reduced_3x3x2, sparsely_player_re
                 tuple(i for i in range(n) if mask >> i & 1)
                 for mask in range(1, (1 << n) - 1)
             ]
-            subgroups = _subgroups(cls, g)
+            table = cls.player_reduced(g)
+            assert [keep for keep, _, _ in table] == keeps
             for p, s in enumerate(g.profiles()):
-                found = list(_player_reduced(cls, g, subgroups, p))
-                assert [keep for keep, _ in found] == keeps
-                for keep, member in found:
+                for keep, found, column_of in table:
                     want = _naive_reduce_players(g, keep, s)
-                    assert _pinned_slice(g, keep, s) == (want.strategies, want.ranks)
+                    assert reduce_players(g, keep, s) == want
+                    member = None if found is None else found[column_of[p]]
                     assert member is cls.get(want.canonical_id)
                     members.add(member)
                     slices += 1
