@@ -5,7 +5,8 @@ builds a class directory, ``check`` runs one axiom checker, ``construct``
 runs the proof gadgets, and ``reproduce`` runs the whole expectation
 suite.  Game arguments accept a file path or the name of a bundled
 game (pd, ex2, ex5, cube222, chain4, with or without ``.game``); class
-arguments accept a class directory or a named class.
+arguments accept a class directory or a named class, and ``./NAME`` for
+a directory that has a named class's name.
 
 Exit codes: 0 on success, 1 when ``reproduce`` finds a failed
 expectation (or a construct report fails), 2 on parse or domain errors
@@ -63,9 +64,14 @@ def _resolve_game(spec: str) -> Game:
 
 
 def _resolve_class(spec: str) -> tuple[str, GameClass]:
-    if spec in NAMED_CLASSES:
-        return spec, build_named_class(spec)
     path = Path(spec)
+    if spec in NAMED_CLASSES:
+        if path.is_dir():
+            raise GameFormatError(
+                f"{spec!r} is both a named class and a directory; "
+                f"write ./{spec} for the directory"
+            )
+        return spec, build_named_class(spec)
     if path.is_dir():
         return path.name, GameClass.read_dir(path)
     raise GameFormatError(

@@ -573,11 +573,11 @@ def reduction_closure(seed: Game, budget: int = DEFAULT_BUDGET) -> GameClass:
     return _closure([seed], "all", "reduction-of", "reductions", budget)
 
 
-#: Names accepted by build_named_class and the CLI --class flag.
-NAMED_CLASSES = ("pd_dclosed", "ex2_dclosed", "ex3_cons", "ex4", "ex5")
-
-
-def _player_reduced_members(cls: GameClass, seed: Game) -> None:
+def _with_player_reductions(cls: GameClass, seed: Game, name: str) -> GameClass:
+    """``cls`` renamed ``name``, with ``seed``, if it is not a member yet,
+    and every one-player reduction of ``seed``."""
+    cls.params = {"mode": "named", "name": name}
+    cls.add(seed, Provenance("seed"))
     for i in range(seed.player_count):
         for s in seed.profiles():
             cls.add(
@@ -589,26 +589,32 @@ def _player_reduced_members(cls: GameClass, seed: Game) -> None:
                     fixed=seed.labels_of(s),
                 ),
             )
+    return cls
+
+
+#: The bundled classes, in the order ``reproduce`` reports them: per name,
+#: the bundled game that seeds it and how the class is built from that game.
+_NAMED = {
+    "pd_dclosed": ("pd", lambda g: d_closure([g])),
+    "ex2_dclosed": ("ex2", lambda g: d_closure([g])),
+    "ex5_dclosed": ("ex5", lambda g: d_closure([g])),
+    "ex3_cons": ("ex2", lambda g: _with_player_reductions(GameClass(), g, "ex3_cons")),
+    "ex4": ("ex2", lambda g: _with_player_reductions(reduction_closure(g), g, "ex4")),
+    "ex5": ("ex5", reduction_closure),
+    "cube_dclosed": ("cube222", lambda g: d_closure([g])),
+    "chain_strict": ("chain4", lambda g: strict_closure([g])),
+}
+
+#: Names accepted by build_named_class and the CLI --class flag.
+NAMED_CLASSES = tuple(_NAMED)
 
 
 def build_named_class(name: str) -> GameClass:
-    """Construct one of the bundled benchmark classes by name."""
-    if name == "pd_dclosed":
-        return d_closure([fixture_game("pd")])
-    if name == "ex2_dclosed":
-        return d_closure([fixture_game("ex2")])
-    if name in ("ex3_cons", "ex4"):
-        seed = fixture_game("ex2")
-        if name == "ex4":
-            cls = reduction_closure(seed)
-        else:
-            cls = GameClass()
-            cls.add(seed, Provenance("seed"))
-        cls.params = {"mode": "named", "name": name}
-        _player_reduced_members(cls, seed)
-        return cls
-    if name == "ex5":
-        return reduction_closure(fixture_game("ex5"))
-    raise ValueError(
-        f"unknown class name {name!r}; known names: {', '.join(NAMED_CLASSES)}"
-    )
+    """Construct one of the bundled classes by name, reading its seed's
+    game file once."""
+    if name not in _NAMED:
+        raise ValueError(
+            f"unknown class name {name!r}; known names: {', '.join(NAMED_CLASSES)}"
+        )
+    fixture, build = _NAMED[name]
+    return build(fixture_game(fixture))

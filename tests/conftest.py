@@ -4,13 +4,8 @@ import random
 
 import pytest
 
-from nashaxioms import (
-    build_game,
-    build_named_class,
-    d_closure,
-    reduce_players,
-    strict_closure,
-)
+from nashaxioms import build_game, build_named_class, reduce_players
+import nashaxioms.fixtures as fixtures
 from nashaxioms.closures import Provenance
 from nashaxioms.fixtures import fixture_game
 
@@ -66,18 +61,32 @@ def ex5_class():
 
 
 @pytest.fixture(scope="session")
-def ex5_dclosed(ex5):
-    return d_closure([ex5])
+def ex5_dclosed():
+    return build_named_class("ex5_dclosed")
 
 
 @pytest.fixture(scope="session")
-def cube_dclosed(cube):
-    return d_closure([cube])
+def cube_dclosed():
+    return build_named_class("cube_dclosed")
 
 
 @pytest.fixture(scope="session")
-def chain_strict(chain):
-    return strict_closure([chain])
+def chain_strict():
+    return build_named_class("chain_strict")
+
+
+@pytest.fixture
+def bundled_reads(monkeypatch):
+    """The paths of the bundled game files read while the test runs."""
+    reads = []
+    load = fixtures.load_game
+
+    def counted(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(fixtures, "load_game", counted)
+    return reads
 
 
 def random_game(

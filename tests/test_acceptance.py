@@ -6,6 +6,7 @@ criterion lines; the reproduce CLI covers the same ground end to end.
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from nashaxioms import (
 )
 from nashaxioms.concepts import CONCEPT_IDS
 from nashaxioms.oracles import nash_bruteforce
-from nashaxioms.suite import render, run_suite
+from nashaxioms.suite import _seed_witness, render, run_suite
 
 
 def announce(number, text):
@@ -200,6 +201,30 @@ def test_criterion_10_determinism():
 def test_reproduce_output_matches_golden():
     golden = Path(__file__).parent / "golden" / "reproduce.txt"
     assert render(run_suite()) == golden.read_text(encoding="utf-8")
+
+
+def test_reproduce_reads_each_class_seed_once(bundled_reads):
+    """One read per named class, and one each of ``ex2`` and ``ex5`` for
+    their equilibrium sets."""
+    run_suite()
+    assert len(bundled_reads) == 10
+
+
+def test_a_pinned_witness_must_match_in_game_profile_and_reductions(ex2_dclosed):
+    verdict = check_axiom("mc", "strong_nash", ex2_dclosed)
+    want = (("D", "R"), (("U", "D"), ("R",)), (("D",), ("L", "R")))
+    assert _seed_witness(verdict, ex2_dclosed, *want)
+    member = ex2_dclosed.ids()[1]
+    for change in (
+        {"game": member},
+        {"profile": ["U", "L"]},
+        {"reduction_b": member},
+        {"reduction_b": "no such game"},
+    ):
+        changed = replace(verdict, witness={**verdict.witness, **change})
+        assert not _seed_witness(changed, ex2_dclosed, *want), change
+    assert not _seed_witness(verdict, ex2_dclosed, *want[:2])
+    assert not _seed_witness(replace(verdict, witness=None), ex2_dclosed, *want)
 
 
 ROOT = Path(__file__).parent.parent

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from nashaxioms import (
+    NAMED_CLASSES,
     GameClass,
     build_named_class,
     d_closure,
@@ -622,5 +624,49 @@ def test_check_refuses_an_unknown_class(capsys):
         out,
         err,
         "'nope' is neither a class directory nor a named class "
-        "(pd_dclosed, ex2_dclosed, ex3_cons, ex4, ex5)",
+        "(pd_dclosed, ex2_dclosed, ex5_dclosed, ex3_cons, ex4, ex5, "
+        "cube_dclosed, chain_strict)",
     )
+
+
+def test_every_class_reproduce_reports_is_a_named_class(capsys):
+    """The classes of the golden ``reproduce`` output are ``NAMED_CLASSES``,
+    in its order, and ``check --class`` accepts each of them by name."""
+    golden = Path(__file__).parent / "golden" / "reproduce.txt"
+    reported = re.findall(
+        r"mc-implies-ciis +mc pass forces ciis pass on (\S+)",
+        golden.read_text(encoding="utf-8"),
+    )
+    assert tuple(reported) == NAMED_CLASSES
+    for name in NAMED_CLASSES:
+        code, out, err = run_cli(
+            capsys, "check", "--axiom", "jo", "--concept", "nash", "--class", name
+        )
+        assert (code, err) == (0, "")
+        assert f" class={name} " in out
+
+
+def test_a_directory_with_a_named_class_name_needs_a_path(
+    capsys, tmp_path, monkeypatch
+):
+    """A class spec that is both a named class and a directory is refused;
+    ``./NAME`` reads the directory."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "closure", "chain4", "--mode", "strict", "--out", "ex4")
+    for argv in (
+        ("check", "--axiom", "jo", "--concept", "nash", "--class", "ex4"),
+        ("construct", "--lemma", "2", "--class", "ex4"),
+    ):
+        assert_one_error(
+            *run_cli(capsys, *argv),
+            "'ex4' is both a named class and a directory; "
+            "write ./ex4 for the directory",
+        )
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "jo", "--concept", "nash", "--class", "./ex4"
+    )
+    assert (code, out, err) == (0, "axiom=jo concept=nash class=ex4 result=pass\n", "")
+    # the one-player lemma runs on the 8-game chain class, not the named
+    # 2-player ``ex4``
+    code, _, err = run_cli(capsys, "construct", "--lemma", "2", "--class", "./ex4")
+    assert (code, err) == (0, "")

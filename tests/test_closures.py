@@ -33,6 +33,9 @@ GOLDEN_SIZES = {
     "ex3_cons": 5,
     "ex4": 13,
     "ex5": 21,
+    "ex5_dclosed": 21,
+    "cube_dclosed": 27,
+    "chain_strict": 8,
 }
 
 
@@ -41,8 +44,16 @@ def test_named_class_sizes(name, size):
     assert len(build_named_class(name)) == size
 
 
-def test_cube_dclosure_size(cube_dclosed):
-    assert len(cube_dclosed) == 27
+def test_every_named_class_has_a_golden_size():
+    assert sorted(GOLDEN_SIZES) == sorted(closures.NAMED_CLASSES)
+
+
+@pytest.mark.parametrize("name", closures.NAMED_CLASSES)
+def test_a_named_class_reads_its_seed_file_once(bundled_reads, name):
+    cls = build_named_class(name)
+    assert len(bundled_reads) == 1
+    # the seed is the first member, with a seed's record
+    assert cls.provenance[cls.ids()[0]] == Provenance("seed")
 
 
 def test_chain_strict_closure(chain_strict, chain):
