@@ -594,13 +594,15 @@ def _with_player_reductions(cls: GameClass, seed: Game, name: str) -> GameClass:
 
 #: The bundled classes, in the order ``reproduce`` reports them: per name,
 #: the bundled game that seeds it and how the class is built from that game.
+#: Each builder looks the closure up by name when it runs, so a wrapper put
+#: on the module's function (such as a tracer's) sees every call.
 _NAMED = {
     "pd_dclosed": ("pd", lambda g: d_closure([g])),
     "ex2_dclosed": ("ex2", lambda g: d_closure([g])),
     "ex5_dclosed": ("ex5", lambda g: d_closure([g])),
     "ex3_cons": ("ex2", lambda g: _with_player_reductions(GameClass(), g, "ex3_cons")),
     "ex4": ("ex2", lambda g: _with_player_reductions(reduction_closure(g), g, "ex4")),
-    "ex5": ("ex5", reduction_closure),
+    "ex5": ("ex5", lambda g: reduction_closure(g)),
     "cube_dclosed": ("cube222", lambda g: d_closure([g])),
     "chain_strict": ("chain4", lambda g: strict_closure([g])),
 }

@@ -48,6 +48,24 @@ def test_every_named_class_has_a_golden_size():
     assert sorted(GOLDEN_SIZES) == sorted(closures.NAMED_CLASSES)
 
 
+def test_named_classes_call_the_closures_through_the_module(monkeypatch):
+    """A wrapper put on a closure function of the module, as the benchmark's
+    tracer puts one, sees every closure the registry builds."""
+    calls = []
+    for fn in ("d_closure", "strict_closure", "reduction_closure"):
+
+        def counted(seed, _fn=fn, _real=getattr(closures, fn)):
+            calls.append(_fn)
+            return _real(seed)
+
+        monkeypatch.setattr(closures, fn, counted)
+    for name in closures.NAMED_CLASSES:
+        build_named_class(name)
+    assert sorted(calls) == sorted(
+        ["d_closure"] * 4 + ["strict_closure"] + ["reduction_closure"] * 2
+    )
+
+
 @pytest.mark.parametrize("name", closures.NAMED_CLASSES)
 def test_a_named_class_reads_its_seed_file_once(bundled_reads, name):
     cls = build_named_class(name)
