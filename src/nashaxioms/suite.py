@@ -188,16 +188,18 @@ def run_suite() -> list[Expectation]:
     # 6. equilibrium reconstruction gadget over whole classes
     sec = "construction-b"
     for cname in ("ex2_dclosed", "pd_dclosed", "cube_dclosed"):
-        reports = [
-            lemma1b_construct(game, s)
+        # only each report's outcome is kept: holding the reports themselves
+        # until the end makes the garbage collector run more often
+        passed = [
+            lemma1b_construct(game, s).all_passed
             for game in classes[cname]
             for s in sorted(eval_concept("nash", game))
         ]
         expect(
             sec,
             f"all equilibria of {cname} reconstruct",
-            all(r.all_passed for r in reports),
-            detail=f"{len(reports)} cases",
+            all(passed),
+            detail=f"{len(passed)} cases",
         )
 
     # 7. non-equilibrium solutions name their broken axiom
