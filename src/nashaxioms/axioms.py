@@ -15,7 +15,7 @@ absent.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -58,14 +58,7 @@ class AxiomVerdict:
         return self.result == "pass"
 
     def to_record(self, class_name: str = "") -> dict:
-        return {
-            "axiom": self.axiom,
-            "concept": self.concept,
-            "class": class_name,
-            "result": self.result,
-            "witness": self.witness,
-            "coverage": self.coverage,
-        }
+        return {**asdict(self), "class": class_name}
 
 
 class _Table:

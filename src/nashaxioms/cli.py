@@ -5,8 +5,8 @@ builds a class directory, ``check`` runs one axiom checker, ``construct``
 runs the proof gadgets, and ``reproduce`` runs the whole expectation
 suite.  Game arguments accept a file path or the name of a bundled
 game (pd, ex2, ex5, cube222, chain4, with or without ``.game``); class
-arguments accept a class directory or a named class, and ``./NAME`` for
-a directory that has a named class's name.
+arguments accept a class directory or a named class.  A name that is
+also an existing path is refused; ``./NAME`` reads the path.
 
 Exit codes: 0 on success, 1 when ``reproduce`` finds a failed
 expectation (or a construct report fails), 2 on parse or domain errors
@@ -51,12 +51,16 @@ def _budget(flag: int | None) -> int:
 
 
 def _resolve_game(spec: str) -> Game:
-    path = Path(spec)
+    path, key = Path(spec), spec.removesuffix(".game")
+    if key in FIXTURES:
+        if path.exists():
+            raise GameFormatError(
+                f"{spec!r} is both a bundled game and a path; "
+                f"write ./{spec} for the path"
+            )
+        return fixture_game(key)
     if path.is_file():
         return load_game(path)
-    key = spec.removesuffix(".game")
-    if key in FIXTURES:
-        return fixture_game(key)
     raise GameFormatError(
         f"{spec!r} is neither a game file nor a bundled game name "
         f"({', '.join(FIXTURES)})"
@@ -118,7 +122,7 @@ def _cmd_solve(args) -> int:
 def _cmd_closure(args) -> int:
     budget = _budget(args.budget)
     source = Path(args.source)
-    if source.is_dir():
+    if source.is_dir() and args.source.removesuffix(".game") not in FIXTURES:
         seeds = list(GameClass.read_dir(source))
     else:
         seeds = [_resolve_game(args.source)]
@@ -155,6 +159,18 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.lemma == "2":
+        flags = {
+            "--game": args.game, "--concept": args.concept, "--profile": args.profile
+        }
+    else:
+        flags = {"--concept": args.concept if args.lemma == "1b" else None}
+        flags["--class"] = args.class_spec
+    unread = [flag for flag, value in flags.items() if value is not None]
+    if unread:
+        raise GameFormatError(
+            f"--lemma {args.lemma} does not take {', '.join(unread)}"
+        )
     if args.lemma in ("1a", "1b"):
         if not (args.game and args.profile) or (
             args.lemma == "1a" and not args.concept

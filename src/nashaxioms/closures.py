@@ -25,7 +25,6 @@ from .games import (
     Game,
     GameFormatError,
     _column_of,
-    _column_slice,
     _columns,
     _slice_ranks,
     enumerate_reductions,
@@ -398,23 +397,20 @@ class GameClass:
         return hashlib.sha256(joined.encode("ascii")).hexdigest()
 
     def replay_provenance(self, canonical_id: str) -> Game:
-        """The member itself, once its provenance record is confirmed by
-        content, with no game built, to regenerate it from its parent: a
-        seed's always does, a reduction's when ``is_reduction(member,
-        parent)``, a player reduction's when the parent's slice on the
-        pinned column (``_column_of``, ``_column_slice``) has the member's
-        labels and rank tables.  ``ValueError`` when the record gives a
-        different game or the id names no member."""
+        """The member itself, once its provenance record is confirmed to
+        regenerate it from its parent: a seed's always does, a reduction's
+        when ``is_reduction(member, parent)``, a player reduction's when
+        ``reduce_players`` on the parent with the record's ``keep`` and
+        ``fixed`` gives the member.  ``ValueError`` when the record gives
+        a different game or the id names no member."""
         member = self._games.get(canonical_id)
         if member is None:
             raise ValueError(f"{canonical_id!r} is not a member of the class")
         prov = self.provenance[canonical_id]
         parent = self._games.get(prov.parent)  # None for a seed
         if prov.kind == "player-reduction-of":
-            keep = tuple(prov.keep)
-            k = parent.profile_from_labels(prov.fixed).linear_index(parent.shape)
-            c = _column_of(parent.shape, keep)[k]
-            replays = _column_slice(parent, keep, c) == (member.strategies, member.ranks)
+            fixed = parent.profile_from_labels(prov.fixed)
+            replays = reduce_players(parent, prov.keep, fixed) == member
         else:
             replays = prov.kind == "seed" or is_reduction(member, parent)
         if not replays:

@@ -10,8 +10,9 @@ only place its payoffs are written down:
   jointly optimal;
 - ``chain4``: one player, a beats b, b ties c, c beats d.
 
-The CLI resolves a bare name like ``ex2`` or ``ex2.game`` that is not an
-existing file by loading the bundled file.
+The CLI resolves a bare name like ``ex2`` or ``ex2.game`` by loading the
+bundled file, and refuses one that is also an existing path, which
+``./ex2`` reads.
 """
 
 from __future__ import annotations

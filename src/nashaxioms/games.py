@@ -726,18 +726,9 @@ def reduce_players(game: Game, keep: Iterable[int], fixed: Profile) -> Game:
     if not isinstance(fixed, Profile):
         raise GameFormatError(f"fixed must be a Profile, got {fixed!r}")
     k = fixed.linear_index(game.shape)  # raises unless fixed fits the game
-    c = _column_of(game.shape, keep)[k]
-    return _assemble(len(keep), *_column_slice(game, keep, c))
-
-
-def _column_slice(
-    game: Game, keep: tuple[int, ...], c: int
-) -> tuple[tuple[tuple[str, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The kept players' labels and their dense rank tables on column
-    number ``c`` of ``_columns(game.shape, keep)``: the content of the
-    game reduced to the players in ``keep`` with the others pinned."""
+    cells = _columns(game.shape, keep)[_column_of(game.shape, keep)[k]]
     strategies = tuple(game.strategies[i] for i in keep)
-    return strategies, _slice_ranks(game, _columns(game.shape, keep)[c], keep)
+    return _assemble(len(keep), strategies, _slice_ranks(game, cells, keep))
 
 
 def _supersets(

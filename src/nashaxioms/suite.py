@@ -8,7 +8,7 @@ derived from the returned rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .axioms import AxiomVerdict, check_axiom, replay_witness
 from .closures import NAMED_CLASSES, GameClass, Provenance, build_named_class
@@ -49,12 +49,7 @@ class Expectation:
     detail: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "section": self.section,
-            "name": self.name,
-            "ok": self.ok,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _seed_witness(verdict: AxiomVerdict, cls: GameClass, profile, *strategies) -> bool:

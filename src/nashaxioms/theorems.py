@@ -10,7 +10,7 @@ correspondence on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
 from .axioms import AxiomVerdict, check_axiom
@@ -82,10 +82,7 @@ class ConstructionReport:
                 {"role": role, "game": g.canonical_id}
                 for role, g in self.constructed
             ],
-            "assertions": [
-                {"name": a.name, "passed": a.passed, "detail": a.detail}
-                for a in self.assertions
-            ],
+            "assertions": [asdict(a) for a in self.assertions],
             "violated_axioms": list(self.violated_axioms),
             "result": "pass" if self.all_passed else "violated",
         }

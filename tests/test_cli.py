@@ -609,6 +609,29 @@ def test_check_prints_the_coverage_of_a_counting_axiom(capsys):
             "profile 'U' does not name one strategy per player",
             id="profile-names-no-profile",
         ),
+        pytest.param(
+            ("--lemma", "2", "--class", "chain_strict", "--game", "pd",
+             "--concept", "nash", "--profile", "C,C"),
+            "--lemma 2 does not take --game, --concept, --profile",
+            id="2-with-game-concept-profile",
+        ),
+        pytest.param(
+            ("--lemma", "1b", "--game", "pd", "--profile", "D,D",
+             "--concept", "empty", "--class", "ex4"),
+            "--lemma 1b does not take --concept, --class",
+            id="1b-with-concept-class",
+        ),
+        pytest.param(
+            ("--lemma", "1a", "--game", "pd", "--concept", "nash",
+             "--profile", "D,D", "--class", "ex4"),
+            "--lemma 1a does not take --class",
+            id="1a-with-class",
+        ),
+        pytest.param(
+            ("--lemma", "2", "--game", "pd"),
+            "--lemma 2 does not take --game",
+            id="2-with-game-without-class",
+        ),
     ],
 )
 def test_construct_argument_errors(capsys, argv, message):
@@ -670,3 +693,68 @@ def test_a_directory_with_a_named_class_name_needs_a_path(
     # 2-player ``ex4``
     code, _, err = run_cli(capsys, "construct", "--lemma", "2", "--class", "./ex4")
     assert (code, err) == (0, "")
+
+
+def test_a_path_with_a_bundled_game_name_needs_a_path(
+    capsys, tmp_path, monkeypatch, ex2
+):
+    """A game spec or closure source that is both a bundled game's name,
+    with or without ``.game``, and an existing file or directory is
+    refused; ``./NAME`` reads the path."""
+    monkeypatch.chdir(tmp_path)
+    Path("pd").write_text(dump_game(ex2), encoding="utf-8")
+    Path("ex5.game").mkdir()
+    for spec in ("pd", "ex5.game"):
+        for argv in (
+            ("solve", spec),
+            ("construct", "--lemma", "1b", "--game", spec, "--profile", "U,L"),
+            ("closure", spec, "--mode", "d", "--out", "out"),
+        ):
+            assert_one_error(
+                *run_cli(capsys, *argv),
+                f"'{spec}' is both a bundled game and a path; "
+                f"write ./{spec} for the path",
+            )
+    assert not Path("out").exists()
+    assert run_cli(capsys, "solve", "./pd") == (0, "(U,L) (D,R)\n", "")
+    code, out, err = run_cli(
+        capsys, "construct", "--lemma", "1b", "--game", "./pd", "--profile", "U,L"
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith(f"game {ex2.canonical_id[:12]} profile (U,L)\n")
+    assert run_cli(capsys, "closure", "./pd", "--mode", "d", "--out", "out") == (
+        0,
+        "wrote out (9 games)\n",
+        "",
+    )
+    assert GameClass.read_dir("out").content_id() == d_closure([ex2]).content_id()
+    # the bundled names still work where no such path exists
+    assert run_cli(capsys, "solve", "pd.game") == (0, "(D,D)\n", "")
+
+
+GOLDEN_REPORTS = Path(__file__).parent / "golden" / "reports"
+
+#: Per file under ``golden/reports``, the command whose ``--report`` it holds.
+REPORT_COMMANDS = {
+    "check_mc_strong_nash_ex2_dclosed": (
+        "check --axiom mc --concept strong_nash --class ex2_dclosed"
+    ),
+    "construct_1a_pd_all_profiles_CC": (
+        "construct --lemma 1a --game pd --concept all_profiles --profile C,C"
+    ),
+    "construct_1b_cube222_aaa": (
+        "construct --lemma 1b --game cube222 --profile a,a,a"
+    ),
+    "construct_2_chain_strict": "construct --lemma 2 --class chain_strict",
+    "reproduce": "reproduce",
+}
+
+
+@pytest.mark.parametrize("name", REPORT_COMMANDS)
+def test_report_matches_golden(capsys, tmp_path, name):
+    """Every field of each kind of ``--report`` record, byte for byte."""
+    report = tmp_path / "report.json"
+    argv = REPORT_COMMANDS[name].split()
+    code, _, err = run_cli(capsys, *argv, "--report", str(report))
+    assert (code, err) == (0, "")
+    assert report.read_bytes() == (GOLDEN_REPORTS / f"{name}.json").read_bytes()
