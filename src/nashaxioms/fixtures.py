@@ -10,9 +10,8 @@ only place its payoffs are written down:
   jointly optimal;
 - ``chain4``: one player, a beats b, b ties c, c beats d.
 
-The CLI resolves a bare name like ``ex2`` or ``ex2.game`` by loading the
-bundled file, and refuses one that is also an existing path, which
-``./ex2`` reads.
+The CLI loads the bundled file for a name like ``ex2`` or ``ex2.game``,
+and refuses such a name that is also an existing path (``./ex2`` reads it).
 """
 
 from __future__ import annotations
