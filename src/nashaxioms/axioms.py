@@ -15,7 +15,7 @@ absent.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -58,7 +58,13 @@ class AxiomVerdict:
         return self.result == "pass"
 
     def to_record(self, class_name: str = "") -> dict:
-        return {**asdict(self), "class": class_name}
+        return {**_record(self), "class": class_name}
+
+
+def _record(obj) -> dict:
+    """A dataclass's fields by name, as its record: the values themselves,
+    not deep copies such as ``dataclasses.asdict`` makes."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 class _Table:

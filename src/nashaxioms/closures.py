@@ -6,6 +6,8 @@ breadth-first worklist with the frontier sorted by canonical id, so
 class contents, insertion order, and provenance are reproducible.  The
 d- and reduction closures are one pass over the seeds' specs, since
 those reductions compose; strict closures expand every new member.
+Each member is cut (``games._cut``) from its parent's cut plan, which
+the d- and reduction closures share per label structure.
 """
 
 from __future__ import annotations
@@ -24,14 +26,16 @@ from .games import (
     BudgetExceededError,
     Game,
     GameFormatError,
+    _cells,
     _column_of,
     _columns,
+    _cut,
+    _label_fact,
     _slice_ranks,
     enumerate_reductions,
     is_reduction,
     label_mask,
     reduce_players,
-    restrict,
 )
 from .gamefiles import check_fields, dump_game, load_game
 
@@ -496,6 +500,30 @@ class GameClass:
         return out
 
 
+def _cut_plan(
+    game: Game, flavor_filter: str, budget: int
+) -> tuple[tuple[tuple[tuple[str, ...], ...], tuple[int, ...]], ...]:
+    """Per spec of ``enumerate_reductions(game, flavor_filter, budget=budget)``,
+    in its order: the label tuples, which are the cut's strategies, and
+    the cut's cells (``_cells``).  For ``all`` and ``dummy-or-quasi`` the
+    specs depend on the labels alone, so the plan is worked out once per
+    strategy tuple, flavor and budget (``_label_fact``); strict specs
+    depend on dominance, so a strict plan is worked out for each parent
+    and kept nowhere.  A refused budget raises ``BudgetExceededError``
+    and stores no plan."""
+
+    def plan(g: Game):
+        out = []
+        for labels in enumerate_reductions(g, flavor_filter, budget=budget):
+            axes = [[pos[lab] for lab in s] for pos, s in zip(g.positions, labels)]
+            out.append((labels, tuple(_cells(g.shape, axes))))
+        return tuple(out)
+
+    if flavor_filter == "strict":
+        return plan(game)
+    return _label_fact(("cut plan", flavor_filter, budget), game, plan)
+
+
 def _closure(
     seeds: Iterable[Game],
     flavor_filter: str,
@@ -518,23 +546,23 @@ def _closure(
         )
     # Every member is its seed restricted to its labels, and restriction
     # composes, so (seed number, labels) names one game: a key seen before
-    # names a game already in the class, and is not restricted again.
+    # names a game already in the class, and is not cut again.
     seen = {(k, g.strategies) for k, g in enumerate(seed_list)}
     frontier = list(enumerate(seed_list))
     while frontier:
         next_frontier: list[tuple[int, Game]] = []
         for seed, parent in sorted(frontier, key=lambda p: p[1].canonical_id):
             try:
-                specs = enumerate_reductions(parent, flavor_filter, budget=budget)
+                plan = _cut_plan(parent, flavor_filter, budget)
             except BudgetExceededError as exc:
                 raise BudgetExceededError(
                     f"{exc}; frontier size {len(frontier)}"
                 ) from None
-            for labels in specs:
+            for labels, cells in plan:
                 if (seed, labels) in seen:
                     continue
                 seen.add((seed, labels))
-                child = restrict(parent, labels)
+                child = _cut(parent, labels, cells)
                 added = cls.add(
                     child,
                     Provenance(kind, parent=parent.canonical_id, subsets=labels),

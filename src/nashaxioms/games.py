@@ -13,7 +13,10 @@ tuples and profiles shared by every game of a shape, and for the facts
 in ``_facts``, values shared by every game of the same content, or of
 the same labels.  One is the best-response table (``_best_responses``),
 from which Nash equilibria, jointly optimal profiles and undominated
-strategies (``_undominated``) are all read.  ``label_mask`` packs labels
+strategies (``_undominated``) are all read.  Another is a closure's cut
+plan (``closures._cut_plan``): per spec, its label tuples and cells,
+worked out once per label structure, flavor and budget, from which
+``_cut`` builds each member.  ``label_mask`` packs labels
 into one int under a process-wide bit registry, so masks taken anywhere
 compare.
 
@@ -188,9 +191,10 @@ class Game:
                 )
         _assemble(self.player_count, strategies, ranks, self)
 
-    #: The canonical ids of the games this one restricts.  ``restrict``
-    #: sets it on the games it builds and ``is_reduction`` reads it; every
-    #: other game, one read from a file among them, has none.
+    #: The canonical ids of the games this one restricts.  ``_cut`` sets
+    #: it on the games ``restrict`` and the closures build, and
+    #: ``is_reduction`` reads it; every other game, one read from a file
+    #: among them, has none.
     _restricts = frozenset()
 
     @cached_property
@@ -380,8 +384,10 @@ _T = TypeVar("_T")
 #: ``jointly_optimal`` as the ``jo`` scan and the lemma gadgets read it,
 #: ``_undominated`` and its mask (``axioms.isds``), and the oracle's
 #: equilibria (``theorems.verify_theorem1``).  Label
-#: facts: each game's profile cells (``axioms._cells``) and its
-#: dummy-or-quasi specs (``theorems.audit_d_closed``).  A canonical id is
+#: facts: each game's profile cells (``axioms._cells``), its
+#: dummy-or-quasi specs (``theorems.audit_d_closed``) and, per flavor and
+#: budget, the cut plan of the d- and reduction closures
+#: (``closures._cut_plan``).  A canonical id is
 #: a string and strategies a tuple, so the two kinds never share a key.
 #: Every value is immutable, shared by every class and kept until
 #: ``concepts.clear_cache`` empties the memo.
@@ -551,13 +557,21 @@ def restrict(parent: Game, subsets) -> Game:
     player.  Restricting to the full subsets returns a game equal to
     the parent.  The game records that it restricts the parent and,
     since restriction composes, every game the parent restricts
-    (``Game._restricts``).
+    (``Game._restricts``); ``_cut`` builds it once the subsets pass.
     """
     idx = _kept_indices(parent, subsets)
     strategies = tuple(
         tuple(labels[k] for k in ks) for labels, ks in zip(parent.strategies, idx)
     )
-    cells = _cells(parent.shape, idx)
+    return _cut(parent, strategies, _cells(parent.shape, idx))
+
+
+def _cut(parent: Game, strategies, cells: Sequence[int]) -> Game:
+    """``restrict`` without its checks: ``parent`` cut to these label
+    tuples, in the parent's order, whose profiles are ``cells`` (``_cells``
+    of their indices).  Sets the restriction record.  ``restrict`` calls
+    it once its checks pass, and a closure once per member, from its plan
+    (``closures._cut_plan``)."""
     ranks = _slice_ranks(parent, cells, range(parent.player_count))
     child = _assemble(parent.player_count, strategies, ranks)
     vars(child)["_restricts"] = parent._restricts | {parent.canonical_id}

@@ -8,9 +8,9 @@ derived from the returned rows.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from .axioms import AxiomVerdict, check_axiom, replay_witness
+from .axioms import AxiomVerdict, _record, check_axiom, replay_witness
 from .closures import NAMED_CLASSES, GameClass, Provenance, build_named_class
 from .concepts import CONCEPT_IDS, ConceptDomainError, eval_concept
 from .fixtures import fixture_game
@@ -49,7 +49,7 @@ class Expectation:
     detail: str = ""
 
     def to_record(self) -> dict:
-        return asdict(self)
+        return _record(self)
 
 
 def _seed_witness(verdict: AxiomVerdict, cls: GameClass, profile, *strategies) -> bool:

@@ -10,10 +10,10 @@ correspondence on it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .axioms import AxiomVerdict, check_axiom
+from .axioms import AxiomVerdict, _record, check_axiom
 from .closures import GameClass
 from .concepts import (
     CONCEPT_IDS,
@@ -82,7 +82,7 @@ class ConstructionReport:
                 {"role": role, "game": g.canonical_id}
                 for role, g in self.constructed
             ],
-            "assertions": [asdict(a) for a in self.assertions],
+            "assertions": [_record(a) for a in self.assertions],
             "violated_axioms": list(self.violated_axioms),
             "result": "pass" if self.all_passed else "violated",
         }

@@ -22,7 +22,7 @@ import nashaxioms.closures as closures
 from nashaxioms.closures import Provenance
 from nashaxioms.fixtures import FIXTURES, fixture_game
 
-from conftest import random_square_game, random_subsets
+from conftest import random_square_game, random_subsets, shaped_game
 from naive_checks import naive_closure
 
 
@@ -194,9 +194,9 @@ def _as_pairs(cls):
     return [(cid, cls.provenance[cid].to_payload()) for cid in cls.ids()]
 
 
-def reduction_closure_of(seeds):
+def reduction_closure_of(seeds, **budget):
     """``reduction_closure`` of the one game in ``seeds``."""
-    return reduction_closure(*seeds)
+    return reduction_closure(*seeds, **budget)
 
 
 @pytest.mark.parametrize(
@@ -225,18 +225,116 @@ def test_closures_match_the_naive_search(mode, build):
 @pytest.mark.parametrize("seed", ["cube", "ex2", "chain", "4x4"])
 @pytest.mark.parametrize("build", [d_closure, strict_closure, reduction_closure_of])
 def test_closure_restricts_once_per_new_member(seed, build, request, monkeypatch):
-    """With one seed, each restriction a closure makes is a new member."""
+    """With one seed, each cut the closure engine makes from its plan
+    (``games._cut``) is a new member."""
     if seed == "4x4":
         game = random_square_game(random.Random(4), 4)
     else:
         game = request.getfixturevalue(seed)
     calls = []
-    real = closures.restrict
+    real = closures._cut
     monkeypatch.setattr(
-        closures, "restrict", lambda g, spec: calls.append(1) or real(g, spec)
+        closures, "_cut", lambda *args: calls.append(1) or real(*args)
     )
     cls = build([game])
     assert len(calls) == len(cls) - 1
+
+
+_MODES = [
+    ("d", d_closure), ("strict", strict_closure), ("reductions", reduction_closure_of)
+]
+
+
+def _assert_cuts_are_restrictions(cls):
+    """Every member with subsets in its record equals ``restrict`` of its
+    parent to them, in content and in its restriction record."""
+    for cid in cls.ids():
+        record = cls.provenance[cid]
+        if record.subsets is None:  # a seed or a player reduction
+            continue
+        member, parent = cls.get(cid), cls.get(record.parent)
+        expected = restrict(parent, record.subsets)
+        assert member == expected, (cid, record)
+        assert (
+            member._restricts
+            == expected._restricts
+            == parent._restricts | {record.parent}
+        ), (cid, record)
+
+
+@pytest.mark.parametrize("name", closures.NAMED_CLASSES)
+def test_named_class_members_are_their_restrictions(name):
+    _assert_cuts_are_restrictions(build_named_class(name))
+
+
+def test_closure_members_are_their_restrictions():
+    """The engine cuts members from a plan shared per label structure; each
+    of the three closures of every bundled seed and of random seeds that
+    share labels within a shape is the naive search's, member by member,
+    with every cut equal to ``restrict``'s.  One seed's three closures run
+    in turn, and seeds of a shape share labels, so a plan read under
+    another flavor, or a strict plan read for other ranks, shows."""
+    rng = random.Random(33)
+    seeds = [fixture_game(name) for name in FIXTURES] + [
+        shaped_game(rng, shape)
+        for shape in [(2, 2), (3, 3), (4, 4), (3, 3, 2)]
+        for _ in range(3)
+    ]
+    for seed in seeds:
+        for mode, build in _MODES:
+            cls = build([seed])
+            assert _as_pairs(cls) == naive_closure([seed], mode), (seed, mode)
+            _assert_cuts_are_restrictions(cls)
+
+
+def _budget_game(tag):
+    """A 2x2 game whose labels no other test uses, so no plan is kept for
+    them when the test starts: its d- and reduction closures each have 9
+    specs and 9 members."""
+    labels = [[f"{tag}U", f"{tag}D"], [f"{tag}L", f"{tag}R"]]
+    return build_game(2, labels, ranks=[[0, 1, 2, 3], [3, 2, 1, 0]])
+
+
+@pytest.mark.parametrize("build", [d_closure, reduction_closure_of])
+def test_a_refused_budget_keeps_no_plan(build):
+    """Refused, then given a larger budget, the same labels close."""
+    game = _budget_game(f"refused-{build.__name__}-")
+    with pytest.raises(
+        BudgetExceededError,
+        match="^9 subset specs exceed the budget of 8; frontier size 1$",
+    ):
+        build([game], budget=8)
+    assert len(build([game], budget=9)) == 9
+
+
+@pytest.mark.parametrize("build", [d_closure, reduction_closure_of])
+def test_a_kept_plan_does_not_lift_a_smaller_budget(build):
+    """Closed under one budget, the same labels still refuse a smaller one,
+    with the refusal of the specs that names the frontier."""
+    game = _budget_game(f"kept-{build.__name__}-")
+    assert len(build([game], budget=9)) == 9
+    with pytest.raises(
+        BudgetExceededError,
+        match="^9 subset specs exceed the budget of 8; frontier size 1$",
+    ):
+        build([game], budget=8)
+
+
+def test_d_closures_enumerate_specs_once_per_label_structure(monkeypatch):
+    """Two 2x2 games with one set of labels, unused elsewhere: their
+    d-closures enumerate the specs once between them."""
+    calls = []
+    real = closures.enumerate_reductions
+    monkeypatch.setattr(
+        closures,
+        "enumerate_reductions",
+        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs),
+    )
+    labels = [["countT", "countB"], ["countL", "countR"]]
+    first = build_game(2, labels, ranks=[[0, 1, 2, 3], [3, 2, 1, 0]])
+    second = build_game(2, labels, ranks=[[0, 0, 1, 0], [1, 0, 0, 0]])
+    assert len(d_closure([first])) == len(d_closure([second])) == 9
+    assert len(calls) == 1
 
 
 def test_budget_exceeded_names_frontier(ex2):
