@@ -30,6 +30,7 @@ from .games import (
     _column_of,
     _columns,
     _cut,
+    _fact,
     _label_fact,
     _slice_ranks,
     enumerate_reductions,
@@ -505,12 +506,12 @@ def _cut_plan(
 ) -> tuple[tuple[tuple[tuple[str, ...], ...], tuple[int, ...]], ...]:
     """Per spec of ``enumerate_reductions(game, flavor_filter, budget=budget)``,
     in its order: the label tuples, which are the cut's strategies, and
-    the cut's cells (``_cells``).  For ``all`` and ``dummy-or-quasi`` the
-    specs depend on the labels alone, so the plan is worked out once per
-    strategy tuple, flavor and budget (``_label_fact``); strict specs
-    depend on dominance, so a strict plan is worked out for each parent
-    and kept nowhere.  A refused budget raises ``BudgetExceededError``
-    and stores no plan."""
+    the cut's cells (``_cells``).  The plan is worked out once per flavor
+    and budget and shared by the closures and the closedness audits: for
+    ``all`` and ``dummy-or-quasi`` the specs depend on the labels alone,
+    so once per strategy tuple (``_label_fact``); strict specs depend on
+    dominance, so once per game content (``_fact``).  A refused budget
+    raises ``BudgetExceededError`` and stores no plan."""
 
     def plan(g: Game):
         out = []
@@ -519,9 +520,8 @@ def _cut_plan(
             out.append((labels, tuple(_cells(g.shape, axes))))
         return tuple(out)
 
-    if flavor_filter == "strict":
-        return plan(game)
-    return _label_fact(("cut plan", flavor_filter, budget), game, plan)
+    memo = _fact if flavor_filter == "strict" else _label_fact
+    return memo(("cut plan", flavor_filter, budget), game, plan)
 
 
 def _closure(

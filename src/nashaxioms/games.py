@@ -15,10 +15,10 @@ the same labels.  One is the best-response table (``_best_responses``),
 from which Nash equilibria, jointly optimal profiles and undominated
 strategies (``_undominated``) are all read.  Another is a closure's cut
 plan (``closures._cut_plan``): per spec, its label tuples and cells,
-worked out once per label structure, flavor and budget, from which
-``_cut`` builds each member.  ``label_mask`` packs labels
-into one int under a process-wide bit registry, so masks taken anywhere
-compare.
+worked out once per flavor, budget and label structure (game content for
+strict specs), from which ``_cut`` builds each member and which the
+closedness audits walk.  ``label_mask`` packs labels into one int under
+a process-wide bit registry, so masks taken anywhere compare.
 
 The registry and the memos are plain dicts filled without a lock, so
 they assume one thread: two threads calling ``label_mask`` at once can
@@ -382,12 +382,12 @@ _T = TypeVar("_T")
 #: ids (``concepts.eval_concept``), each concept's solution label sets
 #: (``axioms._Table``), the best-response table (``_best_responses``),
 #: ``jointly_optimal`` as the ``jo`` scan and the lemma gadgets read it,
-#: ``_undominated`` and its mask (``axioms.isds``), and the oracle's
-#: equilibria (``theorems.verify_theorem1``).  Label
-#: facts: each game's profile cells (``axioms._cells``), its
-#: dummy-or-quasi specs (``theorems.audit_d_closed``) and, per flavor and
-#: budget, the cut plan of the d- and reduction closures
-#: (``closures._cut_plan``).  A canonical id is
+#: ``_undominated`` and its mask (``axioms.isds``), the oracle's
+#: equilibria (``theorems.verify_theorem1``) and, per budget, the strict
+#: cut plan (``closures._cut_plan``).  Label facts: each game's profile
+#: cells (``axioms._cells``) and, per flavor and budget, the cut plan of
+#: the d- and reduction closures.  The closures and the closedness audits
+#: read the same plans.  A canonical id is
 #: a string and strategies a tuple, so the two kinds never share a key.
 #: Every value is immutable, shared by every class and kept until
 #: ``concepts.clear_cache`` empties the memo.

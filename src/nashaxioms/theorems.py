@@ -11,10 +11,9 @@ correspondence on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 from .axioms import AxiomVerdict, _record, check_axiom
-from .closures import GameClass
+from .closures import GameClass, _cut_plan
 from .concepts import (
     CONCEPT_IDS,
     ConceptDomainError,
@@ -22,11 +21,10 @@ from .concepts import (
     jointly_optimal,
 )
 from .games import (
+    DEFAULT_BUDGET,
     Game,
     Profile,
     _fact,
-    _label_fact,
-    enumerate_reductions,
     is_cut,
     is_reduction,
     is_strict_reduction,
@@ -268,18 +266,16 @@ class TheoremOneReport:
         }
 
 
-def _audit_closed(
-    cls: GameClass,
-    specs: Callable[[Game], Iterable[tuple]],
-    closed: str,
-    reduction: str,
-) -> None:
-    """Raise unless every reduction of every member that ``specs`` names
-    is itself a member; a member reduction carrying a spec's labels is
-    that spec's restriction, so labels suffice."""
+def _audit_closed(cls: GameClass, flavor: str, closed: str, reduction: str) -> None:
+    """Raise unless each spec of each member's ``flavor`` cut plan
+    (``_cut_plan``) names a member reduction; one with the spec's labels
+    is its restriction.  Plans are read at ``DEFAULT_BUDGET``: a member
+    with more specs raises ``BudgetExceededError``, as its closure would,
+    and keeps no plan.  Each spec names a distinct member, so only a
+    class of more than ``DEFAULT_BUDGET`` members can meet this."""
     for game in cls:
         present = {g.strategies for g in cls.reductions(game)}
-        for labels in specs(game):
+        for labels, _ in _cut_plan(game, flavor, DEFAULT_BUDGET):
             if labels not in present:
                 raise ValueError(
                     f"class is not {closed}: game {game.canonical_id[:12]} "
@@ -287,31 +283,15 @@ def _audit_closed(
                 )
 
 
-def _d_specs(game: Game) -> tuple[tuple[tuple[str, ...], ...], ...]:
-    """The game's dummy-or-quasi specs, which depend on its labels alone,
-    worked out once per strategy tuple (``_label_fact``)."""
-    return _label_fact(
-        "dummy-or-quasi",
-        game,
-        lambda g: tuple(enumerate_reductions(g, "dummy-or-quasi")),
-    )
-
-
 def audit_d_closed(cls: GameClass) -> None:
     """Raise unless every dummy/quasi-dummy reduction of every member
     is itself a member."""
-    _audit_closed(cls, _d_specs, "d-closed", "reduction")
+    _audit_closed(cls, "dummy-or-quasi", "d-closed", "reduction")
 
 
 def audit_strictly_closed(cls: GameClass) -> None:
-    """Raise unless every strict reduction of every member is a member.
-    Strict specs depend on dominance, so each member enumerates its own."""
-    _audit_closed(
-        cls,
-        lambda game: enumerate_reductions(game, "strict"),
-        "strictly closed",
-        "strict reduction",
-    )
+    """Raise unless every strict reduction of every member is a member."""
+    _audit_closed(cls, "strict", "strictly closed", "strict reduction")
 
 
 def verify_theorem1(cls: GameClass) -> TheoremOneReport:

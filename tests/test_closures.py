@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -20,6 +21,7 @@ from nashaxioms import (
 )
 import nashaxioms.closures as closures
 from nashaxioms.closures import Provenance
+from nashaxioms.theorems import audit_d_closed, audit_strictly_closed
 from nashaxioms.fixtures import FIXTURES, fixture_game
 
 from conftest import random_square_game, random_subsets, shaped_game
@@ -320,21 +322,54 @@ def test_a_kept_plan_does_not_lift_a_smaller_budget(build):
         build([game], budget=8)
 
 
+def _count_enumerations(monkeypatch) -> list:
+    """A list that grows by one on each ``enumerate_reductions`` call any
+    module of the package makes through its own name for the function."""
+    calls = []
+    real = enumerate_reductions
+    modules = [m for name, m in sys.modules.items() if name.startswith("nashaxioms")]
+    for module in modules:
+        if vars(module).get("enumerate_reductions") is real:
+            monkeypatch.setattr(
+                module,
+                "enumerate_reductions",
+                lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs),
+            )
+    return calls
+
+
 def test_d_closures_enumerate_specs_once_per_label_structure(monkeypatch):
     """Two 2x2 games with one set of labels, unused elsewhere: their
-    d-closures enumerate the specs once between them."""
-    calls = []
-    real = closures.enumerate_reductions
-    monkeypatch.setattr(
-        closures,
-        "enumerate_reductions",
-        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs),
-    )
+    d-closures enumerate the specs once between them, and their audits
+    read the closures' plans, so each label structure among the members
+    is enumerated once in all."""
+    calls = _count_enumerations(monkeypatch)
     labels = [["countT", "countB"], ["countL", "countR"]]
     first = build_game(2, labels, ranks=[[0, 1, 2, 3], [3, 2, 1, 0]])
     second = build_game(2, labels, ranks=[[0, 0, 1, 0], [1, 0, 0, 0]])
-    assert len(d_closure([first])) == len(d_closure([second])) == 9
+    classes = [d_closure([first]), d_closure([second])]
+    assert [len(cls) for cls in classes] == [9, 9]
     assert len(calls) == 1
+    for cls in classes:
+        audit_d_closed(cls)
+    assert len(calls) == len({g.strategies for cls in classes for g in cls}) == 9
+
+
+def test_strict_audits_read_the_closures_plans(monkeypatch):
+    """A one-player chain's strict closure works out one plan per member
+    content and its audit reads them; a chain with the same labels and
+    other ranks gets plans of its own, and its own closure."""
+    calls = _count_enumerations(monkeypatch)
+    labels = [["shareA", "shareB", "shareC", "shareD"]]
+    contents = set()
+    for ranks in ([0, 1, 2, 3], [3, 2, 1, 0]):
+        chain = build_game(1, labels, ranks=[ranks])
+        cls = strict_closure([chain])
+        assert _as_pairs(cls) == naive_closure([chain], "strict")
+        contents.update(cls.ids())
+        audit_strictly_closed(cls)
+        assert len(calls) == len(contents)
+    assert len(contents) == 16
 
 
 def test_budget_exceeded_names_frontier(ex2):

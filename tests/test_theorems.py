@@ -4,7 +4,9 @@ from collections import Counter
 
 import pytest
 
+import nashaxioms.theorems as theorems
 from nashaxioms import (
+    BudgetExceededError,
     GameClass,
     build_game,
     d_closure,
@@ -26,7 +28,7 @@ from nashaxioms.theorems import (
     audit_strictly_closed,
 )
 
-from conftest import random_game, weak_ordinal_2x2_games
+from conftest import random_game, shaped_game, weak_ordinal_2x2_games
 from naive_checks import (
     naive_audit_message,
     naive_is_reduction,
@@ -215,6 +217,33 @@ def test_forward_direction_rejects_unclosed_class(ex2_dclosed):
         verify_theorem1(corrupted)
 
 
+def _holed(full, gone) -> GameClass:
+    """``full`` without the member ``gone``, every other member a seed."""
+    holed = GameClass()
+    for game in full:
+        if game.canonical_id != gone:
+            holed.add(game, Provenance("seed"))
+    return holed
+
+
+def _assert_audit_names_the_hole(holed, mode, audit) -> None:
+    expected = naive_audit_message(holed, mode)
+    assert expected is not None
+    with pytest.raises(ValueError) as exc:
+        audit(holed)
+    assert str(exc.value) == expected
+
+
+#: Per mode, the seeded one-seed closures of benchmark size, as (seed
+#: shape, rank levels, members): the d-closures of a 4x4 game (the ``scan``
+#: workload's shape) and of a 3x3x2 game, and the strict closure of a
+#: one-player game with six strategies.
+_BENCHMARK_SIZE = {
+    "d": [((4, 4), 3, 121), ((3, 3, 2), 3, 147)],
+    "strict": [((6,), 6, 16)],
+}
+
+
 @pytest.mark.parametrize(
     "mode,closure,audit",
     [
@@ -225,7 +254,10 @@ def test_forward_direction_rejects_unclosed_class(ex2_dclosed):
 def test_closedness_audit_agrees_with_naive(mode, closure, audit):
     # Random two-seed closures (their label sets overlap) pass the audit;
     # with one non-seed member dropped, it raises exactly the
-    # restrict-and-lookup reference's message.
+    # restrict-and-lookup reference's message.  So do seeded closures of
+    # benchmark size, with a random non-seed member dropped and with the
+    # last member added dropped: for the 4x4 and one-player seeds, only
+    # the last spec of the seed's plan names it.
     rng = random.Random(20261018)
     dropped = 0
     for _ in range(40):
@@ -234,18 +266,57 @@ def test_closedness_audit_agrees_with_naive(mode, closure, audit):
         non_seeds = [c for c in full.ids() if full.provenance[c].kind != "seed"]
         if not non_seeds:
             continue
-        gone = rng.choice(non_seeds)
-        holed = GameClass()
-        for game in full:
-            if game.canonical_id != gone:
-                holed.add(game, Provenance("seed"))
-        expected = naive_audit_message(holed, mode)
-        assert expected is not None
-        with pytest.raises(ValueError) as exc:
-            audit(holed)
-        assert str(exc.value) == expected
+        _assert_audit_names_the_hole(_holed(full, rng.choice(non_seeds)), mode, audit)
         dropped += 1
     assert dropped >= 15
+    rng = random.Random(34)
+    for shape, levels, size in _BENCHMARK_SIZE[mode]:
+        full = closure([shaped_game(rng, shape, levels)])
+        assert len(full) == size
+        audit(full)
+        assert naive_audit_message(full, mode) is None
+        for gone in (rng.choice(full.ids()[1:]), full.ids()[-1]):
+            _assert_audit_names_the_hole(_holed(full, gone), mode, audit)
+
+
+@pytest.mark.parametrize(
+    "closure,audit,seed,specs",
+    [
+        (
+            d_closure,
+            audit_d_closed,
+            build_game(
+                2, [["audT", "audB"], ["audL", "audR"]], ranks=[[0, 1, 2, 3], [3, 2, 1, 0]]
+            ),
+            9,
+        ),
+        (
+            strict_closure,
+            audit_strictly_closed,
+            build_game(1, [["audA", "audB", "audC", "audD"]], ranks=[[0, 1, 2, 3]]),
+            8,
+        ),
+    ],
+    ids=["d", "strict"],
+)
+def test_an_audit_past_the_budget_refuses_and_keeps_no_plan(
+    monkeypatch, closure, audit, seed, specs
+):
+    """Audits read plans at ``DEFAULT_BUDGET``: below the seed's spec count
+    each audit refuses, twice, naming the budget, and afterwards an audit
+    at the real budget passes.  The seeds' labels are used nowhere else,
+    and each closure is built at its spec count, so no plan at either
+    budget exists beforehand."""
+    cls = closure([seed], budget=specs)
+    monkeypatch.setattr(theorems, "DEFAULT_BUDGET", specs - 1)
+    for _ in range(2):
+        with pytest.raises(
+            BudgetExceededError,
+            match=f"^{specs} subset specs exceed the budget of {specs - 1}$",
+        ):
+            audit(cls)
+    monkeypatch.undo()
+    audit(cls)
 
 
 def test_theorem1_records_do_not_depend_on_sharing_facts_across_classes():
