@@ -269,13 +269,12 @@ class TheoremOneReport:
 def _audit_closed(cls: GameClass, flavor: str, closed: str, reduction: str) -> None:
     """Raise unless each spec of each member's ``flavor`` cut plan
     (``_cut_plan``) names a member reduction; one with the spec's labels
-    is its restriction.  Plans are read at ``DEFAULT_BUDGET``: a member
-    with more specs raises ``BudgetExceededError``, as its closure would,
-    and keeps no plan.  Each spec names a distinct member, so only a
-    class of more than ``DEFAULT_BUDGET`` members can meet this."""
+    is its restriction.  Each spec names a distinct member, so plans read
+    at the class size or ``DEFAULT_BUDGET``, if larger, refuse no closed
+    class; a refused plan raises ``BudgetExceededError`` and is not kept."""
     for game in cls:
         present = {g.strategies for g in cls.reductions(game)}
-        for labels, _ in _cut_plan(game, flavor, DEFAULT_BUDGET):
+        for labels, _ in _cut_plan(game, flavor, max(DEFAULT_BUDGET, len(cls))):
             if labels not in present:
                 raise ValueError(
                     f"class is not {closed}: game {game.canonical_id[:12]} "

@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python tests/run_mutants.py [NAME ...]
+    python tests/run_mutants.py
 
 Each entry of ``tests/mutants.json`` names a file under ``src/``, an
 ``old`` text that occurs in it exactly once, the ``new`` text that
@@ -10,7 +10,7 @@ replaces it, and the test node ids that must catch the change.  The
 runner copies ``src/`` and ``tests/`` to a temporary directory, checks
 that the unmutated copy passes every named test, and then, one mutant
 at a time, applies it and runs its tests there with pytest.  A mutant
-whose tests all pass survives.  With names, only those entries run.
+whose tests all pass survives.
 
 Exit status: 0 when every mutant is killed, 1 when some survive (they
 are listed), 2 when the catalogue is stale or the unmutated tree fails.
@@ -75,15 +75,12 @@ def _pytest(tree: Path, nodes: list[str]) -> int:
     ).returncode
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     entries = load()
     problems = stale(entries)
-    unknown = set(argv) - {e["name"] for e in entries}
-    problems += [f"{name}: no such mutant" for name in sorted(unknown)]
     if problems:
         print("stale mutant catalogue:", *problems, sep="\n  ")
         return 2
-    chosen = [e for e in entries if not argv or e["name"] in argv]
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         for part in ("src", "tests"):
@@ -91,12 +88,12 @@ def main(argv: list[str]) -> int:
                 ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__")
             )
         shutil.copy(ROOT / "pyproject.toml", tree)
-        nodes = sorted({node for e in chosen for node in e["tests"]})
+        nodes = sorted({node for e in entries for node in e["tests"]})
         if _pytest(tree, nodes) != 0:
             print("the unmutated tree fails the catalogue's tests")
             return 2
         survivors = []
-        for e in chosen:
+        for e in entries:
             path = tree / e["file"]
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(e["old"], e["new"]), encoding="utf-8")
@@ -110,9 +107,9 @@ def main(argv: list[str]) -> int:
     if survivors:
         print("surviving mutants:", *survivors, sep="\n  ")
         return 1
-    print(f"all {len(chosen)} mutants killed")
+    print(f"all {len(entries)} mutants killed")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

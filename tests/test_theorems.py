@@ -280,9 +280,10 @@ def test_closedness_audit_agrees_with_naive(mode, closure, audit):
 
 
 @pytest.mark.parametrize(
-    "closure,audit,seed,specs",
+    "mode,closure,audit,seed,specs",
     [
         (
+            "d",
             d_closure,
             audit_d_closed,
             build_game(
@@ -291,6 +292,7 @@ def test_closedness_audit_agrees_with_naive(mode, closure, audit):
             9,
         ),
         (
+            "strict",
             strict_closure,
             audit_strictly_closed,
             build_game(1, [["audA", "audB", "audC", "audD"]], ranks=[[0, 1, 2, 3]]),
@@ -300,22 +302,28 @@ def test_closedness_audit_agrees_with_naive(mode, closure, audit):
     ids=["d", "strict"],
 )
 def test_an_audit_past_the_budget_refuses_and_keeps_no_plan(
-    monkeypatch, closure, audit, seed, specs
+    monkeypatch, mode, closure, audit, seed, specs
 ):
-    """Audits read plans at ``DEFAULT_BUDGET``: below the seed's spec count
-    each audit refuses, twice, naming the budget, and afterwards an audit
-    at the real budget passes.  The seeds' labels are used nowhere else,
-    and each closure is built at its spec count, so no plan at either
-    budget exists beforehand."""
+    """Audits read plans at ``DEFAULT_BUDGET`` or the class size, if
+    larger.  With ``DEFAULT_BUDGET`` below the seed's spec count, the
+    closed class still passes, while the seed alone, a class of one
+    member, is refused twice, naming the budget; afterwards, at the real
+    budget, the seed alone is refused as not closed and the closed class
+    passes.  The seeds' labels are used nowhere else, and each closure is
+    built at its spec count, so no plan at either budget exists
+    beforehand."""
     cls = closure([seed], budget=specs)
+    alone = _holed([seed], None)
     monkeypatch.setattr(theorems, "DEFAULT_BUDGET", specs - 1)
+    audit(cls)
     for _ in range(2):
         with pytest.raises(
             BudgetExceededError,
             match=f"^{specs} subset specs exceed the budget of {specs - 1}$",
         ):
-            audit(cls)
+            audit(alone)
     monkeypatch.undo()
+    _assert_audit_names_the_hole(alone, mode, audit)
     audit(cls)
 
 
