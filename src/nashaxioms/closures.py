@@ -38,7 +38,7 @@ from .games import (
     label_mask,
     reduce_players,
 )
-from .gamefiles import check_fields, dump_game, load_game
+from .gamefiles import check_fields, dump_game, load_game, unique_keys
 
 #: Per provenance kind a class member can carry: the fields its record
 #: holds besides ``kind``.
@@ -141,6 +141,13 @@ class Provenance:
             fixed=tuple(data["fixed"]) if "fixed" in data else None,
         )
 
+    @classmethod
+    def _of_cut(cls, kind: str, parent: str, subsets: tuple) -> "Provenance":
+        """A reduction record ``_closure`` made, without ``__post_init__``."""
+        record = object.__new__(cls)
+        vars(record).update(kind=kind, parent=parent, subsets=subsets)
+        return record
+
 
 #: Every class, so that ``clear_reductions`` reaches the facts each one's
 #: ``GameClass.derive`` worked out.
@@ -170,19 +177,24 @@ class GameClass:
         self.params: dict = dict(params or {})
         # each member's ``label_mask``
         self._masks: dict[str, int] = {}
-        # ``derive``'s memo: the members per label and per player count, the
-        # reductions of each member's top, the reduction relation per
-        # parent, the member per content, each game's player-reduced
+        # ``derive``'s memo: the members per label, per player count and per
+        # strategy tuple, the reduction relation of the members and of each
+        # other parent, the member per content, each game's player-reduced
         # members, and the scans' solver bitsets (``axioms``)
         self._derived: dict[tuple, object] = {}
         _classes.add(self)
 
     def add(self, game: Game, provenance: Provenance) -> bool:
         """Insert a game; returns False when it was already present."""
+        if game.canonical_id not in self._games:
+            self._check_record(game, provenance)
+        return self._insert(game, provenance)
+
+    def _insert(self, game: Game, provenance: Provenance) -> bool:
+        """``add`` without ``_check_record``, for the records ``_closure`` cuts."""
         cid = game.canonical_id
         if cid in self._games:
             return False
-        self._check_record(game, provenance)
         self._games[cid] = game
         self.provenance[cid] = provenance
         self._masks[cid] = label_mask(game.strategies)
@@ -251,26 +263,33 @@ class GameClass:
             memo[key] = compute()
         return memo[key]
 
-    def _index(self) -> tuple[list[Game], dict[int, int], dict[int, int]]:
+    def _index(self) -> tuple[list[Game], dict[int, int], dict[int, int], dict]:
         """The members in insertion order, and as bitsets over that order
-        (bit j: the j-th member) the members that have each label bit and
-        the members of each player count."""
+        (bit j: the j-th member) the members of each label bit, of each
+        player count and of each strategy tuple."""
         by_label: dict[int, int] = {}
         by_count: dict[int, int] = {}
+        by_strategies: dict[tuple, int] = {}
         for j, (cid, game) in enumerate(self._games.items()):
             member = 1 << j
-            n = game.player_count
+            n, labels = game.player_count, game.strategies
             by_count[n] = by_count.get(n, 0) | member
+            by_strategies[labels] = by_strategies.get(labels, 0) | member
             for b in _positions(self._masks[cid]):
                 by_label[1 << b] = by_label.get(1 << b, 0) | member
-        return list(self._games.values()), by_label, by_count
+        return list(self._games.values()), by_label, by_count, by_strategies
+
+    def by_strategies(self) -> dict[tuple, int]:
+        """Per strategy tuple, the members that carry it, as a bitset over
+        insertion order (``_index``)."""
+        return self.derive(("index",), self._index)[3]
 
     def _candidates(self, parent: Game) -> int:
         """The members that may be reductions of ``parent``, as a bitset
         over insertion order: a reduction keeps a subset of the parent's
         labels, so they are the members of the parent's player count less
         those with a label bit outside the parent's mask (``_index``)."""
-        _, by_label, by_count = self.derive(("index",), self._index)
+        _, by_label, by_count, _ = self.derive(("index",), self._index)
         outer = self.mask_of(parent)
         candidates = by_count.get(parent.player_count, 0)
         for bit, having in by_label.items():
@@ -339,18 +358,22 @@ class GameClass:
 
     def reduction_bits(self, parent: Game) -> int:
         """The members that are reductions of ``parent``, as a bitset over
-        insertion order, worked out once per parent (``derive``).
-        Restriction composes: a member restricts its top (``_tops``), so
-        its reductions are its candidates (``_candidates``) among the top's
-        reductions, with no ``is_reduction`` call.  A parent that is not a
-        member is checked one candidate at a time."""
-        return self.derive(
-            ("reductions", parent.canonical_id), lambda: self._reductions_of(parent)
-        )
+        insertion order: a member's entry of the class's one table
+        (``_relation``), or for any other parent its candidates that
+        ``_checked`` confirms, worked out once per parent (``derive``)."""
+        cid = parent.canonical_id
+        bits = self.derive(("relation",), self._relation).get(cid)
+        if bits is None:
+            bits = self.derive(("reductions", cid), lambda: self._checked(parent))
+        return bits
 
-    def _reductions_of(self, parent: Game) -> int:
-        within = self.derive(("tops",), self._tops).get(parent.canonical_id)
-        return self._candidates(parent) & within if within else self._checked(parent)
+    def _relation(self) -> dict[str, int]:
+        """Per member, its reductions as a bitset over insertion order, in
+        one pass.  Restriction composes: a member restricts its top
+        (``_tops``), so its reductions are its candidates (``_candidates``)
+        among the top's reductions, with no ``is_reduction`` call."""
+        within = self._tops()
+        return {c: self._candidates(g) & within[c] for c, g in self._games.items()}
 
     def player_reduced(
         self, game: Game
@@ -366,7 +389,7 @@ class GameClass:
         no member has them."""
 
         def compute():
-            present = self.derive(("strategies",), lambda: {g.strategies for g in self})
+            present = self.by_strategies()
             n, shape = game.player_count, game.shape
             out = []
             for mask in range(1, (1 << n) - 1):
@@ -460,8 +483,9 @@ class GameClass:
             return GameFormatError(f"{manifest_file}: {why}")
 
         try:
-            manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:  # bad bytes, syntax or nesting
+            text = manifest_file.read_text(encoding="utf-8")
+            manifest = json.loads(text, object_pairs_hook=unique_keys)
+        except (ValueError, RecursionError) as exc:  # bad bytes, syntax, nesting, keys
             raise malformed(exc) from None
         if not (isinstance(manifest, dict) and isinstance(manifest.get("games"), list)):
             raise malformed("expected an object with a 'games' list")
@@ -563,11 +587,8 @@ def _closure(
                     continue
                 seen.add((seed, labels))
                 child = _cut(parent, labels, cells)
-                added = cls.add(
-                    child,
-                    Provenance(kind, parent=parent.canonical_id, subsets=labels),
-                )
-                if added:
+                record = Provenance._of_cut(kind, parent.canonical_id, labels)
+                if cls._insert(child, record):
                     next_frontier.append((seed, child))
                     if len(cls) > budget:
                         raise BudgetExceededError(

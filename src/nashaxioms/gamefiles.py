@@ -22,6 +22,16 @@ def check_fields(data: dict, fields: tuple[str, ...], what: str) -> None:
             raise GameFormatError(f"{what} has unknown field {key!r}")
 
 
+def unique_keys(pairs: list) -> dict:
+    """``json``'s object hook: ``GameFormatError`` for a repeated key."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [k for k, _ in pairs]
+        twice = max(keys, key=keys.count)
+        raise GameFormatError(f"an object repeats the key {twice!r}")
+    return data
+
+
 def game_from_payload(data: dict) -> Game:
     """Validate a decoded game document and build the game."""
     if not isinstance(data, dict):
@@ -54,12 +64,12 @@ def game_from_payload(data: dict) -> Game:
 def parse_game(text: str) -> Game:
     """Parse game file text; syntax errors carry line and column."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise GameFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+    except (ValueError, RecursionError) as exc:  # long integers, nesting, repeated keys
         raise GameFormatError(f"undecodable JSON: {exc}") from None
     return game_from_payload(data)
 

@@ -268,14 +268,16 @@ class TheoremOneReport:
 
 def _audit_closed(cls: GameClass, flavor: str, closed: str, reduction: str) -> None:
     """Raise unless each spec of each member's ``flavor`` cut plan
-    (``_cut_plan``) names a member reduction; one with the spec's labels
-    is its restriction.  Each spec names a distinct member, so plans read
-    at the class size or ``DEFAULT_BUDGET``, if larger, refuse no closed
-    class; a refused plan raises ``BudgetExceededError`` and is not kept."""
+    (``_cut_plan``) names one of its reductions (``reduction_bits``): the one
+    with the spec's labels (``by_strategies``) is its restriction.  Each spec
+    names a distinct member, so plans read at the class size or
+    ``DEFAULT_BUDGET``, if larger, refuse no closed class; a refused plan
+    raises ``BudgetExceededError`` and is not kept."""
+    by_strategies = cls.by_strategies()
     for game in cls:
-        present = {g.strategies for g in cls.reductions(game)}
+        within = cls.reduction_bits(game)
         for labels, _ in _cut_plan(game, flavor, max(DEFAULT_BUDGET, len(cls))):
-            if labels not in present:
+            if not by_strategies.get(labels, 0) & within:
                 raise ValueError(
                     f"class is not {closed}: game {game.canonical_id[:12]} "
                     f"is missing the {reduction} with subsets {labels}"

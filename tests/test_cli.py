@@ -99,6 +99,31 @@ def test_unknown_game_file_field_is_named(capsys, tmp_path):
     assert err == f"error: {path}: game document has unknown field 'note'\n"
 
 
+def test_a_repeated_key_is_named(capsys, tmp_path, ex2_dclosed):
+    # ``json`` keeps the last value of a repeated key; a game file or a
+    # manifest that repeats one is refused instead
+    path = tmp_path / "g.game"
+    text = (
+        '{"players": 1, "strategies": [["a", "b"]], '
+        '"ranks": [[0]], "ranks": [[1, 0]]}'
+    )
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    why = "undecodable JSON: an object repeats the key 'ranks'"
+    assert err == f"error: {path}: {why}\n"
+    out_dir = ex2_dclosed.write_dir(tmp_path / "cls")
+    manifest = out_dir / "manifest.json"
+    text = manifest.read_text(encoding="utf-8")
+    repeated = text.replace('"params": {', '"params": {}, "params": {')
+    manifest.write_text(repeated, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "jo", "--concept", "nash", "--class", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {manifest}: an object repeats the key 'params'\n"
+
+
 def test_solve_domain_error(capsys):
     code, _, err = run_cli(capsys, "solve", "cube222", "--concept", "ex5_phi")
     assert code == 2
@@ -254,6 +279,10 @@ def _edit_entry(edit, k=0):
         pytest.param(
             lambda m: json.dumps({**m, "games": m["games"] + m["games"][:1]}),
             id="duplicate-id",
+        ),
+        pytest.param(
+            lambda m: json.dumps(m).replace('"kind"', '"kind": "seed", "kind"', 1),
+            id="provenance-repeats-a-key",
         ),
         # provenance fields of the wrong type are not reshaped by tuple()
         pytest.param(

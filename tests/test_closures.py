@@ -517,6 +517,32 @@ def test_directory_roundtrip(tmp_path, ex2_dclosed):
         assert loaded.replay_provenance(cid).canonical_id == cid
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: d_closure([shaped_game(rng, (3, 2)), shaped_game(rng, (2, 3))]),
+        lambda rng: strict_closure([fixture_game("chain4"), shaped_game(rng, (4,))]),
+        lambda rng: reduction_closure(shaped_game(rng, (2, 2, 2))),
+    ],
+    ids=["d", "strict", "reductions"],
+)
+def test_closure_records_are_what_add_accepts(build, tmp_path):
+    # A closure inserts the records it cuts without ``add``'s checks; read
+    # back, every one passes them and equals its original, hash included,
+    # as does the record its fields make through ``Provenance``.
+    cls = build(random.Random(35))
+    loaded = GameClass.read_dir(cls.write_dir(tmp_path / "cls"))
+    assert loaded.ids() == cls.ids()
+    kinds = set()
+    for cid, record in cls.provenance.items():
+        fields = {f: getattr(record, f) for f in ("parent", "subsets", "keep", "fixed")}
+        for same in (loaded.provenance[cid], Provenance(record.kind, **fields)):
+            assert same == record and hash(same) == hash(record)
+            assert same.to_payload() == record.to_payload()
+        kinds.add(record.kind)
+    assert len(kinds) == 2
+
+
 def test_unknown_class_name():
     with pytest.raises(ValueError):
         build_named_class("nonsense")

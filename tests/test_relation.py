@@ -1,11 +1,12 @@
-"""The reduction relation on classes whose members share labels.
+"""The reduction relation, against ``naive_is_reduction``.
 
-Many members of these classes carry the same strategy tuple, so a label
-mask alone does not tell a parent's reduction from the other members of
-its labels.  The differential below reads ``reduction_bits`` for every
-(member, parent) pair, on classes built in memory, whose games carry the
-record ``restrict`` leaves, and on the same classes read back from disk,
-whose games carry none, against ``naive_is_reduction``.
+Many members of the first classes carry the same strategy tuple, so a
+label mask alone does not tell a parent's reduction from the other
+members of its labels; the second are the classes the benchmark's
+per-class work runs on.  The differentials read ``reduction_bits`` for
+every (member, parent) pair, on classes built in memory, whose games
+carry the record ``restrict`` leaves, and on the same classes read back
+from disk, whose games carry none.
 """
 
 import random
@@ -58,3 +59,42 @@ def test_reduction_bits_agree_with_naive_on_shared_labels(name, tmp_path):
         )
         assert cls.reduction_bits(parent) == want, parent
         assert loaded.reduction_bits(loaded.get(parent.canonical_id)) == want, parent
+
+
+#: Per class, how it is built and its size: a 2x2 d-closure, as ``sweep2x2``
+#: checks one per game, and the two shapes of the ``scan`` workload.
+BENCHMARK_CLASSES = {
+    "d-closure-2x2": (lambda: d_closure([shaped_game(random.Random(1), (2, 2))]), 9),
+    "reductions-4x4": (
+        lambda: reduction_closure(shaped_game(random.Random(2), (4, 4), 5)),
+        225,
+    ),
+    "player-reduced-3x3x2": (_player_reduced, 370),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_CLASSES))
+def test_relation_table_agrees_with_naive(name, tmp_path):
+    # every member's entry of the class's one relation table, and a parent
+    # outside the class, whose candidates are checked one at a time
+    build, size = BENCHMARK_CLASSES[name]
+    cls = build()
+    assert len(cls) == size
+    loaded = GameClass.read_dir(cls.write_dir(tmp_path / "cls"))
+    assert loaded.ids() == cls.ids()
+    members = list(cls)
+
+    def naive(parent):
+        return sum(
+            1 << j for j, g in enumerate(members) if naive_is_reduction(g, parent)
+        )
+
+    wants = list(map(naive, members))
+    for parent, want in zip(members, wants):
+        assert cls.reduction_bits(parent) == want, parent
+        assert loaded.reduction_bits(loaded.get(parent.canonical_id)) == want, parent
+    outsider = shaped_game(random.Random(5), members[0].shape, 5)
+    assert outsider not in cls
+    assert cls.reduction_bits(outsider) == naive(outsider) != 0
+    # a parent outside the class leaves the members' table as it was
+    assert [cls.reduction_bits(g) for g in members] == wants

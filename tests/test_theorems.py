@@ -205,6 +205,28 @@ def test_forward_direction_on_every_weak_ordinal_2x2_dclosure():
     assert failed == []
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 2, 2)], ids=["2x2", "3x3", "2x2x2"])
+def test_theorem1_builds_one_relation_table(shape, monkeypatch):
+    # The audit and the four scans read one relation table per class.  A
+    # one-seed d-closure has one top, the seed, and every member is its
+    # candidate, so the table costs one ``is_reduction`` call per member.
+    import nashaxioms.closures as closures
+
+    calls = Counter()
+    tops, is_reduction = GameClass._tops, closures.is_reduction
+    monkeypatch.setattr(
+        GameClass, "_tops", lambda cls: calls.update(["_tops"]) or tops(cls)
+    )
+    monkeypatch.setattr(
+        closures,
+        "is_reduction",
+        lambda g, h: calls.update(["is_reduction"]) or is_reduction(g, h),
+    )
+    cls = d_closure([shaped_game(random.Random(35), shape)])
+    assert verify_theorem1(cls).all_passed
+    assert calls == {"_tops": 1, "is_reduction": len(cls)}
+
+
 def test_forward_direction_rejects_unclosed_class(ex2_dclosed):
     corrupted = GameClass()
     # drop one non-seed member
