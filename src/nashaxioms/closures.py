@@ -143,7 +143,9 @@ class Provenance:
 
     @classmethod
     def _of_cut(cls, kind: str, parent: str, subsets: tuple) -> "Provenance":
-        """A reduction record ``_closure`` made, without ``__post_init__``."""
+        """A reduction record ``_closure`` made, built without ``__post_init__``:
+        ``kind`` is a reduction kind, whose fields are ``parent`` and
+        ``subsets``, and ``keep`` and ``fixed`` read their defaults, None."""
         record = object.__new__(cls)
         vars(record).update(kind=kind, parent=parent, subsets=subsets)
         return record
@@ -191,7 +193,8 @@ class GameClass:
         return self._insert(game, provenance)
 
     def _insert(self, game: Game, provenance: Provenance) -> bool:
-        """``add`` without ``_check_record``, for the records ``_closure`` cuts."""
+        """``add`` without ``_check_record``, for the records ``_closure`` cuts,
+        which name a member as parent and the game's strategies as subsets."""
         cid = game.canonical_id
         if cid in self._games:
             return False
