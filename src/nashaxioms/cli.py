@@ -32,7 +32,7 @@ from .closures import (
 from .concepts import CONCEPT_IDS, ConceptDomainError, eval_concept
 from .fixtures import FIXTURES, fixture_game
 from .games import BudgetExceededError, DEFAULT_BUDGET, Game, GameFormatError
-from .gamefiles import load_game
+from .gamefiles import dump_json, load_game
 from .suite import render, run_suite
 from .theorems import (
     lemma1a_witness,
@@ -107,9 +107,7 @@ def _write_report(path: str | None, records: list[dict]) -> None:
     """Write the ``--report`` JSON, if asked for.  Commands call this
     before printing anything, so a failed write leaves no half-done run."""
     if path:
-        Path(path).write_text(
-            json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        Path(path).write_text(dump_json(records), encoding="utf-8")
 
 
 def _cmd_solve(args) -> int:

@@ -13,7 +13,6 @@ the d- and reduction closures share per label structure.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import weakref
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from .games import (
     label_mask,
     reduce_players,
 )
-from .gamefiles import check_fields, dump_game, load_game, unique_keys
+from .gamefiles import check_fields, decode_json, dump_game, dump_json, load_game
 
 #: Per provenance kind a class member can carry: the fields its record
 #: holds besides ``kind``.
@@ -469,10 +468,7 @@ class GameClass:
                 }
             )
         manifest = {"params": self.params, "games": entries}
-        (path / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        (path / "manifest.json").write_text(dump_json(manifest), encoding="utf-8")
         return path
 
     @classmethod
@@ -487,7 +483,7 @@ class GameClass:
 
         try:
             text = manifest_file.read_text(encoding="utf-8")
-            manifest = json.loads(text, object_pairs_hook=unique_keys)
+            manifest = decode_json(text)
         except (ValueError, RecursionError) as exc:  # bad bytes, syntax, nesting, keys
             raise malformed(exc) from None
         if not (isinstance(manifest, dict) and isinstance(manifest.get("games"), list)):
@@ -514,7 +510,8 @@ class GameClass:
                 ) from None
             except GameFormatError as exc:
                 raise malformed(f"game entry {k}: {exc}") from None
-            if not isinstance(fname, str) or os.path.basename(fname) != fname:
+            plain = isinstance(fname, str) and "\0" not in fname
+            if not plain or os.path.basename(fname) != fname:
                 raise malformed(f"game entry {k}: {fname!r} is not a plain file name")
             game = load_game(os.path.join(folder, fname))
             if game.canonical_id != cid:

@@ -5,11 +5,15 @@ A game file is a JSON document with three fields and no others:
 player), and exactly one of ``payoffs`` or ``ranks`` (one flat list per
 player, in linear-index order with player 1 most significant, so
 profile (i1,...,in) sits at index ((i1*|S2|+i2)*|S3|+...)).
+
+Every file the program writes is ``json.dumps(value, indent=2,
+sort_keys=True)`` byte for byte, and every file it reads is decoded once.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .games import Game, GameFormatError, build_game
@@ -30,6 +34,16 @@ def unique_keys(pairs: list) -> dict:
         twice = max(keys, key=keys.count)
         raise GameFormatError(f"an object repeats the key {twice!r}")
     return data
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=unique_keys)
+
+
+def decode_json(text: str):
+    """``json.loads(text, object_pairs_hook=unique_keys)``, one decoder for all."""
+    if text.startswith("\ufeff"):
+        return json.loads(text)  # raises json's own byte-order-mark error
+    return _DECODER.decode(text)
 
 
 def game_from_payload(data: dict) -> Game:
@@ -64,7 +78,7 @@ def game_from_payload(data: dict) -> Game:
 def parse_game(text: str) -> Game:
     """Parse game file text; syntax errors carry line and column."""
     try:
-        data = json.loads(text, object_pairs_hook=unique_keys)
+        data = decode_json(text)
     except json.JSONDecodeError as exc:
         raise GameFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -79,7 +93,7 @@ def load_game(path: str | Path) -> Game:
     try:
         with open(path, encoding="utf-8") as f:
             return parse_game(f.read())
-    except (GameFormatError, OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a NUL byte in the path included
         raise GameFormatError(f"{Path(path)}: {exc}") from None
 
 
@@ -92,5 +106,46 @@ def game_payload(game: Game) -> dict:
     }
 
 
+_SCALARS = {str: _quote, int: int.__repr__}
+
+
+def _dump(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it where its lines start with ``newline``."""
+    kind = type(value)
+    if kind is str or kind is int:
+        return _SCALARS[kind](value)
+    inner = newline + "  "
+    if kind is dict and value and all(type(k) is str for k in value):
+        items = [f"{_quote(k)}: {_dump(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if (kind is list or kind is tuple) and value:
+        first = type(value[0])
+        if first in _SCALARS and all(type(v) is first for v in value):
+            return _list(map(_SCALARS[first], value), newline)
+        return _list([_dump(v, inner) for v in value], newline)
+    # floats, None, booleans, empty containers, other keys, subclasses
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
+def _list(items, newline: str) -> str:
+    """Written items as ``json.dumps`` lays out a non-empty list there."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def dump_json(value) -> str:
+    """Exactly ``json.dumps(value, indent=2, sort_keys=True) + "\n"``, a
+    cycle aside (``RecursionError``), without the pure-Python encoder."""
+    return _dump(value, "\n") + "\n"
+
+
 def dump_game(game: Game) -> str:
-    return json.dumps(game_payload(game), indent=2, sort_keys=True) + "\n"
+    """``dump_json(game_payload(game))``, written from the fields: a
+    game's lists are non-empty and hold labels or exact ints only."""
+    ranks = _list([_list(map(int.__repr__, r), "\n    ") for r in game.ranks], "\n  ")
+    labels = _list([_list(map(_quote, s), "\n    ") for s in game.strategies], "\n  ")
+    return (
+        f'{{\n  "players": {game.player_count},\n  "ranks": {ranks},\n'
+        f'  "strategies": {labels}\n}}\n'
+    )

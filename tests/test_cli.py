@@ -124,6 +124,27 @@ def test_a_repeated_key_is_named(capsys, tmp_path, ex2_dclosed):
     assert err == f"error: {manifest}: an object repeats the key 'params'\n"
 
 
+def test_a_byte_order_mark_is_named(capsys, tmp_path, ex2_dclosed):
+    # ``json.loads`` refuses a leading byte-order mark; the one shared
+    # decoder keeps that check, with the same message
+    bom = "\N{ZERO WIDTH NO-BREAK SPACE}"
+    path = tmp_path / "g.game"
+    path.write_text(bom + dump_game(ex2_dclosed.members()[0]), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    why = "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    assert err == f"error: {path}: {why}\n"
+    out_dir = ex2_dclosed.write_dir(tmp_path / "cls")
+    manifest = out_dir / "manifest.json"
+    manifest.write_text(bom + manifest.read_text(encoding="utf-8"), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "check", "--axiom", "jo", "--concept", "nash", "--class", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    why = "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    assert err == f"error: {manifest}: {why}\n"
+
+
 def test_solve_domain_error(capsys):
     code, _, err = run_cli(capsys, "solve", "cube222", "--concept", "ex5_phi")
     assert code == 2
@@ -251,6 +272,11 @@ def _edit_entry(edit, k=0):
         pytest.param(
             _edit_entry(lambda e: e.update(file=f"../cls/{e['file']}")),
             id="file-path-via-parent",
+        ),
+        # ``open`` refuses the path with a ValueError, not an OSError
+        pytest.param(
+            _edit_entry(lambda e: e.update(file="a\0b.game")),
+            id="file-with-a-nul-byte",
         ),
         pytest.param(
             _edit_entry(lambda e: e["provenance"].update(kind="bogus")),

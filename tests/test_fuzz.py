@@ -24,7 +24,7 @@ from nashaxioms import (
     restrict,
 )
 from nashaxioms.fixtures import fixture_game
-from nashaxioms.gamefiles import game_payload
+from nashaxioms.gamefiles import dump_game, dump_json, game_payload
 
 from naive_checks import naive_build_error, naive_dense, naive_game_error
 
@@ -242,3 +242,76 @@ def test_table_checks_agree_with_naive(arguments):
     assert want is None
     rebuilt = build_game(players, strategies, ranks=tables)
     assert game == rebuilt and game.canonical_id == rebuilt.canonical_id
+
+
+class Label(str):
+    """A str subclass: ``json`` writes it as a string."""
+
+
+#: Every kind of value ``json.dumps`` writes or refuses: tuples, keys
+#: that are not strings (mixed ones refuse to sort), ``NaN``, infinities,
+#: empty containers, any string, subclasses and values it cannot write.
+WRITABLE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**20), max_value=10**20)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from([Label("x"), Rank(2), b"x", {1}]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    | st.dictionaries(
+        st.text(max_size=2)
+        | st.integers(-2, 2)
+        | st.floats()
+        | st.booleans()
+        | st.none()
+        | st.just(Label("k")),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=8,
+)
+
+
+def _written(write, value):
+    try:
+        return write(value)
+    except TypeError:
+        return TypeError
+
+
+@settings(FUZZ, max_examples=1000)
+@given(WRITABLE)
+def test_dump_json_is_json_dumps(value):
+    """``dump_json`` writes every value byte for byte as ``json.dumps``
+    with ``indent=2`` and sorted keys, or both raise ``TypeError``."""
+    expected = _written(lambda v: json.dumps(v, indent=2, sort_keys=True) + "\n", value)
+    assert _written(dump_json, value) == expected
+
+
+#: Labels with characters a hand-written writer could get wrong: quotes,
+#: backslashes, control characters, non-ASCII and list syntax.
+LABELS = st.text(
+    st.sampled_from('"\\\n\t\x00\x7fé☃𝄞],[ a1') | st.characters(), max_size=4
+)
+
+
+@st.composite
+def labelled_games(draw):
+    game = draw(games())
+    labels = [
+        draw(st.lists(LABELS, min_size=size, max_size=size, unique=True))
+        for size in game.shape
+    ]
+    return Game(game.player_count, labels, game.ranks)
+
+
+@FUZZ
+@given(labelled_games())
+def test_dump_game_is_json_dumps_of_its_payload(game):
+    payload = game_payload(game)
+    assert dump_game(game) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert dump_json(payload) == dump_game(game)
+    assert parse_game(dump_game(game)) == game

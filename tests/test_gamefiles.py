@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from nashaxioms import GameFormatError, build_game, dump_game, load_game, parse_game
 from nashaxioms.fixtures import FIXTURES, fixture_game
+from nashaxioms.gamefiles import decode_json, dump_json
 
 
 def test_parse_payoffs_and_ranks_agree():
@@ -105,3 +108,67 @@ def test_load_names_an_unreadable_file(tmp_path):
     path.write_bytes(b"\xff")
     with pytest.raises(GameFormatError, match="g.game: 'utf-8' codec"):
         load_game(path)
+    path = tmp_path / "a\0b.game"
+    with pytest.raises(GameFormatError) as err:
+        load_game(path)
+    assert str(err.value) == f"{path}: embedded null byte"
+
+
+def test_the_shared_decoder_keeps_no_state():
+    # every file is read through one decoder object; a refused document
+    # leaves nothing behind that changes how the next one reads
+    repeated = '{"a": {"b": 1, "b": 2}}'
+    for _ in range(2):
+        with pytest.raises(GameFormatError, match="repeats the key 'b'"):
+            decode_json(repeated)
+        with pytest.raises(json.JSONDecodeError) as err:
+            decode_json('{"a": [1, 2}')
+        assert (err.value.lineno, err.value.colno) == (1, 12)
+        text = '{"a": [1, {"b": "x"}], "b": {"b": 1}, "c": "x"}'
+        assert decode_json(text) == json.loads(text)
+        bom = "\N{ZERO WIDTH NO-BREAK SPACE}"
+        with pytest.raises(json.JSONDecodeError, match="Unexpected UTF-8 BOM"):
+            decode_json(bom + text)
+
+
+class Label(str):
+    """A str subclass: ``json`` writes it as a string."""
+
+
+#: Values whose text a writer that is not ``json`` could get wrong: lists
+#: of mixed types, booleans among ints, subclasses, keys that are not
+#: strings or do not sort, empty and nested containers, escapes.
+TRICKY_VALUES = {
+    "int-then-str": [1, "a"],
+    "str-then-int": ["a", 1],
+    "int-then-bool": [1, True],
+    "bool-then-int": [True, 1],
+    "int-then-float": [1, 1.0],
+    "str-then-none": ["a", None],
+    "subclass-then-str": [Label("x"), "y"],
+    "str-then-subclass": ["y", Label("x")],
+    "empty-containers": [[], {}, ()],
+    "tuples": (1, ("x", 2.5)),
+    "nested-dicts": {"b": 1, "a": [2, "x"], "c": {"": ()}},
+    "nan-and-infinities": {"k": [float("nan"), float("inf"), -float("inf")]},
+    "int-keys": {2: [1], 1: {}},
+    "keys-that-do-not-sort": {1: "a", "1": "b"},
+    "subclass-key": {Label("k"): 1, "j": 2},
+    "escapes": ["\u00e9\n\"\\", "\x00\x7f", "\U0001d11e"],
+    "empty-string": "",
+    "negative-zero": -0.0,
+    "none": None,
+    "nested-empty-list": [[[]]],
+    "not-writable": [{1, 2}],
+}
+
+
+@pytest.mark.parametrize("value", TRICKY_VALUES.values(), ids=TRICKY_VALUES)
+def test_dump_json_writes_what_json_dumps_writes(value):
+    try:
+        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            dump_json(value)
+    else:
+        assert dump_json(value) == expected

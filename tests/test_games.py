@@ -162,6 +162,26 @@ def test_build_errors():
         Game("2", (("a",), ("x",)), ((0,), (0,)))
 
 
+@pytest.mark.parametrize(
+    "table,why",
+    [
+        ((0,), "covers 1 profiles, expected 2"),
+        ((0, 1, 0), "covers 3 profiles, expected 2"),
+        ((0, 2), "is not dense-normalized"),
+        ((1, 1), "is not dense-normalized"),
+        ((0, -1), "must hold non-negative integers"),
+        ((0, 1.0), "must hold non-negative integers"),
+        ((0, True), "must hold non-negative integers"),
+    ],
+    ids=["short", "long", "gap", "no-zero", "negative", "float", "bool"],
+)
+def test_game_checks_each_rank_table(table, why):
+    # the second player's table, so the message must name the right one
+    with pytest.raises(GameFormatError) as err:
+        Game(2, (("a", "b"), ("x",)), ((1, 0), table))
+    assert str(err.value) == f"rank table for player 2 {why}"
+
+
 def test_tables_and_strategies_that_are_not_lists_are_named():
     with pytest.raises(GameFormatError, match="^table is not a sequence$"):
         build_game(1, [["a"]], payoffs=[5])
