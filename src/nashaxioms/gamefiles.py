@@ -118,7 +118,7 @@ def _dump(value, newline: str) -> str:
     inner = newline + "  "
     if kind is dict and value and all(type(k) is str for k in value):
         items = [f"{_quote(k)}: {_dump(value[k], inner)}" for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
     if (kind is list or kind is tuple) and value:
         first = type(value[0])
         if first in _SCALARS and all(type(v) is first for v in value):
@@ -131,7 +131,7 @@ def _dump(value, newline: str) -> str:
 def _list(items, newline: str) -> str:
     """Written items as ``json.dumps`` lays out a non-empty list there."""
     inner = newline + "  "
-    return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return f"[{inner}{(',' + inner).join(items)}{newline}]"
 
 
 def dump_json(value) -> str:
