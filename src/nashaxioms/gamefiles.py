@@ -7,7 +7,7 @@ player, in linear-index order with player 1 most significant, so
 profile (i1,...,in) sits at index ((i1*|S2|+i2)*|S3|+...)).
 
 Every file the program writes is ``json.dumps(value, indent=2,
-sort_keys=True)`` byte for byte, and every file it reads is decoded once.
+sort_keys=True)`` byte for byte; every file it reads goes through one decoder.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def _list(items, newline: str) -> str:
 
 
 def dump_json(value) -> str:
-    """Exactly ``json.dumps(value, indent=2, sort_keys=True) + "\n"``, a
-    cycle aside (``RecursionError``), without the pure-Python encoder."""
+    """Exactly ``json.dumps(value, indent=2, sort_keys=True) + "\n"`` (a
+    cycle raises ``RecursionError``); ``json`` writes only what ``_dump`` cannot."""
     return _dump(value, "\n") + "\n"
 
 
