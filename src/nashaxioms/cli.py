@@ -156,27 +156,37 @@ def _cmd_check(args) -> int:
     return 0
 
 
+#: Per ``construct --lemma``: the flags it needs, in the order its
+#: messages name them.  It takes no other flag.
+_LEMMA_FLAGS = {
+    "1a": ("--game", "--concept", "--profile"),
+    "1b": ("--game", "--profile"),
+    "2": ("--class",),
+}
+
+
 def _cmd_construct(args) -> int:
-    if args.lemma == "2":
-        flags = {
-            "--game": args.game, "--concept": args.concept, "--profile": args.profile
-        }
-    else:
-        flags = {"--concept": args.concept if args.lemma == "1b" else None}
-        flags["--class"] = args.class_spec
-    unread = [flag for flag, value in flags.items() if value is not None]
+    given = {
+        "--game": args.game,
+        "--concept": args.concept,
+        "--profile": args.profile,
+        "--class": args.class_spec,
+    }
+    needed = _LEMMA_FLAGS[args.lemma]
+    unread = [f for f, value in given.items() if value is not None and f not in needed]
     if unread:
         raise GameFormatError(
             f"--lemma {args.lemma} does not take {', '.join(unread)}"
         )
-    if args.lemma in ("1a", "1b"):
-        if not (args.game and args.profile) or (
-            args.lemma == "1a" and not args.concept
-        ):
-            needed = "--game and --profile"
-            if args.lemma == "1a":
-                needed = "--game, --concept and --profile"
-            raise GameFormatError(f"--lemma {args.lemma} needs {needed}")
+    if not all(given[f] for f in needed):
+        named = " and ".join(", ".join(needed).rsplit(", ", 1))
+        raise GameFormatError(f"--lemma {args.lemma} needs {named}")
+    if args.lemma == "2":
+        class_name, cls = _resolve_class(args.class_spec)
+        report = verify_one_player_lemma(cls)
+        record = report.to_record(class_name)
+        ok = report.all_consistent
+    else:
         game = _resolve_game(args.game)
         profile = _parse_profile_arg(game, args.profile)
         if args.lemma == "1a":
@@ -185,13 +195,6 @@ def _cmd_construct(args) -> int:
             report = lemma1b_construct(game, profile)
         record = report.to_record()
         ok = report.all_passed
-    else:  # lemma 2
-        if not args.class_spec:
-            raise GameFormatError("--lemma 2 needs --class")
-        class_name, cls = _resolve_class(args.class_spec)
-        report = verify_one_player_lemma(cls)
-        record = report.to_record(class_name)
-        ok = report.all_consistent
     _write_report(args.report, [record])
     print("\n".join(report.lines()))
     return 0 if ok else 1
@@ -247,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("construct", help="run a proof construction")
-    p.add_argument("--lemma", required=True, choices=("1a", "1b", "2"))
+    p.add_argument("--lemma", required=True, choices=tuple(_LEMMA_FLAGS))
     p.add_argument("--game", default=None, help="game file or bundled name")
     p.add_argument("--concept", default=None, choices=CONCEPT_IDS)
     p.add_argument("--profile", default=None, help="comma-separated labels")

@@ -52,7 +52,7 @@ PROVENANCE_KINDS = tuple(_KIND_FIELDS)
 
 
 def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
 def _fields_of(kind) -> tuple[str, ...]:
@@ -63,18 +63,21 @@ def _fields_of(kind) -> tuple[str, ...]:
     return _KIND_FIELDS[kind]
 
 
-#: Per optional provenance field: its type test and its description.
+#: Per optional provenance field: its type test (a list or a tuple where
+#: it holds several values), its description, and how it is stored.
 _PAYLOAD_TYPES = {
-    "parent": (lambda v: isinstance(v, str), "a string"),
+    "parent": (lambda v: isinstance(v, str), "a string", str),
     "subsets": (
-        lambda v: isinstance(v, list) and all(map(_strings, v)),
+        lambda v: isinstance(v, (list, tuple)) and all(map(_strings, v)),
         "a list of lists of strings",
+        lambda v: tuple(map(tuple, v)),
     ),
     "keep": (
-        lambda v: isinstance(v, list) and all(type(i) is int for i in v),
+        lambda v: isinstance(v, (list, tuple)) and all(type(i) is int for i in v),
         "a list of integers",
+        tuple,
     ),
-    "fixed": (_strings, "a list of strings"),
+    "fixed": (_strings, "a list of strings", tuple),
 }
 
 
@@ -97,16 +100,21 @@ class Provenance:
 
     def __post_init__(self):
         """``GameFormatError`` unless the kind is known and the record
-        holds the fields of its kind and no others.  Whether a parent
-        fits is for ``GameClass.add``."""
-        fields = _fields_of(self.kind)
-        for key in _PAYLOAD_TYPES:
-            needed = key in fields
-            if (getattr(self, key) is None) == needed:
+        holds the fields of its kind, each of its type, and no others;
+        lists are stored as tuples.  Whether a parent fits is for
+        ``GameClass.add``."""
+        fields, record = _fields_of(self.kind), vars(self)
+        for key, (fits, what, store) in _PAYLOAD_TYPES.items():
+            value, needed = record[key], key in fields
+            if (value is None) == needed:
                 verb = "needs" if needed else "has no"
                 raise GameFormatError(
                     f"provenance of kind {self.kind!r} {verb} {key!r}"
                 )
+            if value is not None:
+                if not fits(value):
+                    raise GameFormatError(f"provenance {key!r} must be {what}")
+                record[key] = store(value)
 
     def to_payload(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -125,20 +133,8 @@ class Provenance:
         """Read a manifest record: exactly the fields of its kind, each of
         its type, or ``GameFormatError`` instead of a reshaped record."""
         kind = data["kind"]
-        fields = _fields_of(kind)
-        for key, (fits, what) in _PAYLOAD_TYPES.items():
-            if key in data and not fits(data[key]):
-                raise GameFormatError(f"provenance {key!r} must be {what}")
-        check_fields(data, ("kind", *fields), f"provenance of kind {kind!r}")
-        return cls(
-            kind=kind,
-            parent=data.get("parent"),
-            subsets=tuple(tuple(s) for s in data["subsets"])
-            if "subsets" in data
-            else None,
-            keep=tuple(data["keep"]) if "keep" in data else None,
-            fixed=tuple(data["fixed"]) if "fixed" in data else None,
-        )
+        check_fields(data, ("kind", *_fields_of(kind)), f"provenance of kind {kind!r}")
+        return cls(**data)
 
     @classmethod
     def _of_cut(cls, kind: str, parent: str, subsets: tuple) -> "Provenance":
@@ -210,8 +206,8 @@ class GameClass:
         keeps a proper, sorted set of the parent's players, whose strategies
         are the game's, and ``fixed`` names a profile of the parent.  These
         are O(players) tests; whether the ranks replay is not checked.  The
-        record's fields, a seed's lack of a parent among them, were checked
-        when it was made."""
+        record's fields and their types, a seed's lack of a parent among
+        them, were checked when it was made."""
         kind = provenance.kind
         if kind == "seed":
             return
@@ -219,13 +215,12 @@ class GameClass:
         if parent is None:
             raise ValueError("provenance parent is not in the class")
         if kind != "player-reduction-of":
-            if tuple(map(tuple, provenance.subsets)) != game.strategies:
+            if provenance.subsets != game.strategies:
                 raise ValueError("provenance subsets are not the game's strategies")
             return
-        keep, n = tuple(provenance.keep), parent.player_count
+        keep, n = provenance.keep, parent.player_count
         if not (
             0 < len(keep) < n
-            and all(type(i) is int for i in keep)
             and list(keep) == sorted(set(keep))
             and 0 <= keep[0] <= keep[-1] < n
         ):

@@ -47,17 +47,13 @@ def decode_json(text: str):
 
 
 def game_from_payload(data: dict) -> Game:
-    """Validate a decoded game document and build the game."""
+    """The game of a decoded document; ``build_game`` checks its fields."""
     if not isinstance(data, dict):
         raise GameFormatError("game document must be a JSON object")
     check_fields(data, ("players", "strategies", "payoffs", "ranks"), "game document")
     for field in ("players", "strategies"):
         if field not in data:
             raise GameFormatError(f"missing field {field!r}")
-    players = data["players"]
-    # ``type(x) is int``, since bool subclasses int (json makes no other).
-    if type(players) is not int or players < 1:
-        raise GameFormatError("'players' must be a positive integer")
     strategies = data["strategies"]
     if not isinstance(strategies, list) or not all(
         isinstance(s, list) for s in strategies
@@ -67,12 +63,11 @@ def game_from_payload(data: dict) -> Game:
     has_ranks = "ranks" in data
     if has_payoffs == has_ranks:
         raise GameFormatError("give exactly one of 'payoffs' or 'ranks'")
-    tables = data["payoffs"] if has_payoffs else data["ranks"]
+    field = "payoffs" if has_payoffs else "ranks"
+    tables = data[field]
     if not isinstance(tables, list) or not all(isinstance(t, list) for t in tables):
         raise GameFormatError("tables must be flat lists")
-    if has_payoffs:
-        return build_game(players, strategies, payoffs=tables)
-    return build_game(players, strategies, ranks=tables)
+    return build_game(data["players"], strategies, **{field: tables})
 
 
 def parse_game(text: str) -> Game:

@@ -159,33 +159,11 @@ class Game:
     ranks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        strategies = _strategy_lists(self.strategies)
-        try:
-            ranks = tuple(map(tuple, self.ranks))
-        except TypeError:  # not an iterable of iterables
-            raise GameFormatError(
-                f"rank tables must be one sequence per player, got {self.ranks!r}"
-            ) from None
-        _check_player_count(self.player_count)
-        _check_labels(self.player_count, strategies)
-        if len(ranks) != self.player_count:
-            raise GameFormatError(
-                f"expected {self.player_count} rank tables, got {len(ranks)}"
-            )
-        total = math.prod(map(len, strategies))
+        strategies, ranks = _checked_fields(
+            self.player_count, self.strategies, self.ranks, ranked=True
+        )
         for i, table in enumerate(ranks):
-            if len(table) != total:
-                raise GameFormatError(
-                    f"rank table for player {i + 1} covers {len(table)} profiles, "
-                    f"expected {total}"
-                )
-            # the types first: ``set`` would fail on an unhashable value
-            used = set(table) if set(map(type, table)) == {int} else None
-            if used is None or min(used) < 0:
-                raise GameFormatError(
-                    f"rank table for player {i + 1} must hold non-negative integers"
-                )
-            if max(used) != len(used) - 1:
+            if max(table) != len(set(table)) - 1:
                 raise GameFormatError(
                     f"rank table for player {i + 1} is not dense-normalized"
                 )
@@ -433,28 +411,50 @@ def build_game(
     """
     if (payoffs is None) == (ranks is None):
         raise GameFormatError("give exactly one of payoffs or ranks")
-    _check_player_count(player_count)
+    strategies, tables = _checked_fields(
+        player_count, strategies, payoffs if ranks is None else ranks,
+        ranked=ranks is not None,
+    )
+    rank_tables = tuple(_normalize_ranks(t, reverse=ranks is None) for t in tables)
+    return _assemble(player_count, strategies, rank_tables)
+
+
+def _checked_fields(player_count, strategies, tables, ranked: bool):
+    """A game's fields checked as ``build_game`` and ``Game`` both read
+    them, in this order: an integer count of at least one player, one
+    label list per player, one flat table per player covering every
+    profile, the tables' values (non-negative integers when ``ranked``,
+    finite reals otherwise), and per player a non-empty list of distinct
+    strings.  Returns the label tuples and the tables as tuples, each
+    input read once; ``GameFormatError`` names the first fault."""
+    # bool subclasses int, and True would make a game equal to, but with
+    # another canonical id than, the same game built with 1
+    if type(player_count) is not int:
+        raise GameFormatError(
+            f"player count must be an integer, got {player_count!r}"
+        )
+    if player_count < 1:
+        raise GameFormatError("a game needs at least one player")
     strategies = _strategy_lists(strategies)
     if len(strategies) != player_count:
         raise GameFormatError(
             f"expected {player_count} strategy lists, got {len(strategies)}"
         )
     total = math.prod(map(len, strategies))
-    tables = payoffs if payoffs is not None else ranks
     try:
-        count = len(tables)
-    except TypeError:  # not a sequence
+        tables = list(tables)
+    except TypeError:  # not iterable
         raise GameFormatError(
             f"tables must be one sequence per player, got {tables!r}"
         ) from None
-    if count != player_count:
-        raise GameFormatError(f"expected {player_count} tables, got {count}")
-    flat_tables = [_flat_table(t, total) for t in tables]
-    values = [v for t in flat_tables for v in t]
+    if len(tables) != player_count:
+        raise GameFormatError(f"expected {player_count} tables, got {len(tables)}")
+    tables = tuple(_flat_table(t, total) for t in tables)
+    values = [v for t in tables for v in t]
     # Ranks take one test on the set of value types, which bool fails.
     # For payoffs, bool subclasses int, and ``abs(v) < inf`` fails NaN and
     # infinities but, unlike ``isfinite``, passes ints too large for a float.
-    if ranks is not None:
+    if ranked:
         if not set(map(type, values)) <= {int} or min(values, default=0) < 0:
             raise GameFormatError("ranks must be non-negative integers")
     elif not all(
@@ -462,32 +462,6 @@ def build_game(
         for v in values
     ):
         raise GameFormatError("payoffs must be finite numbers")
-    _check_labels(player_count, strategies)
-    rank_tables = tuple(
-        _normalize_ranks(t, reverse=payoffs is not None) for t in flat_tables
-    )
-    return _assemble(player_count, strategies, rank_tables)
-
-
-def _check_player_count(player_count) -> None:
-    # bool subclasses int, and True would make a game equal to, but with
-    # another canonical id than, the same game built with 1
-    if type(player_count) is not int:
-        raise GameFormatError(
-            f"player count must be an integer, got {player_count!r}"
-        )
-
-
-def _check_labels(player_count: int, strategies: tuple[tuple, ...]) -> None:
-    """The label checks ``Game`` and ``build_game`` share, in this order:
-    at least one player, one label list each, and per player a non-empty
-    list of distinct strings."""
-    if player_count < 1:
-        raise GameFormatError("a game needs at least one player")
-    if len(strategies) != player_count:
-        raise GameFormatError(
-            f"expected {player_count} strategy lists, got {len(strategies)}"
-        )
     for i, labels in enumerate(strategies):
         if not labels:
             raise GameFormatError(f"player {i + 1} has an empty strategy list")
@@ -495,6 +469,7 @@ def _check_labels(player_count: int, strategies: tuple[tuple, ...]) -> None:
             raise GameFormatError(f"player {i + 1} has non-string labels")
         if len(set(labels)) != len(labels):
             raise GameFormatError(f"player {i + 1} has duplicate strategy labels")
+    return strategies, tables
 
 
 def _strategy_lists(strategies) -> tuple[tuple, ...]:
@@ -512,9 +487,9 @@ def _strategy_lists(strategies) -> tuple[tuple, ...]:
     return out
 
 
-def _flat_table(table, total: int) -> list:
+def _flat_table(table, total: int) -> tuple:
     try:
-        items = list(table)
+        items = tuple(table)
     except TypeError:
         raise GameFormatError("table is not a sequence") from None
     if any(issubclass(t, (list, tuple)) for t in set(map(type, items))):

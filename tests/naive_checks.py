@@ -539,24 +539,6 @@ def _naive_finite_number(v) -> bool:
     return v == v and -math.inf < v < math.inf
 
 
-def _naive_labels_error(players: int, strategies):
-    """What ``Game`` says about the player count and the label lists,
-    once their number matches the player count, or None."""
-    if players < 1:
-        return "a game needs at least one player"
-    for i, labels in enumerate(strategies):
-        if len(labels) == 0:
-            return f"player {i + 1} has an empty strategy list"
-        for label in labels:
-            if not isinstance(label, str):
-                return f"player {i + 1} has non-string labels"
-        for a in range(len(labels)):
-            for b in range(a):
-                if labels[a] == labels[b]:
-                    return f"player {i + 1} has duplicate strategy labels"
-    return None
-
-
 def naive_build_error(players, strategies, payoffs=None, ranks=None):
     """The ``GameFormatError`` message of ``build_game`` for these
     arguments, or None when it builds a game, checked value by value in
@@ -566,6 +548,8 @@ def naive_build_error(players, strategies, payoffs=None, ranks=None):
         return "give exactly one of payoffs or ranks"
     if type(players) is not int:
         return f"player count must be an integer, got {players!r}"
+    if players < 1:
+        return "a game needs at least one player"
     if len(strategies) != players:
         return f"expected {players} strategy lists, got {len(strategies)}"
     total = 1
@@ -586,43 +570,16 @@ def naive_build_error(players, strategies, payoffs=None, ranks=None):
                 return "ranks must be non-negative integers"
             if not _naive_finite_number(v):
                 return "payoffs must be finite numbers"
-    return _naive_labels_error(players, strategies)
-
-
-def naive_game_error(players, strategies, ranks):
-    """The ``GameFormatError`` message of ``Game(players, strategies,
-    ranks)``, or None when the game is built, on the domain of
-    ``naive_build_error``."""
-    if type(players) is not int:
-        return f"player count must be an integer, got {players!r}"
-    if players < 1:
-        return "a game needs at least one player"
-    if len(strategies) != players:
-        return f"expected {players} strategy lists, got {len(strategies)}"
-    error = _naive_labels_error(players, strategies)
-    if error is not None:
-        return error
-    if len(ranks) != players:
-        return f"expected {players} rank tables, got {len(ranks)}"
-    total = 1
-    for labels in strategies:
-        total *= len(labels)
-    for i, table in enumerate(ranks):
-        if len(table) != total:
-            return (
-                f"rank table for player {i + 1} covers {len(table)} profiles, "
-                f"expected {total}"
-            )
-        for v in table:
-            if type(v) is not int or v < 0:
-                return f"rank table for player {i + 1} must hold non-negative integers"
-        used = []
-        for v in table:
-            if v not in used:
-                used.append(v)
-        for v in used:
-            if v >= len(used):
-                return f"rank table for player {i + 1} is not dense-normalized"
+    for i, labels in enumerate(strategies):
+        if len(labels) == 0:
+            return f"player {i + 1} has an empty strategy list"
+        for label in labels:
+            if not isinstance(label, str):
+                return f"player {i + 1} has non-string labels"
+        for a in range(len(labels)):
+            for b in range(a):
+                if labels[a] == labels[b]:
+                    return f"player {i + 1} has duplicate strategy labels"
     return None
 
 

@@ -74,6 +74,13 @@ def test_solve_rejects_unhashable_labels(capsys, tmp_path, label):
             '{"players": 1, "strategies": [["a"]], "payoffs": [[' + "9" * 5000 + "]]}",
             id="over-long-integer",
         ),
+        *(
+            pytest.param(
+                '{"players": %s, "strategies": [["a"]], "ranks": [[0]]}' % players,
+                id=f"players-{players}",
+            )
+            for players in ("0", "true", "1.0")
+        ),
     ],
 )
 def test_undecodable_game_file_is_named(capsys, tmp_path, text):

@@ -444,6 +444,19 @@ _GOOD_RECORDS = {
         pytest.param(
             "player-reduction-of", {"fixed": ("U",)}, "fixed", id="fixed-too-short"
         ),
+        # fields of the wrong type are refused as the record is made
+        pytest.param(
+            "reduction-of", {"subsets": 5}, "'subsets' must be a list of lists",
+            id="subsets-an-int",
+        ),
+        pytest.param(
+            "player-reduction-of", {"keep": 5}, "'keep' must be a list of integers",
+            id="keep-an-int",
+        ),
+        pytest.param(
+            "reduction-of", {"parent": ["x"]}, "'parent' must be a string",
+            id="parent-a-list",
+        ),
     ],
 )
 def test_add_checks_that_a_record_fits_its_game(ex2, kind, changes, why):

@@ -151,7 +151,7 @@ def test_build_errors():
             build_game(1, [["a", "b", "c"]], payoffs=[payoffs])
     with pytest.raises(GameFormatError, match="ranks must be non-negative integers"):
         build_game(1, [["a", "b"]], ranks=[[True, 0]])
-    with pytest.raises(GameFormatError, match="must hold non-negative integers"):
+    with pytest.raises(GameFormatError, match="ranks must be non-negative integers"):
         Game(1, (("a", "b"),), ((True, False),))
     not_int = "player count must be an integer"
     with pytest.raises(GameFormatError, match=not_int):
@@ -160,26 +160,47 @@ def test_build_errors():
         build_game("2", [["a"], ["x"]], ranks=[[0], [0]])
     with pytest.raises(GameFormatError, match=not_int):
         Game("2", (("a",), ("x",)), ((0,), (0,)))
+    # the player count is checked before the label lists are counted
+    for players in (0, -1):
+        with pytest.raises(GameFormatError, match="^a game needs at least one player$"):
+            build_game(players, [["a"]], ranks=[[0]])
 
 
 @pytest.mark.parametrize(
     "table,why",
     [
-        ((0,), "covers 1 profiles, expected 2"),
-        ((0, 1, 0), "covers 3 profiles, expected 2"),
-        ((0, 2), "is not dense-normalized"),
-        ((1, 1), "is not dense-normalized"),
-        ((0, -1), "must hold non-negative integers"),
-        ((0, 1.0), "must hold non-negative integers"),
-        ((0, True), "must hold non-negative integers"),
+        ((0,), "flat table has 1 entries, expected 2"),
+        ((0, 1, 0), "flat table has 3 entries, expected 2"),
+        ((0, 2), "rank table for player 2 is not dense-normalized"),
+        ((1, 1), "rank table for player 2 is not dense-normalized"),
+        ((0, -1), "ranks must be non-negative integers"),
+        ((0, 1.0), "ranks must be non-negative integers"),
+        ((0, True), "ranks must be non-negative integers"),
     ],
     ids=["short", "long", "gap", "no-zero", "negative", "float", "bool"],
 )
 def test_game_checks_each_rank_table(table, why):
-    # the second player's table, so the message must name the right one
+    # the second player's table, so a density message must name the right one
     with pytest.raises(GameFormatError) as err:
         Game(2, (("a", "b"), ("x",)), ((1, 0), table))
-    assert str(err.value) == f"rank table for player 2 {why}"
+    assert str(err.value) == why
+
+
+def test_game_reads_iterators_once(ex2):
+    """``Game`` and ``build_game`` read each argument once, so iterators of
+    tables, of their values and of label lists build the game tuples do."""
+    n, strategies, ranks = ex2.player_count, ex2.strategies, ex2.ranks
+    built = [
+        Game(n, strategies, iter(ranks)),
+        Game(n, strategies, [iter(t) for t in ranks]),
+        Game(n, (list(s) for s in strategies), (iter(t) for t in ranks)),
+        build_game(n, iter(strategies), ranks=(iter(t) for t in ranks)),
+    ]
+    for game in built:
+        assert game == ex2 and game.canonical_id == ex2.canonical_id
+        assert type(game.ranks) is tuple and set(map(type, game.ranks)) == {tuple}
+        assert type(game.strategies) is tuple
+        assert set(map(type, game.strategies)) == {tuple}
 
 
 def test_tables_and_strategies_that_are_not_lists_are_named():
